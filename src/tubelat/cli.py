@@ -13,8 +13,9 @@ import argparse
 import json
 import os
 import sys
+from functools import cached_property
 
-from .algebra import build_c4, spec_from_json, validate_spec
+from .algebra import build_c4, derive_path_basis, spec_from_json, validate_spec
 from .errors import PreconditionError, SpecFormatError, TubelatError
 from .exceptional import enumerate_exceptional, unit_decompose
 from .lattice import K0Lattice
@@ -48,40 +49,25 @@ class _Context:
 
     def __init__(self, args):
         self.args = args
-        self._spec = None
-        self._basis = None
-        self._lattice = None
-        self._exceptional = None
 
-    @property
+    @cached_property
     def spec(self):
-        if self._spec is None:
-            if self.args.algebra:
-                with open(self.args.algebra, encoding="utf-8") as fh:
-                    self._spec = spec_from_json(json.load(fh))
-            else:
-                self._spec = build_c4(parse_frac(self.args.lam))
-        return self._spec
+        if self.args.algebra:
+            with open(self.args.algebra, encoding="utf-8") as fh:
+                return spec_from_json(json.load(fh))
+        return build_c4(parse_frac(self.args.lam))
 
-    @property
+    @cached_property
     def basis(self):
-        if self._basis is None:
-            from .algebra import derive_path_basis
+        return derive_path_basis(self.spec)
 
-            self._basis = derive_path_basis(self.spec)
-        return self._basis
-
-    @property
+    @cached_property
     def lattice(self):
-        if self._lattice is None:
-            self._lattice = K0Lattice.for_spec(self.spec)
-        return self._lattice
+        return K0Lattice.for_spec(self.spec)
 
-    @property
+    @cached_property
     def exceptional(self):
-        if self._exceptional is None:
-            self._exceptional = enumerate_exceptional(self.lattice)
-        return self._exceptional
+        return enumerate_exceptional(self.lattice)
 
     def vector(self, text):
         named = {"h0": lambda: self.lattice.h0, "hinf": lambda: self.lattice.hinf}
@@ -232,7 +218,7 @@ def _cmd_pp_pair(ctx: _Context) -> tuple[object, int]:
 def _cmd_certify(ctx: _Context) -> tuple[object, int]:
     with open(ctx.args.certificate, encoding="utf-8") as fh:
         data = json.load(fh)
-    kind = data.get("kind")
+    kind = data.get("kind") if isinstance(data, dict) else None
     if kind == "gap-vector":
         cert = gap_certificate_from_json(data)
         failures = validate_gap_certificate(ctx.lattice, cert)
@@ -341,23 +327,12 @@ def run(argv=None, stdout=None) -> int:
     ctx = _Context(args)
     try:
         doc, code = _COMMANDS[args.command](ctx)
-    except TubelatError as exc:
-        _emit(args.command, dumps_canonical({"error": exc.name, "message": str(exc)}), stdout)
-        return 1
-    except FileNotFoundError as exc:
-        _emit(
-            args.command,
-            dumps_canonical({"error": "io", "message": str(exc)}),
-            stdout,
-        )
-        return 1
-    except json.JSONDecodeError as exc:
-        _emit(
-            args.command,
-            dumps_canonical({"error": "malformed-json", "message": str(exc)}),
-            stdout,
-        )
-        return 1
+    except (TubelatError, FileNotFoundError, json.JSONDecodeError) as exc:
+        if isinstance(exc, TubelatError):
+            name = exc.name
+        else:
+            name = "io" if isinstance(exc, FileNotFoundError) else "malformed-json"
+        doc, code = {"error": name, "message": str(exc)}, 1
     _emit(args.command, dumps_canonical(doc), stdout)
     return code
 

@@ -23,6 +23,7 @@ from .errors import (
     UndefinedSlopeError,
     UnsupportedFormError,
 )
+from .serialize import parse_frac
 
 DimVector = tuple[int, ...]
 
@@ -37,10 +38,6 @@ def vec_sub(x: DimVector, y: DimVector) -> DimVector:
 
 def vec_scale(c: int, x: DimVector) -> DimVector:
     return tuple(c * a for a in x)
-
-
-def unit_vector(n: int, i: int) -> DimVector:
-    return tuple(1 if j == i else 0 for j in range(n))
 
 
 def mu(x) -> int:
@@ -109,11 +106,12 @@ class Slope:
 
     @staticmethod
     def parse(text: str) -> "Slope":
+        if not isinstance(text, str):
+            raise SpecFormatError(f"slope must be a string, got {text!r}")
         text = text.strip()
         if text in ("inf", "infinity", "oo"):
             return Slope.infinity()
-        q = Fraction(text)
-        return Slope.from_fraction(q)
+        return Slope.from_fraction(parse_frac(text))
 
 
 @dataclass(frozen=True)

@@ -18,18 +18,8 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def zeros(rows: int, cols: int) -> Mat:
-    return [[ZERO] * cols for _ in range(rows)]
-
-
 def identity(n: int) -> Mat:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-
-
-def transpose(a: Mat, cols: int | None = None) -> Mat:
-    if not a:
-        return [[] for _ in range(cols or 0)]
-    return [list(col) for col in zip(*a)]
 
 
 def mat_mul(a: Mat, b: Mat, b_cols: int | None = None) -> Mat:
@@ -48,18 +38,6 @@ def mat_mul(a: Mat, b: Mat, b_cols: int | None = None) -> Mat:
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
     return [sum((row[k] * v[k] for k in range(len(v))), ZERO) for row in a]
-
-
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return [x + y for x, y in zip(u, v)]
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return [x - y for x, y in zip(u, v)]
-
-
-def vec_scale(c, v: Vec) -> Vec:
-    return [c * x for x in v]
 
 
 def _pivot_row(rows: Mat, col: int, start: int) -> int | None:
@@ -178,14 +156,10 @@ def subspace_intersection(u: list[Vec], v: list[Vec], dim: int) -> list[Vec]:
     system = []
     for coord in range(dim):
         system.append([w[coord] for w in u] + [-w[coord] for w in v])
-    combos = nullspace(system, cols)
-    vectors = []
-    for c in combos:
-        vec = [ZERO] * dim
-        for j, w in enumerate(u):
-            if c[j] != 0:
-                vec = vec_add(vec, vec_scale(c[j], w))
-        vectors.append(vec)
+    vectors = [
+        [sum((cj * w[k] for cj, w in zip(c, u) if cj), ZERO) for k in range(dim)]
+        for c in nullspace(system, cols)
+    ]
     return column_space_basis(vectors, dim)
 
 

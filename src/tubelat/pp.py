@@ -34,7 +34,7 @@ from .reps import (
     sum_embed,
     zero_rep,
 )
-from .serialize import frac_to_str, parse_frac
+from .serialize import frac_to_str, parse_frac, parse_int
 
 AlgElement = tuple[tuple[Fraction, Path], ...]
 
@@ -418,19 +418,19 @@ def formula_to_json(phi: PpFormula) -> dict:
 
 def formula_from_json(spec: AlgebraSpec, data: dict) -> PpFormula:
     try:
-        free = int(data["free"])
-        col_types = [int(t) - 1 for t in data["types"]]
-        if "bound" in data and int(data["bound"]) + free != len(col_types):
+        free = parse_int(data["free"])
+        col_types = [parse_int(t) - 1 for t in data["types"]]
+        if "bound" in data and parse_int(data["bound"]) + free != len(col_types):
             raise SpecFormatError("free + bound does not match the type list")
         raw_entries = data.get("entries", [])
         if "rows" in data:
-            row_types = [int(t) - 1 for t in data["rows"]]
+            row_types = [parse_int(t) - 1 for t in data["rows"]]
         else:
             # derive row types from the entries' path targets
-            row_count = 1 + max((int(e["row"]) for e in raw_entries), default=-1)
+            row_count = 1 + max((parse_int(e["row"]) for e in raw_entries), default=-1)
             derived: list[int | None] = [None] * row_count
             for e in raw_entries:
-                r, c = int(e["row"]), int(e["col"])
+                r, c = parse_int(e["row"]), parse_int(e["col"])
                 for term in e["terms"]:
                     path = tuple(str(l) for l in term["path"])
                     _, tgt = spec.path_endpoints(path, src_hint=col_types[c])
@@ -440,10 +440,10 @@ def formula_from_json(spec: AlgebraSpec, data: dict) -> PpFormula:
                         raise SpecFormatError(f"row {r} mixes target types")
             if any(t is None for t in derived):
                 raise SpecFormatError("row without entries needs explicit 'rows'")
-            row_types = [int(t) for t in derived]
+            row_types = list(derived)
         entries = [[() for _ in col_types] for _ in row_types]
         for e in raw_entries:
-            r, c = int(e["row"]), int(e["col"])
+            r, c = parse_int(e["row"]), parse_int(e["col"])
             combo = tuple(
                 (parse_frac(term["coeff"]), tuple(str(l) for l in term["path"]))
                 for term in e["terms"]

@@ -124,42 +124,40 @@ class QuadIrrational:
             hi = (self.p + self.q * root_lo) / self.s
         return lo, hi
 
+    def bracket_until(self, done, scale: int = 2) -> tuple[Fraction, Fraction]:
+        """The first ``bracket(scale * 4**j)``, j = 0, 1, ..., whose ends
+        satisfy ``done(lo, hi)``; the widths shrink to 0, so any condition
+        that holds on every narrow enough enclosure ends the loop."""
+        while True:
+            lo, hi = self.bracket(scale)
+            if done(lo, hi):
+                return lo, hi
+            scale *= 4
+
     def rational_below(self, gap: Fraction) -> Fraction:
         """A rational q with self - gap < q < self."""
         if gap <= 0:
             raise ParameterDomainError("gap must be positive")
-        scale = 2
-        while True:
-            lo, hi = self.bracket(scale)
-            if hi - lo < gap:
-                return lo
-            scale *= 4
+        return self.bracket_until(lambda lo, hi: hi - lo < gap)[0]
 
     def rational_above(self, gap: Fraction) -> Fraction:
         """A rational q with self < q < self + gap."""
         if gap <= 0:
             raise ParameterDomainError("gap must be positive")
-        scale = 2
-        while True:
-            lo, hi = self.bracket(scale)
-            if hi - lo < gap:
-                return hi
-            scale *= 4
+        return self.bracket_until(lambda lo, hi: hi - lo < gap)[1]
 
     def distance_lower_bound(self, t: Fraction) -> Fraction:
         """A positive rational below |self - t|, certified, at least half of it."""
         t = Fraction(t)
-        scale = 2
-        while True:
-            lo, hi = self.bracket(scale)
-            if t < lo and (lo - t) >= (hi - lo):
-                return lo - t
-            if t > hi and (t - hi) >= (hi - lo):
-                return t - hi
-            scale *= 4
+
+        def outside(lo, hi):  # distance from t to [lo, hi]; <= 0 inside it
+            return lo - t if t < lo else t - hi
+
+        lo, hi = self.bracket_until(lambda lo, hi: outside(lo, hi) >= hi - lo)
+        return outside(lo, hi)
 
     def __str__(self) -> str:
-        return f"({self.p}+{self.q}*sqrt({self.d}))/{self.s}"
+        return f"({self.p}{self.q:+d}*sqrt({self.d}))/{self.s}"
 
 
 _SQRT_COLON = re.compile(r"^sqrt:(\d+)$")
@@ -173,6 +171,8 @@ _GENERAL = re.compile(
 def parse_quad_irrational(text: str) -> QuadIrrational:
     """Parse the wire forms ``sqrt:d``, ``sqrt(d)``, ``sqrt(d)/s`` and
     ``(p+q*sqrt(d))/s`` (the ``q*`` and ``/s`` parts optional)."""
+    if not isinstance(text, str):
+        raise SpecFormatError(f"not a quadratic irrational: {text!r}")
     text = text.strip().replace(" ", "")
     m = _SQRT_COLON.match(text) or _SQRT_CALL.match(text)
     if m:

@@ -22,7 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .lattice import DimVector, K0Lattice, Slope
-from .serialize import frac_to_str, parse_frac
+from .serialize import frac_to_str, parse_frac, parse_int
 
 Matrix = tuple[tuple[Fraction, ...], ...]
 Element = tuple[int, tuple[Fraction, ...]]  # (vertex, coordinates)
@@ -48,9 +48,6 @@ class Representation:
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
-
-    def arrow_matrix(self, label: str) -> Matrix:
-        return self.maps[label]
 
 
 def make_representation(spec: AlgebraSpec, dims, maps) -> Representation:
@@ -109,14 +106,6 @@ def validate(rep: Representation) -> None:
             failures.append(f"relation {idx + 1} [{pretty}] is violated")
     if failures:
         raise ValidationError(failures)
-
-
-def is_valid(rep: Representation) -> bool:
-    try:
-        validate(rep)
-        return True
-    except ValidationError:
-        return False
 
 
 def dim_vector(rep: Representation) -> DimVector:
@@ -577,11 +566,11 @@ def rep_to_json(rep: Representation) -> dict:
 
 def rep_from_json(spec: AlgebraSpec, data: dict) -> Representation:
     try:
-        dims = [int(d) for d in data["dims"]]
+        dims = [parse_int(d) for d in data["dims"]]
         maps = {
             str(label): [[parse_frac(x) for x in row] for row in mat]
             for label, mat in data.get("arrows", {}).items()
         }
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SpecFormatError(f"malformed representation: {exc}") from exc
     return make_representation(spec, dims, maps)

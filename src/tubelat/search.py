@@ -31,7 +31,7 @@ from .errors import BudgetExhaustedError, PreconditionError, SpecFormatError
 from .exceptional import ExceptionalSet
 from .lattice import DimVector, K0Lattice, Slope, mu
 from .quadirr import QuadIrrational, parse_quad_irrational
-from .serialize import frac_to_str, parse_frac
+from .serialize import frac_to_str, parse_frac, parse_int
 
 
 @dataclass(frozen=True)
@@ -484,12 +484,7 @@ def tube_parameters(
             )
         # shrink: any rational q in (b/a, r) yields a strictly tighter window
         s = Fraction(cert.b, cert.a)
-        scale = 1 << 8
-        while True:
-            lo, _ = r.bracket(scale)
-            if lo > s:
-                break
-            scale *= 4
+        lo, _ = r.bracket_until(lambda lo, hi: lo > s, 1 << 8)
         eps_i = lo - s
     raise BudgetExhaustedError(
         f"threshold b > {threshold} not reached within {max_rounds} rounds"
@@ -552,9 +547,9 @@ def gap_certificate_from_json(data: dict) -> GapCertificate:
             raise SpecFormatError(f"not a gap-vector certificate: {data.get('kind')!r}")
         witnesses = tuple(
             Witness(
-                a=int(w["a"]),
-                b=int(w["b"]),
-                mu=int(w["mu"]),
+                a=parse_int(w["a"]),
+                b=parse_int(w["b"]),
+                mu=parse_int(w["mu"]),
                 slope=Slope.parse(w["slope"]),
             )
             for w in data["witnesses"]
@@ -562,15 +557,15 @@ def gap_certificate_from_json(data: dict) -> GapCertificate:
         return GapCertificate(
             r=parse_quad_irrational(data["r"]),
             epsilon=parse_frac(data["epsilon"]),
-            k=int(data["k"]),
-            a=int(data["a"]),
-            b=int(data["b"]),
-            mu=int(data["mu"]),
-            budget=int(data["budget"]),
-            mu_weights=(int(data["mu_weights"][0]), int(data["mu_weights"][1])),
+            k=parse_int(data["k"]),
+            a=parse_int(data["a"]),
+            b=parse_int(data["b"]),
+            mu=parse_int(data["mu"]),
+            budget=parse_int(data["budget"]),
+            mu_weights=(parse_int(data["mu_weights"][0]), parse_int(data["mu_weights"][1])),
             witnesses=witnesses,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise SpecFormatError(f"malformed gap certificate: {exc}") from exc
 
 
@@ -597,17 +592,17 @@ def tube_params_from_json(data: dict) -> TubeParams:
         if data.get("kind") != "tube-params":
             raise SpecFormatError(f"not a tube-params document: {data.get('kind')!r}")
         return TubeParams(
-            a=int(data["a"]),
-            b=int(data["b"]),
-            rank=int(data["rank"]),
-            k_used=int(data["k_used"]),
-            p=int(data["p"]),
-            d=int(data["d"]),
+            a=parse_int(data["a"]),
+            b=parse_int(data["b"]),
+            rank=parse_int(data["rank"]),
+            k_used=parse_int(data["k_used"]),
+            p=parse_int(data["p"]),
+            d=parse_int(data["d"]),
             lower_bound=parse_frac(data["lower_bound"]),
-            threshold=int(data["threshold"]),
+            threshold=parse_int(data["threshold"]),
             r=parse_quad_irrational(data["r"]),
             epsilon=parse_frac(data["epsilon"]),
             certificate=gap_certificate_from_json(data["certificate"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise SpecFormatError(f"malformed tube-params document: {exc}") from exc

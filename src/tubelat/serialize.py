@@ -36,6 +36,13 @@ def parse_frac(text) -> Fraction:
         raise SpecFormatError(f"malformed rational {text!r}") from exc
 
 
+def parse_int(value) -> int:
+    """Accept a JSON integer only: no bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecFormatError(f"not an integer: {value!r}")
+    return value
+
+
 def parse_int_vector(text, length: int | None = None) -> tuple[int, ...]:
     """Parse a JSON integer array (given as text or list) into a tuple."""
     if isinstance(text, str):

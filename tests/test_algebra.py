@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tubelat import algebra
 from tubelat.algebra import (
     AlgebraSpec,
     Arrow,
@@ -147,6 +148,32 @@ def test_validate_spec_passes_builtin(spec):
     names = [c.name for c in report.checks]
     assert "quadratic-form-match" in names
     assert "slope-formula-match" in names
+
+
+def test_validate_spec_detects_every_extra_monomial(spec, monkeypatch):
+    # The 21 polarisation vectors must catch a change in any of the 21
+    # coefficients of the printed form, so the check is a proof.
+    original = c4_reference_quadratic
+    for i in range(6):
+        for j in range(i, 6):
+            monkeypatch.setattr(
+                algebra, "c4_reference_quadratic", lambda x: original(x) + x[i] * x[j]
+            )
+            assert validate_spec(spec).failures() == ["quadratic-form-match"], (i, j)
+
+
+def test_validate_spec_detects_every_slope_perturbation(spec, monkeypatch):
+    original = algebra.c4_reference_slope_pair
+    for k in range(6):
+        for part in (0, 1):  # numerator, then denominator
+
+            def perturbed(x):
+                pair = list(original(x))
+                pair[part] += x[k]
+                return tuple(pair)
+
+            monkeypatch.setattr(algebra, "c4_reference_slope_pair", perturbed)
+            assert validate_spec(spec).failures() == ["slope-formula-match"], (k, part)
 
 
 def test_validate_spec_fails_on_dropped_relation(spec):

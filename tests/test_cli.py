@@ -137,17 +137,65 @@ def test_pp_commands(tmp_path, spec, basis):
 
 
 def test_certify_round_trip(tmp_path):
-    _, text = invoke("gap-search", "--r", "sqrt:2", "--eps", "1/10", "--k", "50")
     cert_file = tmp_path / "cert.json"
-    cert_file.write_text(text)
-    code, doc = invoke_json("certify", str(cert_file))
-    assert code == 0 and doc["valid"] is True and doc["failures"] == []
+    # a negative q must be printed in a form the parser reads back
+    for r in ("sqrt:2", "(3-sqrt(5))/2"):
+        _, text = invoke("gap-search", "--r", r, "--eps", "1/10", "--k", "50")
+        cert_file.write_text(text)
+        code, doc = invoke_json("certify", str(cert_file))
+        assert code == 0 and doc["valid"] is True and doc["failures"] == [], r
 
     _, text = invoke("tube-params", "--r", "sqrt:2", "--eps", "1/10", "--d", "1")
     tube_file = tmp_path / "tube.json"
     tube_file.write_text(text)
     code, doc = invoke_json("certify", str(tube_file))
     assert code == 0 and doc["valid"] is True
+
+
+@pytest.mark.parametrize(
+    "kind, where, value",
+    [
+        ("gap", ("witnesses", 1, "slope"), "1/0"),
+        ("gap", ("witnesses", 1, "slope"), 3),
+        ("gap", ("k",), 5.9),
+        ("gap", ("a",), True),
+        ("gap", ("mu_weights",), []),
+        ("gap", ("r",), 5),
+        ("tube", ("certificate",), []),
+        ("rep", ("dims", 0), 1.9),
+        ("rep", ("arrows",), []),
+    ],
+    ids=[
+        "slope-1/0",
+        "slope-number",
+        "k-float",
+        "a-bool",
+        "mu-weights-empty",
+        "r-number",
+        "certificate-list",
+        "dims-float",
+        "arrows-list",
+    ],
+)
+def test_wire_values_must_be_exact(tmp_path, spec, kind, where, value):
+    if kind == "rep":
+        command = "slope"
+        doc = rep_to_json(reps.make_representation(spec, (1, 1, 2, 1, 1, 0), {}))
+    else:
+        command = "certify"
+        argv = {
+            "gap": ("gap-search", "--r", "sqrt:2", "--eps", "1/10", "--k", "5"),
+            "tube": ("tube-params", "--r", "sqrt:2", "--eps", "1/10", "--d", "1"),
+        }[kind]
+        doc = json.loads(invoke(*argv)[1])
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    doc_file = tmp_path / "doc.json"
+    doc_file.write_text(json.dumps(doc))
+    code, out = invoke_json(command, str(doc_file))
+    assert code == 1 and out["error"] == "spec-format"
 
 
 def test_certify_rejects_mutation(tmp_path):
