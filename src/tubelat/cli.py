@@ -138,7 +138,7 @@ def _cmd_gap_search(ctx: _Context) -> tuple[object, int]:
         ctx.lattice,
         parse_quad_irrational(ctx.args.r),
         parse_frac(ctx.args.eps),
-        int(ctx.args.k),
+        ctx.args.k,
     )
     return gap_certificate_to_json(cert), 0
 
@@ -175,7 +175,7 @@ def _cmd_tube_params(ctx: _Context) -> tuple[object, int]:
         ctx.exceptional,
         parse_quad_irrational(ctx.args.r),
         parse_frac(ctx.args.eps),
-        int(ctx.args.d),
+        ctx.args.d,
     )
     return tube_params_to_json(tp), 0
 

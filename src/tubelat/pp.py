@@ -423,14 +423,16 @@ def formula_from_json(spec: AlgebraSpec, data: dict) -> PpFormula:
         if "bound" in data and parse_int(data["bound"]) + free != len(col_types):
             raise SpecFormatError("free + bound does not match the type list")
         raw_entries = data.get("entries", [])
+        cells = [(parse_int(e["row"]), parse_int(e["col"])) for e in raw_entries]
+        if any(r < 0 or c < 0 for r, c in cells):
+            raise SpecFormatError("entry row and col must be nonnegative")
         if "rows" in data:
             row_types = [parse_int(t) - 1 for t in data["rows"]]
         else:
             # derive row types from the entries' path targets
-            row_count = 1 + max((parse_int(e["row"]) for e in raw_entries), default=-1)
+            row_count = 1 + max((r for r, _ in cells), default=-1)
             derived: list[int | None] = [None] * row_count
-            for e in raw_entries:
-                r, c = parse_int(e["row"]), parse_int(e["col"])
+            for (r, c), e in zip(cells, raw_entries):
                 for term in e["terms"]:
                     path = tuple(str(l) for l in term["path"])
                     _, tgt = spec.path_endpoints(path, src_hint=col_types[c])
@@ -442,8 +444,7 @@ def formula_from_json(spec: AlgebraSpec, data: dict) -> PpFormula:
                 raise SpecFormatError("row without entries needs explicit 'rows'")
             row_types = list(derived)
         entries = [[() for _ in col_types] for _ in row_types]
-        for e in raw_entries:
-            r, c = parse_int(e["row"]), parse_int(e["col"])
+        for (r, c), e in zip(cells, raw_entries):
             combo = tuple(
                 (parse_frac(term["coeff"]), tuple(str(l) for l in term["path"]))
                 for term in e["terms"]

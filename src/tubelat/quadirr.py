@@ -2,11 +2,11 @@
 
 Every slope search in this package compares rationals against an irrational
 cut ``r``.  Restricting ``r`` to quadratic irrationals makes each comparison
-a finite integer computation (cross-multiply, then compare squares), so the
-searches never touch approximate arithmetic.  Rational *enclosures* of ``r``
-are still available, via integer square roots, for picking nearby rational
-window endpoints; they are used only to choose parameters, never to decide
-an ordering.
+one integer computation, ``floor(n*r)`` by ``isqrt``, so the searches never
+touch approximate arithmetic.  Rational *enclosures* of ``r`` are still
+available, via integer square roots, for picking nearby rational window
+endpoints; they are used only to choose parameters, never to decide an
+ordering.
 """
 
 from __future__ import annotations
@@ -19,10 +19,16 @@ from math import gcd, isqrt
 from .errors import ParameterDomainError, SpecFormatError
 
 
+# Trial division below takes at most sqrt(MAX_RADICAND) = 10**6 steps.
+MAX_RADICAND = 10**12
+
+
 def squarefree_part(d: int) -> tuple[int, int]:
     """Return (m, d0) with d = m^2 * d0 and d0 squarefree."""
     if d <= 0:
         raise ParameterDomainError(f"radicand must be positive, got {d}")
+    if d > MAX_RADICAND:
+        raise ParameterDomainError(f"radicand {d} exceeds {MAX_RADICAND}")
     m, d0 = 1, d
     f = 2
     while f * f <= d0:
@@ -66,19 +72,19 @@ class QuadIrrational:
 
     # -- ordering against exact rationals (integer arithmetic only) --------
 
+    def floor_mul(self, n: int) -> int:
+        """floor(n * self), exactly.  n*q*sqrt(d) is an integer only for n = 0,
+        so its floor is isqrt((n*q)^2 * d), less one when n*q < 0."""
+        nq = n * self.q
+        root = isqrt(nq * nq * self.d)
+        if nq < 0:
+            root = -root - 1
+        return (n * self.p + root) // self.s
+
     def cmp_fraction(self, t: Fraction | int) -> int:
         """Sign of (self - t); never 0 since self is irrational."""
         t = Fraction(t)
-        # (p + q sqrt(d))/s - u/v  has the sign of  A + B sqrt(d)  with:
-        a = self.p * t.denominator - t.numerator * self.s
-        b = self.q * t.denominator
-        if b > 0:
-            if a >= 0:
-                return 1
-            return 1 if b * b * self.d > a * a else -1
-        if a <= 0:
-            return -1
-        return 1 if a * a > b * b * self.d else -1
+        return -1 if self.floor_mul(t.denominator) < t.numerator else 1
 
     def __gt__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -95,20 +101,6 @@ class QuadIrrational:
 
     def __le__(self, other):
         return self.__lt__(other)
-
-    # -- rational shifts ----------------------------------------------------
-
-    def add_fraction(self, t: Fraction | int) -> "QuadIrrational":
-        t = Fraction(t)
-        return QuadIrrational(
-            self.p * t.denominator + t.numerator * self.s,
-            self.q * t.denominator,
-            self.d,
-            self.s * t.denominator,
-        )
-
-    def sub_fraction(self, t: Fraction | int) -> "QuadIrrational":
-        return self.add_fraction(-Fraction(t))
 
     # -- rational enclosures ------------------------------------------------
 

@@ -10,10 +10,9 @@ integer comparisons:
   and a perturbed one, with a derived completeness bound on a;
 * ``delta_for`` shrinks a slope window until perturbed membership forces
   unperturbed membership, by excluding the finitely many exceptions;
-* ``gap_vector`` finds a pair whose slope approaches the irrational cut r
-  from below so well that any strictly better approximation from below costs
-  more than mu + k in total dimension, and emits the full competitor list as
-  a certificate;
+* ``gap_vector`` finds the pair of least total dimension mu whose slope in
+  (r - eps, r) is the best slope below r of all pairs within dimension
+  mu + k, and emits every pair within that budget as a certificate;
 * ``tube_parameters`` turns a requested dimension gap d into a choice of k,
   a certified gap vector and the resulting dimension bounds.
 
@@ -270,58 +269,55 @@ def gap_vector(
 ) -> GapCertificate:
     """Find a*h0 + b*hinf with slope in (r - eps, r) such that every radical
     pair with slope strictly between it and r has total dimension greater
-    than mu + k.
+    than mu + k, with the least such mu.
 
-    Search order is increasing total dimension, so the certified minimum is
-    found without unbounded scans; the emitted witness list makes the search
-    strategy irrelevant to correctness.
+    Such a pair lies within its own budget mu + k, so b/a is the best slope
+    below r within that budget.  For each m the search takes that best
+    slope, the largest min(floor(a*r), (m + k - w0*a) // w1) / a, and tests
+    its one multiple of dimension m against the window.  The emitted witness
+    list makes the search strategy irrelevant to correctness.
     """
     eps = _check_window(r, eps)
     if k < 0:
         raise PreconditionError("k must be nonnegative")
     w0, w1 = lattice.mu_h0, lattice.mu_hinf
+    floors: list[int] = []  # floors[a] = floor(a*r), the largest b with b/a < r
     for m in range(w0 + w1, max_mu + 1):
-        for a in range(1, (m - w1) // w0 + 1):
-            rest = m - w0 * a
-            if rest % w1:
-                continue
-            b = rest // w1
-            if b < 1:
-                continue
-            s = Fraction(b, a)
-            if not (r < s + eps and r > s):
-                continue  # slope outside (r - eps, r)
-            if _first_competitor(a, b, r, w0, w1, m + k) is None:
-                witnesses = tuple(
-                    Witness(a=a2, b=b2, mu=w0 * a2 + w1 * b2, slope=Slope.from_ratio(b2, a2))
-                    for a2, b2 in _budget_pairs(w0, w1, m + k)
-                )
-                return GapCertificate(
-                    r=r,
-                    epsilon=eps,
-                    k=k,
-                    a=a,
-                    b=b,
-                    mu=m,
-                    budget=m + k,
-                    mu_weights=(w0, w1),
-                    witnesses=witnesses,
-                )
+        budget = m + k
+        while len(floors) <= budget // w0:
+            floors.append(r.floor_mul(len(floors)))
+        best_b, best_a = 0, 1
+        for a in range(1, budget // w0 + 1):
+            b = min(floors[a], (budget - w0 * a) // w1)
+            if b * best_a > best_b * a:
+                best_b, best_a = b, a
+        g = gcd(best_b, best_a)
+        b, a = best_b // g, best_a // g
+        step = w0 * a + w1 * b
+        if b < 1 or m % step:
+            continue
+        # r < b/a + eps, cross-multiplied by a * eps.denominator
+        if r.floor_mul(a * eps.denominator) >= b * eps.denominator + eps.numerator * a:
+            continue
+        a, b = m // step * a, m // step * b
+        witnesses = tuple(
+            Witness(a=a2, b=b2, mu=w0 * a2 + w1 * b2, slope=Slope.from_ratio(b2, a2))
+            for a2, b2 in _budget_pairs(w0, w1, budget)
+        )
+        return GapCertificate(
+            r=r,
+            epsilon=eps,
+            k=k,
+            a=a,
+            b=b,
+            mu=m,
+            budget=budget,
+            mu_weights=(w0, w1),
+            witnesses=witnesses,
+        )
     raise BudgetExhaustedError(
         f"no certified gap vector with total dimension <= {max_mu}"
     )
-
-
-def _first_competitor(
-    a: int, b: int, r: QuadIrrational, w0: int, w1: int, budget: int
-) -> tuple[int, int] | None:
-    """A pair within the dimension budget whose slope lies strictly in (b/a, r)."""
-    for a2 in range(1, budget // w0 + 1):
-        rest = budget - w0 * a2
-        for b2 in range(1, rest // w1 + 1):
-            if b2 * a > b * a2 and r > Fraction(b2, a2):
-                return a2, b2
-    return None
 
 
 def validate_gap_certificate(lattice: K0Lattice, cert: GapCertificate) -> list[str]:
@@ -355,13 +351,13 @@ def validate_gap_certificate(lattice: K0Lattice, cert: GapCertificate) -> list[s
         if true_slope is None or w.slope != true_slope:
             failures.append(f"witness ({w.a},{w.b}) has wrong slope {w.slope}")
             continue
-        if not w.slope.is_infinite:
-            s2 = w.slope.as_fraction()
-            if cert.a >= 1 and s2 * cert.a > cert.b and cert.r > s2:
-                failures.append(
-                    f"witness ({w.a},{w.b}) has slope {w.slope} strictly inside "
-                    "the certified gap"
-                )
+        # is the reduced slope n/d, d > 0, strictly inside (b/a, r)?
+        n, d = w.slope.numerator, w.slope.denominator
+        if d and cert.a >= 1 and n * cert.a > cert.b * d and cert.r.floor_mul(d) >= n:
+            failures.append(
+                f"witness ({w.a},{w.b}) has slope {w.slope} strictly inside "
+                "the certified gap"
+            )
     return failures
 
 

@@ -313,3 +313,13 @@ def test_formula_json_round_trip(spec, basis):
     data = formula_to_json(phi)
     del data["rows"]
     assert formula_from_json(spec, data) == phi
+
+
+@pytest.mark.parametrize("row, col", [(-1, 0), (0, -1), (-1, -1)])
+def test_formula_json_rejects_negative_indices(spec, row, col):
+    entry = {"row": row, "col": col, "terms": []}
+    with pytest.raises(SpecFormatError):
+        formula_from_json(spec, {"free": 1, "types": [1], "rows": [1], "entries": [entry]})
+    # without "rows" the row types are derived from the entries
+    with pytest.raises(SpecFormatError):
+        formula_from_json(spec, {"free": 1, "types": [1], "entries": [entry]})

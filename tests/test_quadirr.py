@@ -5,7 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubelat.errors import ParameterDomainError, SpecFormatError
-from tubelat.quadirr import QuadIrrational, parse_quad_irrational, squarefree_part
+from tubelat.quadirr import (
+    MAX_RADICAND,
+    QuadIrrational,
+    parse_quad_irrational,
+    squarefree_part,
+)
 
 
 def test_parse_forms():
@@ -24,6 +29,14 @@ def test_normalisation():
     assert QuadIrrational(0, 1, 12, 2) == QuadIrrational(0, 1, 3, 1)
     assert QuadIrrational(2, 2, 2, 4) == QuadIrrational(1, 1, 2, 2)
     assert QuadIrrational(1, 1, 2, -1) == QuadIrrational(-1, -1, 2, 1)
+
+
+def test_huge_radicand_is_rejected():
+    assert squarefree_part(MAX_RADICAND) == (10**6, 1)
+    with pytest.raises(ParameterDomainError):
+        squarefree_part(MAX_RADICAND + 1)
+    with pytest.raises(ParameterDomainError):
+        parse_quad_irrational("sqrt:1000000000000000000000000000057")
 
 
 def test_rationality_is_rejected():
@@ -82,6 +95,37 @@ def test_comparison_probes_bulk():
         assert r.cmp_fraction(t) == _reference_cmp(r, t)
 
 
+def _check_floor_mul(r: QuadIrrational, n: int) -> None:
+    """floor_mul(n) = f means f < n*r < f + 1 (n*r = 0 for n = 0)."""
+    f = r.floor_mul(n)
+    if n == 0:
+        assert f == 0
+        return
+    lo, hi = sorted((Fraction(f, n), Fraction(f + 1, n)))
+    assert _reference_cmp(r, lo) == 1 and _reference_cmp(r, hi) == -1
+
+
+@pytest.mark.parametrize(
+    "r",
+    [
+        QuadIrrational(0, 1, 2, 1),
+        QuadIrrational(-7, 3, 5, 4),  # negative p, s > 1
+        QuadIrrational(3, -2, 7, 5),  # negative q, s > 1
+        QuadIrrational(-40, -9, 13, 3),  # negative p and q: r < 0
+    ],
+    ids=str,
+)
+def test_floor_mul_every_small_multiple(r):
+    for n in range(-30, 31):
+        _check_floor_mul(r, n)
+
+
+@given(r=quad, n=st.integers(-30, 30))
+@settings(max_examples=1000, deadline=None)
+def test_floor_mul_matches_interval_refinement(r, n):
+    _check_floor_mul(r, n)
+
+
 @given(r=quad)
 @settings(max_examples=300, deadline=None)
 def test_rational_neighbours(r):
@@ -107,7 +151,6 @@ def test_distance_lower_bound(r, t):
 def test_signed_arithmetic():
     r = parse_quad_irrational("sqrt:2")
     assert r > Fraction(7, 5) and r < Fraction(3, 2)
-    assert r.sub_fraction(Fraction(1, 10)) < Fraction(14, 10)
     golden = parse_quad_irrational("(1+sqrt(5))/2")
     assert golden > Fraction(8, 5) and golden < Fraction(13, 8)
     neg = QuadIrrational(0, -1, 2, 1)

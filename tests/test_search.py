@@ -205,6 +205,17 @@ def test_delta_rejects_bad_eps(lattice, exceptional_set):
 # ---------------------------------------------------------------------------
 
 
+def r_exceeds(r, b, a):
+    """r > b/a for a >= 1, by the sign of r - b/a = (x + y*sqrt(d)) / (s*a),
+    squaring when x and y differ in sign; independent of ``floor_mul``."""
+    x, y = r.p * a - b * r.s, r.q * a
+    if x >= 0 and y > 0:
+        return True
+    if x <= 0 and y < 0:
+        return False
+    return (y * y * r.d > x * x) == (y > 0)
+
+
 def oracle_competitors(lattice, a, b, r, budget):
     """Brute force: all pairs within the budget whose slope is strictly
     between b/a and r, by cross multiplication."""
@@ -212,9 +223,38 @@ def oracle_competitors(lattice, a, b, r, budget):
     out = []
     for a2 in range(1, budget // w0 + 1):
         for b2 in range(1, (budget - w0 * a2) // w1 + 1):
-            if b2 * a > b * a2 and r > Fraction(b2, a2):
+            if b2 * a > b * a2 and r_exceeds(r, b2, a2):
                 out.append((a2, b2))
     return out
+
+
+def reference_gap_vector(lattice, r, eps, k):
+    """(a, b, mu) by the plain search: candidates in (r - eps, r) by
+    increasing total dimension, then increasing a, each checked against every
+    pair within its budget mu + k."""
+    w0, w1 = lattice.mu_h0, lattice.mu_hinf
+    m = w0 + w1
+    while True:
+        for a in range(1, (m - w1) // w0 + 1):
+            b, rest = divmod(m - w0 * a, w1)
+            if rest or b < 1 or not r_exceeds(r, b, a):
+                continue
+            if r_exceeds(r, b * eps.denominator + eps.numerator * a, a * eps.denominator):
+                continue  # r - eps >= b/a
+            if not oracle_competitors(lattice, a, b, r, m + k):
+                return a, b, m
+        m += 1
+
+
+@pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 3)], ids=str)
+@pytest.mark.parametrize("k", [0, 7, 20, 60])
+@pytest.mark.parametrize(
+    "r", ["sqrt:2", "(1+sqrt(5))/2", "sqrt(7)/2", "(3-sqrt(5))/2", "(-1+sqrt(3))"]
+)
+def test_gap_vector_matches_plain_search(lattice, r, k, eps):
+    r = parse_quad_irrational(r)
+    cert = gap_vector(lattice, r, eps, k)
+    assert (cert.a, cert.b, cert.mu) == reference_gap_vector(lattice, r, eps, k)
 
 
 def test_gap_vector_sqrt2_frozen(lattice):
