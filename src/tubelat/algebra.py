@@ -330,12 +330,10 @@ class EulerData:
         return self.bilinear(x, x)
 
 
-def euler_data(spec: AlgebraSpec, basis: PathBasis | None = None) -> EulerData:
+def euler_data(spec: AlgebraSpec, basis: PathBasis) -> EulerData:
     """Compute E two independent ways and require entrywise agreement:
     (a) inverse-transpose of the Cartan matrix, (b) the global-dimension-2
     alternating count over vertices, arrows and relations."""
-    if basis is None:
-        basis = derive_path_basis(spec)
     n = spec.vertex_count
     cartan = [[len(basis.paths_between(j, i)) for j in range(n)] for i in range(n)]
 

@@ -105,7 +105,7 @@ def enumerate_exceptional(lattice: K0Lattice) -> ExceptionalSet:
 def unit_decompose(
     lattice: K0Lattice,
     x,
-    exceptional: ExceptionalSet | None = None,
+    exceptional: ExceptionalSet,
 ) -> tuple[int, int, DimVector]:
     """Write a unit-norm vector as a*h0 + b*hinf + y with y exceptional."""
     lattice.check_length(x)
@@ -115,8 +115,6 @@ def unit_decompose(
     a = x[-2] - x[-1]
     b = x[-1]
     y = vec_sub(vec_sub(x, vec_scale(a, lattice.h0)), vec_scale(b, lattice.hinf))
-    if exceptional is None:
-        exceptional = enumerate_exceptional(lattice)
     if y not in exceptional:
         raise ConsistencyError(
             f"residue {y} of {x} is not in the exceptional set"

@@ -1,18 +1,22 @@
 """Exact linear algebra over the rationals.
 
-Matrices are lists (or tuples) of rows of ``Fraction``; a matrix with zero
-rows carries no column information, so every function that must cope with
-empty input takes the column count explicitly.  Pivoting is deterministic
-(topmost usable row, preferring unit pivots), which keeps all derived bases
-byte-stable across runs.
+Contract: a matrix argument is any sequence of row sequences of
+``Fraction`` (lists, tuples, or a mix) and a vector any sequence of
+``Fraction``.  No function mutates its arguments, and every matrix or vector
+returned is a fresh list, so callers pass stored tuple matrices as they are
+and never copy on the way in or out.  A matrix with zero rows carries no
+column information, so every function that must cope with empty input takes
+the column count explicitly.  Pivoting is deterministic (topmost usable row,
+preferring unit pivots), which keeps all derived bases byte-stable across
+runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-Vec = list  # list[Fraction]
-Mat = list  # list[list[Fraction]]
+Vec = list  # list[Fraction]; any sequence is accepted as input
+Mat = list  # list[list[Fraction]]; any sequence of row sequences as input
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -34,6 +38,11 @@ def mat_mul(a: Mat, b: Mat, b_cols: int | None = None) -> Mat:
             [sum((row[k] * b[k][j] for k in range(inner)), ZERO) for j in range(cols)]
         )
     return out
+
+
+def transpose(a: Mat, cols: int) -> Mat:
+    """The ``cols`` x len(a) transpose; ``cols`` is a's width, needed when a has no rows."""
+    return [[row[j] for row in a] for j in range(cols)]
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
@@ -100,7 +109,7 @@ def nullspace(a: Mat, cols: int) -> list[Vec]:
 
 def solve(a: Mat, b: Vec, cols: int) -> Vec | None:
     """One solution of ``a x = b`` or ``None`` if the system is inconsistent."""
-    aug = [list(row) + [bi] for row, bi in zip(a, b)]
+    aug = [[*row, bi] for row, bi in zip(a, b)]
     reduced, pivots = rref(aug, cols + 1)
     if cols in pivots:
         return None
@@ -112,7 +121,7 @@ def solve(a: Mat, b: Vec, cols: int) -> Vec | None:
 
 def inverse(a: Mat) -> Mat | None:
     n = len(a)
-    aug = [list(row) + ident_row for row, ident_row in zip(a, identity(n))]
+    aug = [[*row, *ident_row] for row, ident_row in zip(a, identity(n))]
     reduced, pivots = rref(aug, 2 * n)
     if pivots[:n] != list(range(n)):
         return None
@@ -124,28 +133,22 @@ def column_space_basis(vectors: list[Vec], dim: int) -> list[Vec]:
     coordinate matrix, echelonized.  Returns reduced, leading-one vectors."""
     if not vectors:
         return []
-    reduced, pivots = rref([list(v) for v in vectors], dim)
+    reduced, pivots = rref(vectors, dim)
     # rows of the rref of the stacked vectors span the same space
-    return [reduced[i] for i in range(len(pivots))]
-
-
-def span_dim(vectors: list[Vec], dim: int) -> int:
-    return rank([list(v) for v in vectors], dim)
+    return reduced[: len(pivots)]
 
 
 def in_span(vectors: list[Vec], v: Vec, dim: int) -> bool:
-    base = span_dim(vectors, dim)
-    return span_dim(list(vectors) + [list(v)], dim) == base
+    return rank([*vectors, v], dim) == rank(vectors, dim)
 
 
 def subspace_leq(u: list[Vec], v: list[Vec], dim: int) -> bool:
     """span(u) contained in span(v)."""
-    base = span_dim(v, dim)
-    return span_dim(list(v) + list(u), dim) == base
+    return rank([*v, *u], dim) == rank(v, dim)
 
 
 def subspace_sum(u: list[Vec], v: list[Vec], dim: int) -> list[Vec]:
-    return column_space_basis(list(u) + list(v), dim)
+    return column_space_basis([*u, *v], dim)
 
 
 def subspace_intersection(u: list[Vec], v: list[Vec], dim: int) -> list[Vec]:

@@ -23,6 +23,7 @@ from fractions import Fraction
 from . import linalg
 from .algebra import AlgebraSpec, Path, PathBasis
 from .errors import ContractViolationError, SpecFormatError, TypeMismatchError
+from .linalg import ONE, ZERO
 from .reps import (
     Element,
     Representation,
@@ -37,9 +38,6 @@ from .reps import (
 from .serialize import frac_to_str, parse_frac, parse_int
 
 AlgElement = tuple[tuple[Fraction, Path], ...]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -149,22 +147,15 @@ def solution_space(phi: PpFormula, m: Representation) -> list[list[Fraction]]:
             continue
         block_rows = [[ZERO] * total for _ in range(height)]
         for c, combo in enumerate(phi.entries[r]):
-            if not combo:
+            width, off = col_dims[c], col_offsets[c]
+            if not combo or width == 0:
                 continue
-            width = col_dims[c]
-            if width == 0:
-                continue
-            acc = [[ZERO] * width for _ in range(height)]
             for coeff, path in combo:
                 pm = path_matrix(m, path, src_hint=phi.col_types[c])
                 for i in range(height):
                     for j in range(width):
                         if pm[i][j]:
-                            acc[i][j] += coeff * pm[i][j]
-            off = col_offsets[c]
-            for i in range(height):
-                for j in range(width):
-                    block_rows[i][off + j] = acc[i][j]
+                            block_rows[i][off + j] += coeff * pm[i][j]
         rows.extend(block_rows)
     kernel = linalg.nullspace(rows, total)
     free_dim = free_ambient_dim(phi, m)
@@ -180,7 +171,7 @@ def element_in_solution(phi: PpFormula, m: Representation, coords) -> bool:
     """Membership of a free-block coordinate vector in phi(M)."""
     basis = solution_space(phi, m)
     dim = free_ambient_dim(phi, m)
-    return linalg.in_span(basis, list(coords), dim)
+    return linalg.in_span(basis, coords, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +306,7 @@ def free_realisation(basis: PathBasis, phi: PpFormula) -> PointedModule:
     for c in range(phi.free_count):
         t = phi.col_types[c]
         gen = embed(c, projective_generator(basis, t))
-        points.append((t, tuple(reducers[t](list(gen[1])))))
+        points.append((t, tuple(reducers[t](gen[1]))))
     return PointedModule(module=module, points=tuple(points))
 
 
@@ -348,7 +339,7 @@ def pushout_pointed(pma: PointedModule, pmb: PointedModule) -> PointedModule:
     glue = (ca_elem[0], tuple(x - y for x, y in zip(ca_elem[1], cb_elem[1])))
     module, reducers = quotient_by_elements(total, [glue])
     t = ca_elem[0]
-    point = (t, tuple(reducers[t](list(ca_elem[1]))))
+    point = (t, tuple(reducers[t](ca_elem[1])))
     return PointedModule(module=module, points=(point,))
 
 

@@ -21,14 +21,14 @@ from .errors import (
     TypeMismatchError,
     ValidationError,
 )
-from .lattice import DimVector, K0Lattice, Slope
+from .lattice import K0Lattice, Slope
+from .linalg import ONE, ZERO
 from .serialize import frac_to_str, parse_frac, parse_int
 
+# Stored matrices and coordinates are frozen tuples; they go to ``linalg`` as
+# they are, since it reads any row sequences and returns fresh lists.
 Matrix = tuple[tuple[Fraction, ...], ...]
 Element = tuple[int, tuple[Fraction, ...]]  # (vertex, coordinates)
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _freeze(rows) -> Matrix:
@@ -75,18 +75,13 @@ def make_representation(spec: AlgebraSpec, dims, maps) -> Representation:
     return Representation(spec=spec, dims=dims, maps=frozen)
 
 
-def path_matrix(rep: Representation, path: Path, src_hint: int | None = None) -> Matrix:
+def path_matrix(rep: Representation, path: Path, src_hint: int | None = None) -> linalg.Mat:
     """Matrix of a path acting dims(src) -> dims(tgt); identity for trivial paths."""
     src, _ = rep.spec.path_endpoints(path, src_hint)
-    mat = [
-        [ONE if i == j else ZERO for j in range(rep.dims[src])]
-        for i in range(rep.dims[src])
-    ]
+    mat = linalg.identity(rep.dims[src])
     for label in path:
-        mat = linalg.mat_mul(
-            [list(r) for r in rep.maps[label]], mat, b_cols=rep.dims[src]
-        )
-    return _freeze(mat)
+        mat = linalg.mat_mul(rep.maps[label], mat, b_cols=rep.dims[src])
+    return mat
 
 
 def validate(rep: Representation) -> None:
@@ -95,7 +90,7 @@ def validate(rep: Representation) -> None:
     failures = []
     for idx, rel in enumerate(rep.spec.relations):
         src, tgt = rep.spec.path_endpoints(rel[0][1])
-        acc = [list(r) for r in zero_matrix(rep.dims[tgt], rep.dims[src])]
+        acc = [[ZERO] * rep.dims[src] for _ in range(rep.dims[tgt])]
         for coeff, path in rel:
             pm = path_matrix(rep, path)
             for i in range(rep.dims[tgt]):
@@ -108,12 +103,8 @@ def validate(rep: Representation) -> None:
         raise ValidationError(failures)
 
 
-def dim_vector(rep: Representation) -> DimVector:
-    return rep.dims
-
-
 def module_slope(lattice: K0Lattice, rep: Representation) -> Slope:
-    return lattice.slope(dim_vector(rep))
+    return lattice.slope(rep.dims)
 
 
 # ---------------------------------------------------------------------------
@@ -164,13 +155,10 @@ def direct_sum(m: Representation, n: Representation) -> Representation:
     dims = tuple(a + b for a, b in zip(m.dims, n.dims))
     maps = {}
     for arrow in m.spec.arrows:
-        a, b = m.maps[arrow.label], n.maps[arrow.label]
-        rows = []
-        for r in a:
-            rows.append(list(r) + [ZERO] * n.dims[arrow.src])
-        for r in b:
-            rows.append([ZERO] * m.dims[arrow.src] + list(r))
-        maps[arrow.label] = rows
+        pad_m, pad_n = (ZERO,) * m.dims[arrow.src], (ZERO,) * n.dims[arrow.src]
+        maps[arrow.label] = [r + pad_n for r in m.maps[arrow.label]] + [
+            pad_m + r for r in n.maps[arrow.label]
+        ]
     return make_representation(m.spec, dims, maps)
 
 
@@ -249,13 +237,13 @@ def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
 def apply_morphism(f: Morphism, elem: Element) -> Element:
     v, coords = elem
     block = f[v]
-    return (v, tuple(linalg.mat_vec([list(r) for r in block], list(coords))))
+    return (v, tuple(linalg.mat_vec(block, coords)))
 
 
 def compose_morphisms(f: Morphism, g: Morphism, source_dims) -> Morphism:
     """f after g, blockwise; ``source_dims`` is the dimension vector of g's source."""
     return tuple(
-        _freeze(linalg.mat_mul([list(r) for r in fb], [list(r) for r in gb], b_cols=d))
+        _freeze(linalg.mat_mul(fb, gb, b_cols=d))
         for fb, gb, d in zip(f, g, source_dims)
     )
 
@@ -263,16 +251,8 @@ def compose_morphisms(f: Morphism, g: Morphism, source_dims) -> Morphism:
 def is_morphism(m: Representation, n: Representation, f: Morphism) -> bool:
     for arrow in m.spec.arrows:
         u, v = arrow.src, arrow.tgt
-        lhs = linalg.mat_mul(
-            [list(r) for r in f[v]],
-            [list(r) for r in m.maps[arrow.label]],
-            b_cols=m.dims[u],
-        )
-        rhs = linalg.mat_mul(
-            [list(r) for r in n.maps[arrow.label]],
-            [list(r) for r in f[u]],
-            b_cols=m.dims[u],
-        )
+        lhs = linalg.mat_mul(f[v], m.maps[arrow.label], b_cols=m.dims[u])
+        rhs = linalg.mat_mul(n.maps[arrow.label], f[u], b_cols=m.dims[u])
         if lhs != rhs:
             return False
     return True
@@ -329,7 +309,7 @@ def submodule_closure(rep: Representation, gens: list[Element]) -> Bases:
             u, v = arrow.src, arrow.tgt
             if not spans[u]:
                 continue
-            a = [list(r) for r in rep.maps[arrow.label]]
+            a = rep.maps[arrow.label]
             pushed = [linalg.mat_vec(a, vec) for vec in spans[u]]
             merged = linalg.column_space_basis(spans[v] + pushed, rep.dims[v])
             if len(merged) != len(spans[v]):
@@ -338,40 +318,34 @@ def submodule_closure(rep: Representation, gens: list[Element]) -> Bases:
     return spans
 
 
-def sub_representation(rep: Representation, bases: Bases) -> tuple[Representation, Bases]:
-    """The subrepresentation spanned by arrow-closed per-vertex bases, plus
-    the inclusion (each basis vector in ambient coordinates)."""
+def sub_representation(rep: Representation, bases: Bases) -> Representation:
+    """The subrepresentation spanned by arrow-closed per-vertex bases (each
+    basis vector in ambient coordinates)."""
     dims = tuple(len(b) for b in bases)
     maps = {}
     for arrow in rep.spec.arrows:
         u, v = arrow.src, arrow.tgt
-        a = [list(r) for r in rep.maps[arrow.label]]
+        tgt_matrix = linalg.transpose(bases[v], rep.dims[v])
         cols = []
-        tgt_matrix = [
-            [bases[v][t][coord] for t in range(dims[v])]
-            for coord in range(rep.dims[v])
-        ]
         for vec in bases[u]:
-            img = linalg.mat_vec(a, vec)
+            img = linalg.mat_vec(rep.maps[arrow.label], vec)
             coeffs = linalg.solve(tgt_matrix, img, dims[v])
             if coeffs is None:
                 raise ConsistencyError("bases are not closed under the arrows")
             cols.append(coeffs)
-        maps[arrow.label] = [
-            [cols[j][i] for j in range(dims[u])] for i in range(dims[v])
-        ]
-    return make_representation(rep.spec, dims, maps), bases
+        maps[arrow.label] = linalg.transpose(cols, dims[v])
+    return make_representation(rep.spec, dims, maps)
 
 
 def _reducer(basis_vectors: list[list[Fraction]], dim: int):
     """Return (free_positions, reduce) where reduce maps an ambient vector to
     its quotient coordinates over the standard complement."""
-    reduced, pivots = linalg.rref([list(v) for v in basis_vectors], dim)
+    reduced, pivots = linalg.rref(basis_vectors, dim)
     reduced = reduced[: len(pivots)]
-    free = [c for c in range(dim) if c not in set(pivots)]
+    free = sorted(set(range(dim)) - set(pivots))
 
     def reduce(vec):
-        r = list(vec)
+        r = vec
         for row, p in zip(reduced, pivots):
             if r[p]:
                 f = r[p]
@@ -396,14 +370,9 @@ def quotient_representation(
     maps = {}
     for arrow in rep.spec.arrows:
         u, v = arrow.src, arrow.tgt
-        a = [list(r) for r in rep.maps[arrow.label]]
-        cols = []
-        for fpos in frees[u]:
-            section = [ONE if i == fpos else ZERO for i in range(rep.dims[u])]
-            cols.append(reducers[v](linalg.mat_vec(a, section)))
-        maps[arrow.label] = [
-            [cols[j][i] for j in range(dims[u])] for i in range(dims[v])
-        ]
+        a_cols = linalg.transpose(rep.maps[arrow.label], rep.dims[u])
+        cols = [reducers[v](a_cols[fpos]) for fpos in frees[u]]
+        maps[arrow.label] = linalg.transpose(cols, dims[v])
     quot = make_representation(rep.spec, dims, maps)
     return quot, reducers
 
@@ -418,9 +387,7 @@ def radical_bases(rep: Representation) -> Bases:
     """Per-vertex bases of rad(M) = sum of images of all arrow maps."""
     spans: Bases = [[] for _ in range(rep.spec.vertex_count)]
     for arrow in rep.spec.arrows:
-        mat = rep.maps[arrow.label]
-        for col in range(rep.dims[arrow.src]):
-            spans[arrow.tgt].append([mat[row][col] for row in range(rep.dims[arrow.tgt])])
+        spans[arrow.tgt] += linalg.transpose(rep.maps[arrow.label], rep.dims[arrow.src])
     return [
         linalg.column_space_basis(spans[v], rep.dims[v])
         for v in range(rep.spec.vertex_count)
@@ -437,50 +404,38 @@ class Presentation:
     """A projective cover P0 ->> M with its kernel subrepresentation."""
 
     cover_source: Representation
-    cover_blocks: tuple[Matrix, ...]  # per vertex, dims_M[v] x dims_P0[v]
     kernel: Representation
 
 
 def projective_cover_presentation(basis: PathBasis, rep: Representation) -> Presentation:
     spec = rep.spec
     rad = radical_bases(rep)
-    generators: list[Element] = []
-    for v in range(spec.vertex_count):
-        free, _ = _reducer(rad[v], rep.dims[v])
-        for fpos in free:
-            coords = tuple(ONE if i == fpos else ZERO for i in range(rep.dims[v]))
-            generators.append((v, coords))
+    # one generator per top basis vector: the unit vector at (v, fpos)
+    generators = [
+        (v, fpos)
+        for v in range(spec.vertex_count)
+        for fpos in _reducer(rad[v], rep.dims[v])[0]
+    ]
 
     summands = [projective(basis, v) for v, _ in generators]
     p0 = zero_rep(spec)
     for s in summands:
         p0 = direct_sum(p0, s)
 
-    # cover columns: basis path p of the (v, g) summand maps to p acting on g
-    cols_per_vertex: list[list[list[Fraction]]] = [
-        [] for _ in range(spec.vertex_count)
-    ]
-    for (v, g) in generators:
+    # cover columns: basis path p of the (v, fpos) summand maps to column
+    # fpos of p's matrix
+    cols_per_vertex: Bases = [[] for _ in range(spec.vertex_count)]
+    for v, fpos in generators:
         for u in range(spec.vertex_count):
             for path in basis.paths_between(v, u):
-                mat = [list(r) for r in path_matrix(rep, path, v)]
-                cols_per_vertex[u].append(linalg.mat_vec(mat, list(g)))
-    blocks = []
-    for u in range(spec.vertex_count):
-        cols = cols_per_vertex[u]
-        block = [
-            [cols[j][i] for j in range(len(cols))] for i in range(rep.dims[u])
-        ]
-        if linalg.rank(block, len(cols)) != rep.dims[u]:
+                cols_per_vertex[u].append([row[fpos] for row in path_matrix(rep, path, v)])
+    kernel_bases: Bases = []
+    for u, cols in enumerate(cols_per_vertex):
+        kernel_basis = linalg.nullspace(linalg.transpose(cols, rep.dims[u]), len(cols))
+        if len(cols) - len(kernel_basis) != rep.dims[u]:
             raise ConsistencyError("projective cover fails to be surjective")
-        blocks.append(_freeze(block))
-
-    kernel_bases: Bases = [
-        linalg.nullspace([list(r) for r in blocks[u]], p0.dims[u])
-        for u in range(spec.vertex_count)
-    ]
-    kernel, _ = sub_representation(p0, kernel_bases)
-    return Presentation(cover_source=p0, cover_blocks=tuple(blocks), kernel=kernel)
+        kernel_bases.append(kernel_basis)
+    return Presentation(cover_source=p0, kernel=sub_representation(p0, kernel_bases))
 
 
 def ext_dim(basis: PathBasis, m: Representation, n: Representation) -> int:

@@ -185,8 +185,9 @@ def delta_for(
     t1 = below - (eps - g)  # in (r - eps, r - eps + g)
     t2 = below - eps_prime - 2 * g  # in (r - eps' - 3g, r - eps' - 2g)
 
+    # the two strip enumerators list each (a, b) once and never share one
+    # (b/a >= u2 > r above, b/a <= t1 < r below), so no key repeats
     exceptions: list[ExceptionRecord] = []
-    seen: set[tuple[int, int, DimVector]] = set()
     for y in exceptional:
         params = perturbed_params(lattice, y)
         candidates = strip_pairs_above(u1, u2, params.gamma1, params.gamma2)
@@ -200,10 +201,7 @@ def delta_for(
             s = Fraction(b, a)
             if r > s - eps and r < s + eps:
                 continue  # raw slope already inside the eps window
-            key = (a, b, params.y)
-            if key not in seen:
-                seen.add(key)
-                exceptions.append(ExceptionRecord(a=a, b=b, y=params.y, perturbed=rho))
+            exceptions.append(ExceptionRecord(a=a, b=b, y=params.y, perturbed=rho))
 
     exceptions.sort(key=lambda e: (e.a, e.b, e.y))
     delta = eps_prime

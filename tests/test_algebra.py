@@ -40,7 +40,7 @@ def test_build_c4_rejects_degenerate_lambda(lam):
 
 def test_build_c4_negative_lambda_matches_reference_form():
     spec = build_c4(-1)
-    ed = euler_data(spec)
+    ed = euler_data(spec, derive_path_basis(spec))
     # agreement on all units and pairwise sums pins a quadratic form entirely
     units = [tuple(1 if j == i else 0 for j in range(6)) for i in range(6)]
     vectors = list(units)
@@ -205,7 +205,7 @@ def test_euler_route_disagreement_raises(spec):
         spec.lam,
     )
     with pytest.raises(ConsistencyError):
-        euler_data(tampered)
+        euler_data(tampered, derive_path_basis(tampered))
 
 
 def test_spec_json_round_trip(spec):

@@ -1,0 +1,154 @@
+"""Direct checks of the exact linear algebra layer and its input contract:
+any sequence of row sequences is read, nothing is mutated, and results are
+fresh lists."""
+
+import copy
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tubelat import linalg
+
+ENTRY = st.integers(-3, 3).map(Fraction)
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    n_rows = draw(st.integers(0, 4)) if rows is None else rows
+    n_cols = draw(st.integers(1, 4)) if cols is None else cols
+    mat = [[draw(ENTRY) for _ in range(n_cols)] for _ in range(n_rows)]
+    return mat, n_cols
+
+
+def frozen(mat):
+    return tuple(tuple(row) for row in mat)
+
+
+def is_fresh_list(out, *inputs):
+    """A list of lists that shares no row object with any input."""
+    if not isinstance(out, list) or not all(isinstance(row, list) for row in out):
+        return False
+    seen = {id(row) for mat in inputs for row in mat}
+    return all(id(row) not in seen for row in out)
+
+
+def both_forms(fn, *mats, extra=()):
+    """Call fn on list-of-lists and on tuple-of-tuples copies of the same
+    matrices; the two results must agree and no input may change."""
+    before = copy.deepcopy(mats)
+    out_list = fn(*mats, *extra)
+    assert mats == before
+    out_tuple = fn(*(frozen(m) for m in mats), *extra)
+    assert out_list == out_tuple
+    return out_list
+
+
+@settings(max_examples=150, deadline=None)
+@given(matrices(), matrices())
+def test_list_and_tuple_inputs_agree_and_stay_unchanged(am, bm):
+    (a, cols), (b, b_cols) = am, bm
+    reduced, _ = both_forms(linalg.rref, a, extra=(cols,))
+    assert is_fresh_list(reduced, a)
+    both_forms(linalg.rank, a, extra=(cols,))
+    kernel = both_forms(linalg.nullspace, a, extra=(cols,))
+    assert is_fresh_list(kernel, a)
+    t = both_forms(linalg.transpose, a, extra=(cols,))
+    assert is_fresh_list(t, a)
+    basis = both_forms(linalg.column_space_basis, a, extra=(cols,))
+    assert is_fresh_list(basis, a)
+    if a:
+        both_forms(linalg.solve, a, extra=([row[0] for row in a], cols))
+        both_forms(linalg.in_span, a, extra=(a[0], cols))
+    square = [row[:] for row in a[:cols]]
+    if len(square) == cols:
+        both_forms(linalg.inverse, square)
+    if b_cols == cols:
+        for fn in (
+            linalg.subspace_leq,
+            linalg.subspace_sum,
+            linalg.subspace_intersection,
+            linalg.same_subspace,
+        ):
+            both_forms(fn, a, b, extra=(cols,))
+    if len(b) == cols:
+        prod = both_forms(linalg.mat_mul, a, b, extra=(b_cols,))
+        assert is_fresh_list(prod, a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rref_is_idempotent_and_keeps_the_row_space(am):
+    a, cols = am
+    reduced, pivots = linalg.rref(a, cols)
+    assert linalg.rref(reduced, cols) == (reduced, pivots)
+    assert len(reduced) == len(a)
+    for i, p in enumerate(pivots):
+        assert [row[p] for row in reduced] == [Fraction(k == i) for k in range(len(a))]
+    assert all(x == 0 for row in reduced[len(pivots) :] for x in row)
+    # every row of a is the combination of the reduced rows read off at the pivots
+    for row in a:
+        combo = [Fraction(0)] * cols
+        for i, p in enumerate(pivots):
+            combo = [x + row[p] * y for x, y in zip(combo, reduced[i])]
+        assert combo == row
+    # and every reduced row is a combination of the rows of a
+    a_t = linalg.transpose(a, cols)
+    for row in reduced[: len(pivots)]:
+        assert linalg.solve(a_t, row, len(a)) is not None
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_nullspace_is_annihilated_with_cols_minus_rank_vectors(am):
+    a, cols = am
+    kernel = linalg.nullspace(a, cols)
+    assert len(kernel) == cols - linalg.rank(a, cols)
+    for v in kernel:
+        assert all(x == 0 for x in linalg.mat_vec(a, v))
+    assert linalg.rank(kernel, cols) == len(kernel)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(), st.data())
+def test_solve_satisfies_its_equation(am, data):
+    a, cols = am
+    x0 = data.draw(st.lists(ENTRY, min_size=cols, max_size=cols))
+    b = linalg.mat_vec(a, x0)
+    x = linalg.solve(a, b, cols)
+    assert x is not None and linalg.mat_vec(a, x) == b
+    rhs = data.draw(st.lists(ENTRY, min_size=len(a), max_size=len(a)))
+    y = linalg.solve(a, rhs, cols)
+    if y is None:
+        augmented = [[*row, bi] for row, bi in zip(a, rhs)]
+        assert linalg.rank(augmented, cols + 1) > linalg.rank(a, cols)
+    else:
+        assert linalg.mat_vec(a, y) == rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: matrices(rows=n, cols=n)))
+def test_inverse_satisfies_its_equations(am):
+    a, n = am
+    inv = linalg.inverse(a)
+    if inv is None:
+        assert linalg.rank(a, n) < n
+    else:
+        assert linalg.mat_mul(a, inv) == linalg.identity(n)
+        assert linalg.mat_mul(inv, a) == linalg.identity(n)
+
+
+def test_mat_mul_keeps_b_cols_when_b_has_no_rows():
+    a = [[], []]  # 2 x 0
+    assert linalg.mat_mul(a, [], b_cols=3) == [[Fraction(0)] * 3] * 2
+    assert linalg.mat_mul((), (), b_cols=3) == []
+    assert linalg.mat_mul(((),), ()) == [[]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrices())
+def test_transpose_round_trip(am):
+    a, cols = am
+    t = linalg.transpose(a, cols)
+    assert len(t) == cols
+    assert linalg.transpose(t, len(a)) == a

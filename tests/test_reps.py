@@ -7,7 +7,6 @@ from tubelat.errors import SpecFormatError, TypeMismatchError, ValidationError
 from tubelat import reps
 from tubelat.reps import (
     compose_morphisms,
-    dim_vector,
     direct_sum,
     ext_dim,
     hom_basis,
@@ -36,7 +35,7 @@ def test_validate_zero_and_projectives(spec, basis):
     for i in range(6):
         p = projective(basis, i)
         validate(p)
-        assert dim_vector(p) == tuple(row[i] for row in basis_cartan(spec, basis))
+        assert p.dims == tuple(row[i] for row in basis_cartan(spec, basis))
 
 
 def basis_cartan(spec, basis):
@@ -64,10 +63,10 @@ def test_make_representation_shape_errors(spec):
 
 def test_dim_vector_examples(spec, basis):
     for i in range(6):
-        assert dim_vector(simple(spec, i)) == unit(6, i)
+        assert simple(spec, i).dims == unit(6, i)
     p3 = projective(basis, 2)
     s = direct_sum(p3, simple(spec, 0))
-    assert dim_vector(s) == tuple(a + b for a, b in zip(p3.dims, unit(6, 0)))
+    assert s.dims == tuple(a + b for a, b in zip(p3.dims, unit(6, 0)))
 
 
 def test_hom_projective_law(basis):
@@ -97,7 +96,7 @@ def test_hom_additivity_over_direct_sum(basis):
     n = random_representation(basis, rng)
     l = random_representation(basis, rng)
     mn = direct_sum(m, n)
-    assert dim_vector(mn) == tuple(a + b for a, b in zip(m.dims, n.dims))
+    assert mn.dims == tuple(a + b for a, b in zip(m.dims, n.dims))
     assert hom_dim(mn, l) == hom_dim(m, l) + hom_dim(n, l)
     assert hom_dim(l, mn) == hom_dim(l, m) + hom_dim(l, n)
 
@@ -135,7 +134,7 @@ def test_euler_identity_on_pd1_fixtures(lattice, basis):
         if m.total_dim == 0 or not pd_at_most_1(basis, m):
             continue
         n = random_representation(basis, rng)
-        lhs = lattice.bilinear(dim_vector(m), dim_vector(n))
+        lhs = lattice.bilinear(m.dims, n.dims)
         assert lhs == hom_dim(m, n) - ext_dim(basis, m, n)
         checked += 1
 
@@ -147,7 +146,7 @@ def test_full_alternating_identity_at_pd_two(spec, basis, lattice):
     s6 = simple(spec, 5)
     assert not pd_at_most_1(basis, s6)
     syzygy = reps.projective_cover_presentation(basis, s6).kernel
-    assert dim_vector(syzygy) == (1, 1, 2, 1, 1, 0)
+    assert syzygy.dims == (1, 1, 2, 1, 1, 0)
     rng = random.Random(55)
     for _ in range(10):
         n = random_representation(basis, rng)

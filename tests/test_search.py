@@ -144,6 +144,20 @@ def test_delta_basic_contract(lattice, exceptional_set):
     assert again == res  # deterministic
 
 
+@pytest.mark.parametrize("eps", [Fraction(1, 10), Fraction(1, 20)])
+@pytest.mark.parametrize(
+    "r",
+    [SQRT2, QuadIrrational(1, 1, 5, 2), QuadIrrational(0, 1, 7, 2)],
+    ids=["sqrt2", "golden", "sqrt7/2"],
+)
+def test_delta_exception_keys_distinct(lattice, exceptional_set, r, eps):
+    """delta_for keeps no seen-set: each (a, b, y) must arise only once."""
+    res = delta_for(lattice, exceptional_set, r, eps)
+    keys = [(e.a, e.b, e.y) for e in res.exceptions]
+    assert keys
+    assert len(set(keys)) == len(keys)
+
+
 def test_delta_soundness_oracle_scan(lattice, exceptional_set):
     """Independent rescan: no pair up to a = 600 breaks the implication.
 
