@@ -139,7 +139,7 @@ def _build_c4_cached(lam: Fraction) -> AlgebraSpec:
     )
     spec = AlgebraSpec(C4_NAME, 6, arrows, relations, lam)
     check_spec(spec)
-    report = validate_spec(spec)
+    report = spec_report(spec)
     if not report.ok:
         raise ValidationError([c.name for c in report.checks if not c.passed])
     return spec
@@ -407,6 +407,12 @@ class ValidationReport:
 
     def failures(self) -> list[str]:
         return [c.name for c in self.checks if not c.passed]
+
+
+@lru_cache(maxsize=None)
+def spec_report(spec: AlgebraSpec) -> ValidationReport:
+    """``validate_spec`` memoised: ``build_c4`` and ``validate-algebra`` share one run."""
+    return validate_spec(spec)
 
 
 def validate_spec(spec: AlgebraSpec) -> ValidationReport:

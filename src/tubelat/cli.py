@@ -15,7 +15,7 @@ import os
 import sys
 from functools import cached_property
 
-from .algebra import build_c4, derive_path_basis, spec_from_json, validate_spec
+from .algebra import build_c4, derive_path_basis, spec_from_json, spec_report
 from .errors import PreconditionError, SpecFormatError, TubelatError
 from .exceptional import enumerate_exceptional, unit_decompose
 from .lattice import K0Lattice
@@ -85,7 +85,7 @@ class _Context:
 
 
 def _cmd_validate_algebra(ctx: _Context) -> tuple[object, int]:
-    report = validate_spec(ctx.spec)
+    report = spec_report(ctx.spec)
     doc = {
         "ok": report.ok,
         "checks": [

@@ -45,6 +45,29 @@ def mu(x) -> int:
     return sum(x)
 
 
+def reduced_ratio(num: int, den: int) -> tuple[int, int]:
+    """The slope num/den in lowest terms with a nonnegative denominator;
+    projectively there is a single infinity, whose normal form is 1/0."""
+    if num == 0 and den == 0:
+        raise UndefinedSlopeError("0/0 is not a slope")
+    if den == 0:
+        return 1, 0
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    return num // g, den // g
+
+
+def slope_text(num: int, den: int) -> str:
+    """The wire text of the slope num/den: "inf", "n" or "n/d", reduced."""
+    n, d = reduced_ratio(num, den)
+    if d == 0:
+        return "inf"
+    if d == 1:
+        return str(n)
+    return f"{n}/{d}"
+
+
 @dataclass(frozen=True)
 class Slope:
     """A reduced rational b/a or the symbol infinity (stored as 1/0)."""
@@ -54,23 +77,7 @@ class Slope:
 
     @staticmethod
     def from_ratio(num: int, den: int) -> "Slope":
-        if num == 0 and den == 0:
-            raise UndefinedSlopeError("0/0 is not a slope")
-        if den == 0:
-            # projectively there is a single infinity; normal form is 1/0
-            return Slope(1, 0)
-        g = gcd(abs(num), abs(den))
-        if den < 0:
-            num, den = -num, -den
-        return Slope(num // g, den // g)
-
-    @staticmethod
-    def from_fraction(q: Fraction) -> "Slope":
-        return Slope(q.numerator, q.denominator)
-
-    @staticmethod
-    def infinity() -> "Slope":
-        return Slope(1, 0)
+        return Slope(*reduced_ratio(num, den))
 
     @property
     def is_infinite(self) -> bool:
@@ -98,11 +105,7 @@ class Slope:
         return other <= self
 
     def __str__(self) -> str:
-        if self.is_infinite:
-            return "inf"
-        if self.denominator == 1:
-            return str(self.numerator)
-        return f"{self.numerator}/{self.denominator}"
+        return slope_text(self.numerator, self.denominator)
 
     @staticmethod
     def parse(text: str) -> "Slope":
@@ -110,8 +113,9 @@ class Slope:
             raise SpecFormatError(f"slope must be a string, got {text!r}")
         text = text.strip()
         if text in ("inf", "infinity", "oo"):
-            return Slope.infinity()
-        return Slope.from_fraction(parse_frac(text))
+            return Slope(1, 0)
+        q = parse_frac(text)
+        return Slope(q.numerator, q.denominator)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,8 @@ integer comparisons:
   unperturbed membership, by excluding the finitely many exceptions;
 * ``gap_vector`` finds the pair of least total dimension mu whose slope in
   (r - eps, r) is the best slope below r of all pairs within dimension
-  mu + k, and emits every pair within that budget as a certificate;
+  mu + k, and emits every pair within that budget as a certificate, one
+  plain row (a, b, mu, slope text) per pair;
 * ``tube_parameters`` turns a requested dimension gap d into a choice of k,
   a certified gap vector and the resulting dimension bounds.
 
@@ -24,11 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import ceil, floor, gcd
 
 from .errors import BudgetExhaustedError, PreconditionError, SpecFormatError
 from .exceptional import ExceptionalSet
-from .lattice import DimVector, K0Lattice, Slope, mu
+from .lattice import DimVector, K0Lattice, Slope, mu, reduced_ratio, slope_text
 from .quadirr import QuadIrrational, parse_quad_irrational
 from .serialize import frac_to_str, parse_frac, parse_int
 
@@ -216,20 +218,12 @@ def delta_for(
 
 
 @dataclass(frozen=True)
-class Witness:
-    a: int
-    b: int
-    mu: int
-    slope: Slope
-
-
-@dataclass(frozen=True)
 class GapCertificate:
     """A certified best-from-below approximation in the radical cone.
 
-    ``witnesses`` is the full list of pairs with total dimension at most
-    ``budget``; validity means none of them has slope strictly between the
-    returned slope and r.
+    ``witnesses`` holds a row (a, b, mu, slope_text(b, a)) for each pair with
+    total dimension at most ``budget``; validity means none of them has slope
+    strictly between the returned slope and r.
     """
 
     r: QuadIrrational
@@ -240,22 +234,18 @@ class GapCertificate:
     mu: int
     budget: int
     mu_weights: tuple[int, int]
-    witnesses: tuple[Witness, ...]
+    witnesses: tuple[tuple[int, int, int, str], ...]
 
     @property
     def slope(self) -> Slope:
         return Slope.from_ratio(self.b, self.a)
 
 
-def _budget_pairs(w0: int, w1: int, budget: int) -> list[tuple[int, int]]:
-    """All (a, b) in N^2 minus the origin with w0*a + w1*b <= budget."""
-    out = []
+def _budget_pairs(w0: int, w1: int, budget: int):
+    """All (a, b) in N^2 minus the origin with w0*a + w1*b <= budget, sorted."""
     for a in range(0, budget // w0 + 1):
-        rest = budget - w0 * a
-        for b in range(0, rest // w1 + 1):
-            if a or b:
-                out.append((a, b))
-    return out
+        for b in range(0 if a else 1, (budget - w0 * a) // w1 + 1):
+            yield a, b
 
 
 def gap_vector(
@@ -299,7 +289,7 @@ def gap_vector(
             continue
         a, b = m // step * a, m // step * b
         witnesses = tuple(
-            Witness(a=a2, b=b2, mu=w0 * a2 + w1 * b2, slope=Slope.from_ratio(b2, a2))
+            (a2, b2, w0 * a2 + w1 * b2, slope_text(b2, a2))
             for a2, b2 in _budget_pairs(w0, w1, budget)
         )
         return GapCertificate(
@@ -337,23 +327,22 @@ def validate_gap_certificate(lattice: K0Lattice, cert: GapCertificate) -> list[s
     if cert.budget != cert.mu + cert.k:
         failures.append("budget is not mu + k")
 
-    expected = _budget_pairs(w0, w1, cert.budget)
-    got = [(w.a, w.b) for w in cert.witnesses]
-    if sorted(got) != expected:
+    # the scan is sorted: one pair past the rows settles any claimed budget
+    got = sorted((a, b) for a, b, _, _ in cert.witnesses)
+    if got != list(islice(_budget_pairs(w0, w1, cert.budget), len(got) + 1)):
         failures.append("witness list is not the full budget scan")
-    for w in cert.witnesses:
-        if w.mu != w0 * w.a + w1 * w.b:
-            failures.append(f"witness ({w.a},{w.b}) has wrong mu {w.mu}")
+    for a, b, m, slope in cert.witnesses:
+        if m != w0 * a + w1 * b:
+            failures.append(f"witness ({a},{b}) has wrong mu {m}")
             continue
-        true_slope = Slope.from_ratio(w.b, w.a) if (w.a or w.b) else None
-        if true_slope is None or w.slope != true_slope:
-            failures.append(f"witness ({w.a},{w.b}) has wrong slope {w.slope}")
+        if not (a or b) or slope != slope_text(b, a):
+            failures.append(f"witness ({a},{b}) has wrong slope {slope}")
             continue
         # is the reduced slope n/d, d > 0, strictly inside (b/a, r)?
-        n, d = w.slope.numerator, w.slope.denominator
+        n, d = reduced_ratio(b, a)
         if d and cert.a >= 1 and n * cert.a > cert.b * d and cert.r.floor_mul(d) >= n:
             failures.append(
-                f"witness ({w.a},{w.b}) has slope {w.slope} strictly inside "
+                f"witness ({a},{b}) has slope {slope} strictly inside "
                 "the certified gap"
             )
     return failures
@@ -529,8 +518,8 @@ def gap_certificate_to_json(cert: GapCertificate) -> dict:
         "budget": cert.budget,
         "mu_weights": list(cert.mu_weights),
         "witnesses": [
-            {"a": w.a, "b": w.b, "mu": w.mu, "slope": str(w.slope)}
-            for w in cert.witnesses
+            {"a": a, "b": b, "mu": m, "slope": slope}
+            for a, b, m, slope in cert.witnesses
         ],
     }
 
@@ -540,11 +529,11 @@ def gap_certificate_from_json(data: dict) -> GapCertificate:
         if data.get("kind") != "gap-vector":
             raise SpecFormatError(f"not a gap-vector certificate: {data.get('kind')!r}")
         witnesses = tuple(
-            Witness(
-                a=parse_int(w["a"]),
-                b=parse_int(w["b"]),
-                mu=parse_int(w["mu"]),
-                slope=Slope.parse(w["slope"]),
+            (
+                parse_int(w["a"]),
+                parse_int(w["b"]),
+                parse_int(w["mu"]),
+                str(Slope.parse(w["slope"])),
             )
             for w in data["witnesses"]
         )

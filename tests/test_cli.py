@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from tubelat import pp, reps
+from tubelat import algebra, pp, reps
 from tubelat.cli import run
 from tubelat.pp import formula_to_json
 from tubelat.reps import rep_to_json
@@ -94,6 +94,24 @@ def test_validate_algebra():
     assert code == 0 and doc["ok"] is True
     code, doc = invoke_json("--lambda", "1", "validate-algebra")
     assert code == 1 and doc["error"] == "parameter-domain"
+
+
+def test_validate_algebra_runs_validate_spec_once():
+    # counted by code object, so every binding of the function is seen; the
+    # lambda is used nowhere else, so no cached build hides a run
+    runs = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is algebra.validate_spec.__code__:
+            runs.append(frame)
+
+    sys.setprofile(profile)
+    try:
+        code, doc = invoke_json("--lambda", "9973/7919", "validate-algebra")
+    finally:
+        sys.setprofile(None)
+    assert code == 0 and doc["ok"] is True
+    assert len(runs) == 1
 
 
 def test_hom_ext_slope_on_files(tmp_path, spec, basis):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubelat.errors import ConsistencyError, PreconditionError, UndefinedSlopeError
-from tubelat.lattice import K0Lattice, Slope, mu, vec_add, vec_scale
+from tubelat.lattice import K0Lattice, Slope, mu, slope_text, vec_add, vec_scale
 
 from conftest import unit
 
@@ -134,6 +134,19 @@ def test_slope_parse_and_str():
     assert Slope.parse("7/5") == Slope(7, 5)
     assert Slope.parse("inf").is_infinite
     assert Slope(1, 0) > Slope(1000, 1)
+
+
+def test_slope_text_matches_slope_on_a_grid():
+    for a in range(-30, 31):
+        for b in range(-30, 31):
+            if a == b == 0:
+                continue
+            text = slope_text(b, a)
+            assert text == str(Slope.from_ratio(b, a)), (a, b)
+            assert text == ("inf" if a == 0 else str(Fraction(b, a))), (a, b)
+            assert Slope.parse(text) == Slope.from_ratio(b, a), (a, b)
+    with pytest.raises(UndefinedSlopeError):
+        slope_text(0, 0)
 
 
 # hypothesis needs a plain-function fixture indirection for session fixtures

@@ -1,6 +1,8 @@
+import json
 import random
 from fractions import Fraction
 from math import ceil, floor, gcd
+from pathlib import Path
 
 import pytest
 
@@ -26,8 +28,10 @@ from tubelat.search import (
     validate_gap_certificate,
     validate_tube_params,
 )
+from tubelat.serialize import dumps_canonical
 
 SQRT2 = QuadIrrational(0, 1, 2, 1)
+GOLDEN_OUT = Path(__file__).resolve().parent / "golden" / "expected"
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +349,81 @@ def test_certificate_rejects_witness_mutations(lattice):
     # a dropped witness breaks completeness
     bad = gap_certificate_from_json({**data, "witnesses": data["witnesses"][1:]})
     assert validate_gap_certificate(lattice, bad)
+
+
+def _row_index(data, a, b):
+    rows = data["witnesses"]
+    return next(i for i, w in enumerate(rows) if (w["a"], w["b"]) == (a, b))
+
+
+def test_certificate_accepts_other_slope_spellings(lattice):
+    cert = gap_vector(lattice, SQRT2, Fraction(1, 10), 50)
+    data = gap_certificate_to_json(cert)
+    for (a, b), text in [
+        ((5, 7), "14/10"),
+        ((5, 7), " 7/5"),
+        ((5, 7), "+7/5"),
+        ((0, 1), "oo"),
+        ((0, 2), "infinity"),
+        ((3, 0), "0/4"),
+    ]:
+        rows = [dict(w) for w in data["witnesses"]]
+        rows[_row_index(data, a, b)]["slope"] = text
+        read = gap_certificate_from_json({**data, "witnesses": rows})
+        assert validate_gap_certificate(lattice, read) == [], text
+        assert read == cert, text  # slopes are kept in their reduced text
+
+
+def test_wrong_slope_message_prints_the_reduced_slope(lattice):
+    data = gap_certificate_to_json(gap_vector(lattice, SQRT2, Fraction(1, 10), 50))
+    rows = [dict(w) for w in data["witnesses"]]
+    rows[_row_index(data, 2, 3)]["slope"] = "10/6"
+    rows[_row_index(data, 0, 1)]["slope"] = "2"
+    bad = gap_certificate_from_json({**data, "witnesses": rows})
+    assert validate_gap_certificate(lattice, bad) == [
+        "witness (0,1) has wrong slope 2",
+        "witness (2,3) has wrong slope 5/3",
+    ]
+
+
+def test_completeness_check_reads_no_more_than_the_document(lattice):
+    # a short witness list that claims a huge budget is rejected without
+    # enumerating the claimed budget scan (about 10**17 pairs here)
+    data = gap_certificate_to_json(gap_vector(lattice, SQRT2, Fraction(1, 10), 50))
+    huge = gap_certificate_from_json(
+        {**data, "k": 10**9, "budget": data["mu"] + 10**9}
+    )
+    assert validate_gap_certificate(lattice, huge) == [
+        "witness list is not the full budget scan"
+    ]
+    # a prefix of the scan, a repeated row and one row past the budget are
+    # each incomplete or too long
+    rows = data["witnesses"]
+    extra = {"a": 0, "b": 200, "mu": 200 * lattice.mu_hinf, "slope": "inf"}
+    for edited in (rows[:-1], rows + rows[-1:], rows + [extra]):
+        bad = gap_certificate_from_json({**data, "witnesses": edited})
+        assert "witness list is not the full budget scan" in validate_gap_certificate(
+            lattice, bad
+        )
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(
+        p.stem
+        for p in GOLDEN_OUT.glob("*.out")
+        if p.stem.startswith(("gap-search", "tube-params"))
+    ),
+)
+def test_golden_certificates_round_trip(name):
+    text = (GOLDEN_OUT / f"{name}.out").read_text(encoding="utf-8")
+    doc = json.loads(text)
+    if doc["kind"] == "gap-vector":
+        again = gap_certificate_to_json(gap_certificate_from_json(doc))
+    else:
+        again = tube_params_to_json(tube_params_from_json(doc))
+    assert again == doc
+    assert dumps_canonical(again) == text
 
 
 # ---------------------------------------------------------------------------
