@@ -6,14 +6,22 @@ Contract: a matrix argument is any sequence of row sequences of
 returned is a fresh list, so callers pass stored tuple matrices as they are
 and never copy on the way in or out.  A matrix with zero rows carries no
 column information, so every function that must cope with empty input takes
-the column count explicitly.  Pivoting is deterministic (topmost usable row,
-preferring unit pivots), which keeps all derived bases byte-stable across
-runs.
+the column count explicitly.
+
+Every reduction goes through ``rref``, one sparse exact elimination: a row is
+stored as its nonzero integer numerators by column over one common
+denominator, and a pivot step touches only the rows that hold the pivot
+column, so a system costs its nonzeros rather than its size.  A reduced row
+echelon form is unique for its row space and column order, so the reduced
+rows, the pivot list and every basis derived from them (``nullspace``,
+``column_space_basis``, ``solve``, ``inverse``) depend on the input alone,
+not on how the elimination is carried out; all derived bases are byte-stable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 Vec = list  # list[Fraction]; any sequence is accepted as input
 Mat = list  # list[list[Fraction]]; any sequence of row sequences as input
@@ -49,43 +57,82 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
     return [sum((row[k] * v[k] for k in range(len(v))), ZERO) for row in a]
 
 
-def _pivot_row(rows: Mat, col: int, start: int) -> int | None:
-    """Topmost row with a nonzero entry in ``col``; unit entries win ties upward."""
-    best = None
-    for i in range(start, len(rows)):
-        x = rows[i][col]
-        if x == 0:
-            continue
-        if x == 1 or x == -1:
-            return i
-        if best is None:
-            best = i
-    return best
-
-
 def rref(a: Mat, cols: int | None = None) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form (copy) and the list of pivot columns."""
-    rows = [list(r) for r in a]
-    ncols = cols if cols is not None else (len(rows[0]) if rows else 0)
+    """Reduced row echelon form (copy) and the list of pivot columns.
+
+    Only the first ``cols`` columns (default: all) are pivoted; later columns
+    are carried along.  All ``len(a)`` rows come back, as wide as the input
+    rows, pivot rows first.  The pivot is the topmost remaining row holding
+    the column, a +-1 entry preferred, and swapping it into place orders the
+    rest as textbook Gauss-Jordan elimination would: uniqueness does not fix
+    the carried columns of the non-pivot rows, this order does.
+    """
+    width = len(a[0]) if a else 0
+    # row k is nums[k] / dens[k]: nonzero integer numerators by column over a
+    # positive common denominator
+    nums, dens = [], []
+    for row in a:
+        nonzero = {j: x for j, x in enumerate(row) if x}
+        d = lcm(*[x.denominator for x in nonzero.values()])
+        nums.append({j: x.numerator * (d // x.denominator) for j, x in nonzero.items()})
+        dens.append(d)
+    # order[:len(pivots)] are the pivot rows, order[len(pivots):] the others
+    order = list(range(len(nums)))
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        p = _pivot_row(rows, c, r)
+    for c in range(width if cols is None else cols):
+        r = len(pivots)
+        if r == len(order):
+            break
+        p = None
+        for i in range(r, len(order)):
+            x = nums[order[i]].get(c)
+            if x is not None:
+                if abs(x) == dens[order[i]]:
+                    p = i
+                    break
+                if p is None:
+                    p = i
         if p is None:
             continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = ONE / rows[r][c]
-        if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        order[r], order[p] = order[p], order[r]
+        k = order[r]
+        pivot = nums[k]
+        # scale to a leading 1: the row becomes pivot / pivot[c], pivot[c] > 0
+        g = gcd(*pivot.values())
+        if pivot[c] < 0:
+            g = -g
+        if g != 1:
+            for j in pivot:
+                pivot[j] //= g
+        pc = dens[k] = pivot[c]
+        for i, row in enumerate(nums):
+            f = row.get(c)
+            if f is None or i == k:
+                continue
+            # row / d - (f / d) (pivot / pc) = (pc row - f pivot) / (pc d)
+            if pc != 1:
+                for j in row:
+                    row[j] *= pc
+            for j, y in pivot.items():
+                x = row.get(j, 0) - f * y
+                if x:
+                    row[j] = x
+                else:
+                    del row[j]
+            d = dens[i] * pc
+            g = gcd(d, *row.values())
+            if g != 1:
+                for j in row:
+                    row[j] //= g
+            dens[i] = d // g
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
+    out = []
+    for k in order:
+        dense = [ZERO] * width
+        for j, x in nums[k].items():
+            dense[j] = Fraction(x, dens[k])
+        out.append(dense)
+    return out, pivots
 
 
 def rank(a: Mat, cols: int | None = None) -> int:

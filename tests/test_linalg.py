@@ -1,9 +1,11 @@
 """Direct checks of the exact linear algebra layer and its input contract:
 any sequence of row sequences is read, nothing is mutated, and results are
-fresh lists."""
+fresh lists.  The sparse ``rref`` is compared with a plain dense elimination
+kept here as the reference."""
 
 import copy
 from fractions import Fraction
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,49 @@ from hypothesis import strategies as st
 from tubelat import linalg
 
 ENTRY = st.integers(-3, 3).map(Fraction)
+ONE = Fraction(1)
+ZERO = Fraction(0)
+
+
+# The reference: the dense Gauss-Jordan elimination that ``linalg.rref`` was
+# before it went sparse, unchanged but for the name of its pivot helper.
+def dense_pivot(rows, col: int, start: int):
+    """Topmost row with a nonzero entry in ``col``; unit entries win ties upward."""
+    best = None
+    for i in range(start, len(rows)):
+        x = rows[i][col]
+        if x == 0:
+            continue
+        if x == 1 or x == -1:
+            return i
+        if best is None:
+            best = i
+    return best
+
+
+def dense_rref(a, cols=None):
+    """Reduced row echelon form (copy) and the list of pivot columns."""
+    rows = [list(r) for r in a]
+    ncols = cols if cols is not None else (len(rows[0]) if rows else 0)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        p = dense_pivot(rows, c, r)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = ONE / rows[r][c]
+        if inv != 1:
+            rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
 
 
 @st.composite
@@ -152,3 +197,71 @@ def test_transpose_round_trip(am):
     t = linalg.transpose(a, cols)
     assert len(t) == cols
     assert linalg.transpose(t, len(a)) == a
+
+
+# Denominators up to 4; +-1 among them, so unit and non-unit pivots both occur.
+NONZERO = st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4))
+SHAPES = {
+    "square": (st.integers(0, 8), st.integers(1, 8)),
+    "wide": (st.integers(0, 3), st.integers(5, 14)),
+    "tall": (st.integers(5, 14), st.integers(1, 3)),
+}
+
+
+@st.composite
+def sparse_matrices(draw):
+    """A matrix of one of the shapes, with a density from 1 in 10 (mostly
+    zeros, often whole zero rows) to full, sometimes with a row repeated as a
+    multiple of another."""
+    n_rows, n_cols = (draw(s) for s in SHAPES[draw(st.sampled_from(sorted(SHAPES)))])
+    density = draw(st.integers(1, 10))
+    mat = [
+        [draw(NONZERO) if draw(st.integers(1, 10)) <= density else ZERO for _ in range(n_cols)]
+        for _ in range(n_rows)
+    ]
+    if n_rows >= 2 and draw(st.booleans()):
+        i, j = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_rows - 1))
+        f = draw(NONZERO)
+        mat[j] = [f * x for x in mat[i]]
+    return mat, n_cols
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_rref_matches_the_dense_reference(am, data):
+    a, width = am
+    before = copy.deepcopy(a)
+    # cols below the width carries the later columns along unpivoted
+    for cols in (None, width, data.draw(st.integers(0, width))):
+        assert linalg.rref(a, cols) == dense_rref(a, cols)
+        assert linalg.rref(frozen(a), cols) == dense_rref(a, cols)
+    assert a == before
+
+
+def test_rref_of_no_rows_keeps_explicit_cols():
+    for cols in (0, 1, 5):
+        assert linalg.rref([], cols) == dense_rref([], cols) == ([], [])
+        assert linalg.nullspace([], cols) == linalg.identity(cols)
+    assert linalg.rref([[], []]) == dense_rref([[], []]) == ([[], []], [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_matrices(), st.data())
+def test_derived_functions_match_the_reference(am, data):
+    a, cols = am
+    rhs = data.draw(st.lists(NONZERO | st.just(ZERO), min_size=len(a), max_size=len(a)))
+    square = [row[: len(a)] for row in a] if a and len(a) <= cols else None
+    got = (
+        linalg.rank(a, cols),
+        linalg.nullspace(a, cols),
+        linalg.solve(a, rhs, cols),
+        square and linalg.inverse(square),
+    )
+    with mock.patch.object(linalg, "rref", dense_rref):
+        want = (
+            linalg.rank(a, cols),
+            linalg.nullspace(a, cols),
+            linalg.solve(a, rhs, cols),
+            square and linalg.inverse(square),
+        )
+    assert got == want

@@ -159,6 +159,35 @@ def test_full_alternating_identity_at_pd_two(spec, basis, lattice):
         assert ext_dim(basis, s6, simple(spec, j)) == expected
 
 
+
+def ladder_pair(spec, basis, n):
+    """(A_n, B_n) of the benchmark's ladder: A_n = P6^n + P3 is projective and
+    B_n = P6^(n+1)/P3 has the resolution 0 -> P3 -> P6^(n+1) -> B_n -> 0."""
+    a = zero_rep(spec)
+    for p in [projective(basis, 5)] * n + [projective(basis, 2)]:
+        a = direct_sum(a, p)
+    p6s = zero_rep(spec)
+    for _ in range(n + 1):
+        p6s = direct_sum(p6s, projective(basis, 5))
+    for shift in range(4):
+        # some coefficient patterns are killed by gamma for special lambda
+        coords = tuple(Fraction((i + shift) % 3 + 1) for i in range(p6s.dims[2]))
+        b, _ = reps.quotient_by_elements(p6s, [(2, coords)])
+        if p6s.total_dim - b.total_dim == projective(basis, 2).total_dim:
+            return a, b
+    raise AssertionError("no generator of a copy of P3 found")
+
+
+def test_hom_ext_on_the_largest_ladder_pair(spec, basis, lattice):
+    # total dimension 39 / 38; the intertwiner system is 324 x 271 at about
+    # 1 % nonzeros, which only a sparse elimination does in well under a second
+    a, b = ladder_pair(spec, basis, 5)
+    assert (b.total_dim, a.total_dim) == (39, 38)
+    hom, ext = hom_dim(b, a), ext_dim(basis, b, a)
+    assert (hom, ext) == (20, 1)
+    # pd B_5 <= 1, so Hom - Ext is the Euler form
+    assert hom - ext == lattice.bilinear(b.dims, a.dims) == 19
+
 def test_module_slopes(spec, lattice):
     assert str(module_slope(lattice, make_representation(spec, H0, {}))) == "0"
     assert module_slope(lattice, make_representation(spec, HINF, {})).is_infinite
