@@ -139,7 +139,12 @@ class QuadIrrational:
         return self.bracket_until(lambda lo, hi: hi - lo < gap)[1]
 
     def distance_lower_bound(self, t: Fraction) -> Fraction:
-        """A positive rational below |self - t|, certified, at least half of it."""
+        """A positive rational in [d/2, d) for d = |self - t|, certified.
+
+        Callers rely on both ends: ``search.delta_for`` skips every t at
+        least twice as far from self as the nearest, which is sound only
+        because no bound reaches d and none falls below d/2.
+        """
         t = Fraction(t)
 
         def outside(lo, hi):  # distance from t to [lo, hi]; <= 0 inside it

@@ -7,9 +7,13 @@ pairings of y against h0 and hinf.  Everything here reduces to finitely many
 integer comparisons:
 
 * the strip enumerators list all pairs caught between a rational slope bound
-  and a perturbed one, with a derived completeness bound on a;
+  and a perturbed one, with a derived completeness bound on a, on integer
+  numerators over one common denominator;
 * ``delta_for`` shrinks a slope window until perturbed membership forces
-  unperturbed membership, by excluding the finitely many exceptions;
+  unperturbed membership, by excluding the finitely many exceptions: each
+  candidate pair costs one or two ``floor_mul`` calls, and
+  ``distance_lower_bound`` runs only on the exceptions less than twice as
+  far from r as the nearest one, the only ones that can set delta;
 * ``gap_vector`` finds the pair of least total dimension mu whose slope in
   (r - eps, r) is the best slope below r of all pairs within dimension
   mu + k, and emits every pair within that budget as a certificate, one
@@ -26,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
 from .errors import BudgetExhaustedError, PreconditionError, SpecFormatError
 from .exceptional import ExceptionalSet
@@ -83,51 +87,68 @@ def _a_ceiling(main_bound: Fraction, g2: Fraction) -> int:
     return top
 
 
+def _over_common_denominator(g1: Fraction, g2: Fraction) -> tuple[int, int, int]:
+    """(G1, G2, D) with g1 = G1/D, g2 = G2/D and D > 0 the least such."""
+    D = lcm(g1.denominator, g2.denominator)
+    return g1.numerator * (D // g1.denominator), g2.numerator * (D // g2.denominator), D
+
+
 def strip_pairs_below(r1, r2, gamma1, gamma2) -> list[tuple[int, int]]:
     """All (a, b), a >= 1, b >= 0 with b/a <= r1 and perturbed slope >= r2.
 
     Completeness: when a + gamma2 > 0 the two constraints squeeze
     a <= (gamma1 - r2*gamma2)/(r2 - r1); the remaining branches force
     a <= -gamma2.  Every a up to the larger bound is scanned exactly.
+
+    The scan runs on integers: with r_i = n_i/d_i, gamma_i = G_i/D and
+    E = a*D + G2 = D*(a + gamma2), each bound r_i*(a + gamma2) - gamma1 is
+    (n_i*E - d_i*G1)/(d_i*D), and each floor or ceil is one ``//``.
     """
     r1, r2 = _check_strip_args(r1, r2)
     g1, g2 = Fraction(gamma1), Fraction(gamma2)
     a_max = _a_ceiling((g1 - r2 * g2) / (r2 - r1), g2)
+    n1, d1, n2, d2 = r1.numerator, r1.denominator, r2.numerator, r2.denominator
+    G1, G2, D = _over_common_denominator(g1, g2)
+    scale = d2 * D
     out: list[tuple[int, int]] = []
     for a in range(1, a_max + 1):
-        hi = floor(r1 * a)
-        if hi < 0:
-            continue
-        den = a + g2
-        if den > 0:
-            lo = max(0, ceil(r2 * den - g1))
-        elif den == 0:
-            lo = max(0, floor(-g1) + 1)  # ratio is +infinity iff b + g1 > 0
+        hi = n1 * a // d1  # floor(r1*a) >= 0, as r1 > 0
+        E = a * D + G2
+        if E > 0:
+            lo = max(0, -((d2 * G1 - n2 * E) // scale))  # ceil(r2*(a + g2) - g1)
+        elif E == 0:
+            lo = max(0, -G1 // D + 1)  # ratio is +infinity iff b + g1 > 0
         else:
             # ratio >= r2 > 0 with negative denominator forces b + g1 <= r2*den
-            hi = min(hi, floor(r2 * den - g1))
+            hi = min(hi, (n2 * E - d2 * G1) // scale)  # floor(r2*(a + g2) - g1)
             lo = 0
         out.extend((a, b) for b in range(lo, hi + 1))
     return out
 
 
 def strip_pairs_above(r1, r2, gamma1, gamma2) -> list[tuple[int, int]]:
-    """All (a, b), a >= 1, b >= 0 with 0 < perturbed slope <= r1 and b/a >= r2."""
+    """All (a, b), a >= 1, b >= 0 with 0 < perturbed slope <= r1 and b/a >= r2.
+
+    The scan runs on integers, as in ``strip_pairs_below``.
+    """
     r1, r2 = _check_strip_args(r1, r2)
     g1, g2 = Fraction(gamma1), Fraction(gamma2)
     a_max = _a_ceiling((r1 * g2 - g1) / (r2 - r1), g2)
+    n1, d1, n2, d2 = r1.numerator, r1.denominator, r2.numerator, r2.denominator
+    G1, G2, D = _over_common_denominator(g1, g2)
+    scale = d1 * D
     out: list[tuple[int, int]] = []
     for a in range(1, a_max + 1):
-        lo = max(0, ceil(r2 * a))
-        den = a + g2
-        if den > 0:
-            lo = max(lo, floor(-g1) + 1)  # positivity: b + g1 > 0
-            hi = floor(r1 * den - g1)
-        elif den == 0:
+        lo = -(-n2 * a // d2)  # ceil(r2*a) >= 1, as r2 > 0
+        E = a * D + G2
+        if E > 0:
+            lo = max(lo, -G1 // D + 1)  # positivity: b + g1 > 0
+            hi = (n1 * E - d1 * G1) // scale  # floor(r1*(a + g2) - g1)
+        elif E == 0:
             continue  # ratio is infinite or undefined, never in (0, r1]
         else:
-            lo = max(lo, ceil(r1 * den - g1))
-            hi = ceil(-g1) - 1  # positivity: b + g1 < 0
+            lo = max(lo, -((d1 * G1 - n1 * E) // scale))  # ceil(r1*(a + g2) - g1)
+            hi = -(G1 // D) - 1  # positivity: b + g1 < 0
         out.extend((a, b) for b in range(lo, hi + 1))
     return out
 
@@ -162,6 +183,36 @@ def _check_window(r: QuadIrrational, eps: Fraction) -> Fraction:
     return eps
 
 
+def _could_set_delta(
+    r: QuadIrrational, below: list[Fraction], above: list[Fraction]
+) -> list[Fraction]:
+    """The slopes t, from ``below`` (all < r) and ``above`` (all > r), with
+    d(t) = |r - t| under 2*d_min, d_min the least d(t): the only ones whose
+    ``r.distance_lower_bound(t)`` can be the least (see ``delta_for``).
+
+    The nearest t, x, is max(below) or min(above): the first exactly when
+    r - max(below) < min(above) - r, that is r < (max(below) + min(above))/2.
+    For x < r, d(t) < 2*d(x) reads r > 2x - t for t < r, and r > (2x + t)/3
+    for t > r; for x > r it reads r < 2x - t and r < (2x + t)/3.  So each
+    decision is one comparison of r with a rational, made by ``floor_mul``
+    on the numerators and denominators of x and t.
+    """
+    if below and (not above or r < (max(below) + min(above)) / 2):
+        x, x_below, same, other = max(below), True, below, above
+    elif above:
+        x, x_below, same, other = min(above), False, above, below
+    else:
+        return []
+    X, Y = x.numerator, x.denominator
+
+    def keep(t: Fraction, k: int, sign: int) -> bool:
+        # r > (2x + sign*t)/k, as r*k*Y*m > 2*X*m + sign*n*Y for t = n/m
+        n, m = t.numerator, t.denominator
+        return (r.floor_mul(k * Y * m) >= 2 * X * m + sign * n * Y) == x_below
+
+    return [t for t in same if keep(t, 1, -1)] + [t for t in other if keep(t, 3, 1)]
+
+
 def delta_for(
     lattice: K0Lattice,
     exceptional: ExceptionalSet,
@@ -175,7 +226,23 @@ def delta_for(
     Strategy: fix eps' = eps/2, bracket r by rationals, enumerate the
     finitely many candidate exceptions with the two strip enumerators, and
     take delta below every exceptional perturbed slope's distance to r
-    (and at most eps').
+    (and at most eps'): delta = min(eps', distance_lower_bound(rho)/2).
+
+    Each candidate is tested on integers.  With gamma_i = G_i/D, the
+    perturbed slope is rho = (b*D + G1)/(a*D + G2) = num/den, signs flipped
+    so that den > 0.  For eps' = e'/f', |rho - r| < eps' says
+    num*f' - e'*den <= floor(r*den*f') < num*f' + e'*den, one ``floor_mul``,
+    and rho < r exactly when floor(r*den*f') >= num*f'; the raw test
+    |b/a - r| < eps is the same with (b, a) and eps.  Only an exception
+    gets a ``Fraction``.
+
+    ``distance_lower_bound`` runs only on the exceptions that can set the
+    minimum (``_could_set_delta``).  Its value lies in [d/2, d) for
+    d = |r - rho|.  So an exception with d >= 2*d_min, d_min the least d,
+    has a bound of at least d/2 >= d_min, more than the bound (< d_min) of
+    the nearest exception, and never sets the minimum: the minimum over the
+    rest is the minimum over all.  d = 2*d_min never holds, since it would
+    make r rational, so the rest are exactly the rho with d < 2*d_min.
     """
     eps = _check_window(r, eps)
     eps_prime = eps / 2
@@ -186,29 +253,39 @@ def delta_for(
     u2 = above + eps_prime + 2 * g  # in (r + eps' + 2g, r + eps' + 3g)
     t1 = below - (eps - g)  # in (r - eps, r - eps + g)
     t2 = below - eps_prime - 2 * g  # in (r - eps' - 3g, r - eps' - 2g)
+    e, f = eps.numerator, eps.denominator
+    e_prime, f_prime = eps_prime.numerator, eps_prime.denominator
 
     # the two strip enumerators list each (a, b) once and never share one
     # (b/a >= u2 > r above, b/a <= t1 < r below), so no key repeats
     exceptions: list[ExceptionRecord] = []
+    rho_below: list[Fraction] = []  # exceptional perturbed slopes below r
+    rho_above: list[Fraction] = []
     for y in exceptional:
         params = perturbed_params(lattice, y)
+        G1, G2, D = _over_common_denominator(params.gamma1, params.gamma2)
         candidates = strip_pairs_above(u1, u2, params.gamma1, params.gamma2)
         candidates += strip_pairs_below(t1, t2, params.gamma1, params.gamma2)
         for a, b in candidates:
-            rho = perturbed_slope(a, b, params)
-            if rho is None:
-                continue
-            if not (r > rho - eps_prime and r < rho + eps_prime):
+            num, den = b * D + G1, a * D + G2
+            if den == 0:
+                continue  # no perturbed slope
+            if den < 0:
+                num, den = -num, -den
+            cut = r.floor_mul(den * f_prime)
+            if not num * f_prime - e_prime * den <= cut < num * f_prime + e_prime * den:
                 continue  # perturbed slope outside (r - eps', r + eps')
-            s = Fraction(b, a)
-            if r > s - eps and r < s + eps:
+            raw = r.floor_mul(a * f)
+            if b * f - e * a <= raw < b * f + e * a:
                 continue  # raw slope already inside the eps window
+            rho = Fraction(num, den)
             exceptions.append(ExceptionRecord(a=a, b=b, y=params.y, perturbed=rho))
+            (rho_below if cut >= num * f_prime else rho_above).append(rho)
 
-    exceptions.sort(key=lambda e: (e.a, e.b, e.y))
+    exceptions.sort(key=lambda rec: (rec.a, rec.b, rec.y))
     delta = eps_prime
-    for rec in exceptions:
-        delta = min(delta, r.distance_lower_bound(rec.perturbed) / 2)
+    for rho in _could_set_delta(r, rho_below, rho_above):
+        delta = min(delta, r.distance_lower_bound(rho) / 2)
     return DeltaResult(delta=delta, eps_prime=eps_prime, exceptions=tuple(exceptions))
 
 

@@ -148,6 +148,37 @@ def test_distance_lower_bound(r, t):
         assert r < t - lb
 
 
+def _exceeds(r: QuadIrrational, c: Fraction) -> bool:
+    """r > c, by the sign of s*(r - c) = (p - c*s) + q*sqrt(d), squaring when
+    the two terms differ in sign; integer arithmetic, no ``floor_mul``."""
+    x, y = (r.p * c.denominator - c.numerator * r.s), r.q * c.denominator
+    if x >= 0 and y > 0:
+        return True
+    if x <= 0 and y < 0:
+        return False
+    return (y * y * r.d > x * x) == (y > 0)
+
+
+@given(
+    r=quad,
+    scale=st.sampled_from([1, 2, 1 << 10, 1 << 30]),
+    offset=st.fractions(min_value=0, max_value=3, max_denominator=50),
+    side=st.sampled_from([-1, 1]),
+)
+@settings(max_examples=800, deadline=None)
+def test_distance_lower_bound_range(r, scale, offset, side):
+    """d/2 <= distance_lower_bound(t) < d for d = |r - t|, t on either side
+    of r and near it; callers (``delta_for``) rely on both ends."""
+    lo, hi = r.bracket(scale)
+    t = lo - offset if side < 0 else hi + offset
+    lb = r.distance_lower_bound(t)
+    # with sigma the side of r seen from t, d = sigma*(r - t)
+    sigma = 1 if _exceeds(r, t) else -1
+    assert sigma == -side
+    assert _exceeds(r, t + sigma * lb) == (sigma > 0)  # lb < d
+    assert _exceeds(r, t + 2 * sigma * lb) == (sigma < 0)  # 2*lb >= d, never =
+
+
 def test_signed_arithmetic():
     r = parse_quad_irrational("sqrt:2")
     assert r > Fraction(7, 5) and r < Fraction(3, 2)

@@ -5,12 +5,20 @@ from math import ceil, floor, gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubelat.errors import BudgetExhaustedError, PreconditionError
 from tubelat.exceptional import ExceptionalSet
 from tubelat.lattice import vec_add
 from tubelat.quadirr import QuadIrrational, parse_quad_irrational
 from tubelat.search import (
+    DeltaResult,
+    ExceptionRecord,
+    _a_ceiling,
+    _check_strip_args,
+    _check_window,
+    _could_set_delta,
     delta_for,
     gap_certificate_from_json,
     gap_certificate_to_json,
@@ -35,8 +43,132 @@ GOLDEN_OUT = Path(__file__).resolve().parent / "golden" / "expected"
 
 
 # ---------------------------------------------------------------------------
+# Fraction references: the strip enumerators and delta_for as they were
+# before the integer rewrite, kept verbatim to pin every output to them
+# ---------------------------------------------------------------------------
+
+
+def ref_strip_pairs_below(r1, r2, gamma1, gamma2) -> list[tuple[int, int]]:
+    r1, r2 = _check_strip_args(r1, r2)
+    g1, g2 = Fraction(gamma1), Fraction(gamma2)
+    a_max = _a_ceiling((g1 - r2 * g2) / (r2 - r1), g2)
+    out: list[tuple[int, int]] = []
+    for a in range(1, a_max + 1):
+        hi = floor(r1 * a)
+        if hi < 0:
+            continue
+        den = a + g2
+        if den > 0:
+            lo = max(0, ceil(r2 * den - g1))
+        elif den == 0:
+            lo = max(0, floor(-g1) + 1)  # ratio is +infinity iff b + g1 > 0
+        else:
+            # ratio >= r2 > 0 with negative denominator forces b + g1 <= r2*den
+            hi = min(hi, floor(r2 * den - g1))
+            lo = 0
+        out.extend((a, b) for b in range(lo, hi + 1))
+    return out
+
+
+def ref_strip_pairs_above(r1, r2, gamma1, gamma2) -> list[tuple[int, int]]:
+    r1, r2 = _check_strip_args(r1, r2)
+    g1, g2 = Fraction(gamma1), Fraction(gamma2)
+    a_max = _a_ceiling((r1 * g2 - g1) / (r2 - r1), g2)
+    out: list[tuple[int, int]] = []
+    for a in range(1, a_max + 1):
+        lo = max(0, ceil(r2 * a))
+        den = a + g2
+        if den > 0:
+            lo = max(lo, floor(-g1) + 1)  # positivity: b + g1 > 0
+            hi = floor(r1 * den - g1)
+        elif den == 0:
+            continue  # ratio is infinite or undefined, never in (0, r1]
+        else:
+            lo = max(lo, ceil(r1 * den - g1))
+            hi = ceil(-g1) - 1  # positivity: b + g1 < 0
+        out.extend((a, b) for b in range(lo, hi + 1))
+    return out
+
+
+def ref_delta_for(lattice, exceptional, r, eps) -> DeltaResult:
+    eps = _check_window(r, eps)
+    eps_prime = eps / 2
+    g = eps / 8
+    above = r.rational_above(g)  # in (r, r + g)
+    below = r.rational_below(g)  # in (r - g, r)
+    u1 = above + eps_prime  # in (r + eps', r + eps' + g)
+    u2 = above + eps_prime + 2 * g  # in (r + eps' + 2g, r + eps' + 3g)
+    t1 = below - (eps - g)  # in (r - eps, r - eps + g)
+    t2 = below - eps_prime - 2 * g  # in (r - eps' - 3g, r - eps' - 2g)
+
+    # the two strip enumerators list each (a, b) once and never share one
+    # (b/a >= u2 > r above, b/a <= t1 < r below), so no key repeats
+    exceptions: list[ExceptionRecord] = []
+    for y in exceptional:
+        params = perturbed_params(lattice, y)
+        candidates = ref_strip_pairs_above(u1, u2, params.gamma1, params.gamma2)
+        candidates += ref_strip_pairs_below(t1, t2, params.gamma1, params.gamma2)
+        for a, b in candidates:
+            rho = perturbed_slope(a, b, params)
+            if rho is None:
+                continue
+            if not (r > rho - eps_prime and r < rho + eps_prime):
+                continue  # perturbed slope outside (r - eps', r + eps')
+            s = Fraction(b, a)
+            if r > s - eps and r < s + eps:
+                continue  # raw slope already inside the eps window
+            exceptions.append(ExceptionRecord(a=a, b=b, y=params.y, perturbed=rho))
+
+    exceptions.sort(key=lambda e: (e.a, e.b, e.y))
+    delta = eps_prime
+    for rec in exceptions:
+        delta = min(delta, r.distance_lower_bound(rec.perturbed) / 2)
+    return DeltaResult(delta=delta, eps_prime=eps_prime, exceptions=tuple(exceptions))
+
+
+# ---------------------------------------------------------------------------
 # Strip enumerators
 # ---------------------------------------------------------------------------
+
+
+offset = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-4, max_value=4, max_denominator=12),
+)
+
+
+@st.composite
+def strip_args(draw):
+    """0 < r1 < r2 with fractional ends, and offsets that may be integers,
+    fractions or negative (so a + gamma2 can be 0 or below 0)."""
+    r1 = draw(st.fractions(min_value=Fraction(1, 12), max_value=4, max_denominator=30))
+    gap = draw(st.fractions(min_value=Fraction(1, 30), max_value=2, max_denominator=30))
+    return r1, r1 + gap, draw(offset), draw(offset)
+
+
+@given(args=strip_args())
+@settings(max_examples=600, deadline=None)
+def test_strips_match_fraction_reference(args):
+    assert strip_pairs_below(*args) == ref_strip_pairs_below(*args)
+    assert strip_pairs_above(*args) == ref_strip_pairs_above(*args)
+
+
+@pytest.mark.parametrize(
+    "g1,g2",
+    [(0, -3), (Fraction(-5, 2), -3), (2, Fraction(-7, 2)), (Fraction(7, 3), Fraction(-8, 3))],
+)
+def test_strips_nonpositive_denominator_branches(g1, g2):
+    """gamma2 <= -1 puts a + gamma2 at 0 or below for the first columns."""
+    for r1, r2 in [(Fraction(1, 3), Fraction(1, 2)), (Fraction(13, 10), Fraction(7, 5))]:
+        assert strip_pairs_below(r1, r2, g1, g2) == ref_strip_pairs_below(r1, r2, g1, g2)
+        assert strip_pairs_above(r1, r2, g1, g2) == ref_strip_pairs_above(r1, r2, g1, g2)
+    r1, r2 = Fraction(1, 3), Fraction(1, 2)
+    # pairs with a + gamma2 < 0 and a + gamma2 = 0 are really emitted
+    assert strip_pairs_below(r1, r2, -3, -3) == [(1, 0), (2, 0)]
+    assert (3, 0) in strip_pairs_below(r1, r2, 3, -3)
+    assert (1, 2) in strip_pairs_above(r1, r2, Fraction(-5, 2), -3)
+
+
 
 
 def test_strips_empty_without_offsets():
@@ -162,36 +294,59 @@ def test_delta_exception_keys_distinct(lattice, exceptional_set, r, eps):
     assert len(set(keys)) == len(keys)
 
 
-def test_delta_soundness_oracle_scan(lattice, exceptional_set):
-    """Independent rescan: no pair up to a = 600 breaks the implication.
+DELTA_CASES = [
+    (r, eps)
+    for r, epss in [
+        ("sqrt:2", ["1/7", "1/10", "1/20", "3/50", "1/100"]),
+        ("(1+sqrt(5))/2", ["1/7", "1/10", "1/20", "3/50", "1/100"]),
+        ("sqrt(7)/2", ["1/7", "1/10", "1/20", "3/50", "1/100"]),
+        ("(3-sqrt(5))/2", ["1/7", "1/10", "1/20", "3/50"]),  # q < 0
+        ("(5+sqrt(2))/4", ["1/7", "1/10", "1/20", "3/50"]),  # s > 1
+        ("sqrt:101", ["1/7", "1/10", "1/20", "3/50"]),
+    ]
+    for eps in epss
+]
 
-    Any exception satisfies |perturbed - raw| >= eps/2 while the offsets only
-    reach |perturbed - raw| <= (|g1| + slope*|g2|)/(a - 1) <= 6/(a - 1), so
-    every exception has a <= 121; the scan goes well past five times the
-    internal strip bounds for this window.
+
+@pytest.mark.parametrize("r,eps", DELTA_CASES, ids=[f"{r},{e}" for r, e in DELTA_CASES])
+def test_delta_matches_fraction_reference(lattice, exceptional_set, r, eps):
+    r, eps = parse_quad_irrational(r), Fraction(eps)
+    got = delta_for(lattice, exceptional_set, r, eps)
+    assert got.exceptions
+    assert got == ref_delta_for(lattice, exceptional_set, r, eps)
+
+
+def test_delta_soundness_oracle_scan(lattice, exceptional_set):
+    """Independent rescan: no pair up to a = 600 breaks the implication, at
+    sqrt(2), the golden ratio and sqrt(7)/2.
+
+    Any exception satisfies |perturbed - raw| >= eps/2 while the offsets
+    (|g1|, |g2| <= 1 here) only reach
+    |perturbed - raw| <= (|g1| + slope*|g2|)/(a - 1) <= 6/(a - 1) for each of
+    these r, so every exception has a <= 121; the scan goes well past five
+    times the internal strip bounds for this window.
     """
     eps = Fraction(1, 10)
-    res = delta_for(lattice, exceptional_set, SQRT2, eps)
-    delta = res.delta
-    r = SQRT2
-    lo, hi = r.bracket(1 << 24)
-    for y in exceptional_set:
-        params = perturbed_params(lattice, y)
-        for a in range(1, 601):
-            den = a + params.gamma2
-            if den <= 0:
-                b_range = range(0, 6)
-            else:
-                b_lo = floor((lo - delta) * den - params.gamma1) - 1
-                b_hi = ceil((hi + delta) * den - params.gamma1) + 1
-                b_range = range(max(0, b_lo), b_hi + 1)
-            for b in b_range:
-                rho = perturbed_slope(a, b, params)
-                if rho is None:
-                    continue
-                if r > rho - delta and r < rho + delta:
-                    s = Fraction(b, a)
-                    assert r > s - eps and r < s + eps, (a, b, y, rho)
+    for r in [SQRT2, QuadIrrational(1, 1, 5, 2), QuadIrrational(0, 1, 7, 2)]:
+        delta = delta_for(lattice, exceptional_set, r, eps).delta
+        lo, hi = r.bracket(1 << 24)
+        for y in exceptional_set:
+            params = perturbed_params(lattice, y)
+            for a in range(1, 601):
+                den = a + params.gamma2
+                if den <= 0:
+                    b_range = range(0, 6)
+                else:
+                    b_lo = floor((lo - delta) * den - params.gamma1) - 1
+                    b_hi = ceil((hi + delta) * den - params.gamma1) + 1
+                    b_range = range(max(0, b_lo), b_hi + 1)
+                for b in b_range:
+                    rho = perturbed_slope(a, b, params)
+                    if rho is None:
+                        continue
+                    if r > rho - delta and r < rho + delta:
+                        s = Fraction(b, a)
+                        assert r > s - eps and r < s + eps, (r, a, b, y, rho)
 
 
 def test_delta_randomized_probes(lattice, exceptional_set):
@@ -209,6 +364,84 @@ def test_delta_randomized_probes(lattice, exceptional_set):
         if SQRT2 > rho - res.delta and SQRT2 < rho + res.delta:
             s = Fraction(b, a)
             assert SQRT2 > s - eps and SQRT2 < s + eps
+
+
+def surd_sign(alpha: Fraction, beta: Fraction, d: int) -> int:
+    """Sign of alpha + beta*sqrt(d) for a non-square d, squaring when alpha
+    and beta differ in sign; 0 only when both are 0.  No ``floor_mul``."""
+    if alpha == beta == 0:
+        return 0
+    if alpha >= 0 and beta >= 0:
+        return 1
+    if alpha <= 0 and beta <= 0:
+        return -1
+    return 1 if (alpha * alpha > beta * beta * d) == (alpha > 0) else -1
+
+
+def nearer(r, t1, t2, k=1):
+    """|r - t1| < k*|r - t2|, by the sign of k^2 (r - t2)^2 - (r - t1)^2
+    written as alpha + beta*sqrt(d) with r = c + e*sqrt(d)."""
+    c, e = Fraction(r.p, r.s), Fraction(r.q, r.s)
+    sq_c, sq_e = c * c + e * e * r.d, 2 * c * e  # r^2 = sq_c + sq_e*sqrt(d)
+    k2, lin = k * k, 2 * (k * k * t2 - t1)
+    alpha = (k2 - 1) * sq_c - lin * c + k2 * t2 * t2 - t1 * t1
+    beta = (k2 - 1) * sq_e - lin * e
+    return surd_sign(alpha, beta, r.d) > 0
+
+
+def check_could_set_delta(r, ts):
+    """The filter keeps exactly the t with |r - t| < 2*d_min, and the least
+    distance_lower_bound over what it keeps is the least over all of ts."""
+    below = [t for t in ts if r_exceeds(r, t.numerator, t.denominator)]
+    above = [t for t in ts if not r_exceeds(r, t.numerator, t.denominator)]
+    kept = _could_set_delta(r, below, above)
+    x = next(t for t in ts if not any(nearer(r, u, t) for u in ts))
+    assert sorted(kept) == sorted(t for t in ts if nearer(r, t, x, 2))
+    least = min(r.distance_lower_bound(t) for t in ts)
+    assert min(r.distance_lower_bound(t) for t in kept) == least
+
+
+def test_could_set_delta_empty():
+    assert _could_set_delta(SQRT2, [], []) == []
+
+
+@pytest.mark.parametrize(
+    "near,far",
+    [
+        (Fraction(24, 17), Fraction(17, 12)),  # far above r, near below it
+        (Fraction(41, 29), Fraction(58, 41)),
+        (Fraction(79, 56), Fraction(78, 55)),
+    ],
+)
+def test_could_set_delta_farther_slope_with_smaller_bound(near, far):
+    """The bound lies only in [d/2, d), so a farther slope can hold the
+    least bound; the filter must keep it."""
+    r = SQRT2
+    assert nearer(r, near, far)
+    assert r.distance_lower_bound(far) < r.distance_lower_bound(near)
+    ts = [near, far, Fraction(7, 5), Fraction(3, 2), Fraction(99, 70), near]
+    check_could_set_delta(r, ts)
+    assert far in _could_set_delta(r, [near, Fraction(7, 5)], [far, Fraction(3, 2)])
+
+
+FILTER_RS = [
+    SQRT2,
+    QuadIrrational(1, 1, 5, 2),
+    QuadIrrational(0, 1, 7, 2),
+    QuadIrrational(3, -1, 5, 2),  # q < 0
+    QuadIrrational(5, 1, 2, 4),  # s > 1
+]
+
+
+@given(
+    r=st.sampled_from(FILTER_RS),
+    offsets=st.lists(st.tuples(st.integers(1, 300), st.integers(-3, 3)), min_size=1, max_size=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_could_set_delta_on_synthetic_slopes(r, offsets):
+    """Rationals n/m next to r on both sides: floor(lo*m) + j over m."""
+    lo, _ = r.bracket(1 << 24)
+    check_could_set_delta(r, [Fraction(floor(lo * m) + j, m) for m, j in offsets])
 
 
 def test_delta_rejects_bad_eps(lattice, exceptional_set):
