@@ -311,8 +311,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(command: str, text: str, stream) -> None:
-    stream.write(text)
+def _error_doc(exc: Exception) -> dict:
+    if isinstance(exc, TubelatError):
+        name = exc.name
+    else:
+        name = "io" if isinstance(exc, OSError) else "malformed-json"
+    return {"error": name, "message": str(exc)}
+
+
+def _save_copy(command: str, text: str) -> None:
     out_dir = os.environ.get("TUBELAT_OUTPUT_DIR")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
@@ -327,13 +334,16 @@ def run(argv=None, stdout=None) -> int:
     ctx = _Context(args)
     try:
         doc, code = _COMMANDS[args.command](ctx)
-    except (TubelatError, FileNotFoundError, json.JSONDecodeError) as exc:
-        if isinstance(exc, TubelatError):
-            name = exc.name
-        else:
-            name = "io" if isinstance(exc, FileNotFoundError) else "malformed-json"
-        doc, code = {"error": name, "message": str(exc)}, 1
-    _emit(args.command, dumps_canonical(doc), stdout)
+    except (TubelatError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        doc, code = _error_doc(exc), 1
+    text = dumps_canonical(doc)
+    # the copy is written first, so that a failure to write it is the one
+    # document on stdout
+    try:
+        _save_copy(args.command, text)
+    except OSError as exc:
+        text, code = dumps_canonical(_error_doc(exc)), 1
+    stdout.write(text)
     return code
 
 

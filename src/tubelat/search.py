@@ -601,19 +601,27 @@ def gap_certificate_to_json(cert: GapCertificate) -> dict:
     }
 
 
+def _witness_from_json(w) -> tuple[int, int, int, str]:
+    a, b, m = parse_int(w["a"]), parse_int(w["b"]), parse_int(w["mu"])
+    slope = w["slope"]
+    # the reduced text of b/a is its own normal form, so only another
+    # spelling (or the undefined 0/0 row) needs Slope.parse
+    if not ((a or b) and slope == slope_text(b, a)):
+        slope = str(Slope.parse(slope))
+    return a, b, m, slope
+
+
 def gap_certificate_from_json(data: dict) -> GapCertificate:
+    """Read a ``gap-vector`` document; malformed input is a SpecFormatError.
+
+    A witness slope already in the reduced text of b/a is kept as it is; any
+    other spelling goes through ``Slope.parse`` and is stored normalised, so
+    ``validate_gap_certificate`` judges the value, not the spelling.
+    """
     try:
         if data.get("kind") != "gap-vector":
             raise SpecFormatError(f"not a gap-vector certificate: {data.get('kind')!r}")
-        witnesses = tuple(
-            (
-                parse_int(w["a"]),
-                parse_int(w["b"]),
-                parse_int(w["mu"]),
-                str(Slope.parse(w["slope"])),
-            )
-            for w in data["witnesses"]
-        )
+        witnesses = tuple(_witness_from_json(w) for w in data["witnesses"])
         return GapCertificate(
             r=parse_quad_irrational(data["r"]),
             epsilon=parse_frac(data["epsilon"]),

@@ -260,6 +260,32 @@ def test_output_dir_override(tmp_path, monkeypatch):
     assert copy == text
 
 
+def test_output_dir_that_is_a_file_is_one_io_error(tmp_path, monkeypatch):
+    blocker = tmp_path / "outs"
+    blocker.write_text("")
+    monkeypatch.setenv("TUBELAT_OUTPUT_DIR", str(blocker))
+    code, text = invoke("p-bound")
+    doc = json.loads(text)  # exactly one document: no result before the error
+    assert code == 1 and doc["error"] == "io"
+    assert blocker.read_text() == ""
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["hom", "{dir}", "{dir}"], "io"),
+        (["--algebra", "{bad}", "validate-algebra"], "malformed-json"),
+        (["hom", "{bad}", "{bad}"], "malformed-json"),
+    ],
+)
+def test_unreadable_inputs_are_named_errors(tmp_path, argv, error):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{")
+    argv = [a.format(dir=tmp_path, bad=bad) for a in argv]
+    code, doc = invoke_json(*argv)
+    assert code == 1 and doc["error"] == error
+
+
 def test_user_algebra_file(tmp_path, spec):
     from tubelat.algebra import spec_to_json
 

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from math import ceil, floor, gcd
 from pathlib import Path
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubelat.errors import BudgetExhaustedError, PreconditionError
+from tubelat.errors import BudgetExhaustedError, PreconditionError, SpecFormatError
 from tubelat.exceptional import ExceptionalSet
-from tubelat.lattice import vec_add
+from tubelat.lattice import Slope, slope_text, vec_add
 from tubelat.quadirr import QuadIrrational, parse_quad_irrational
 from tubelat.search import (
     DeltaResult,
@@ -36,7 +37,7 @@ from tubelat.search import (
     validate_gap_certificate,
     validate_tube_params,
 )
-from tubelat.serialize import dumps_canonical
+from tubelat.serialize import dumps_canonical, parse_int
 
 SQRT2 = QuadIrrational(0, 1, 2, 1)
 GOLDEN_OUT = Path(__file__).resolve().parent / "golden" / "expected"
@@ -657,6 +658,87 @@ def test_golden_certificates_round_trip(name):
         again = tube_params_to_json(tube_params_from_json(doc))
     assert again == doc
     assert dumps_canonical(again) == text
+
+
+# ---------------------------------------------------------------------------
+# Reading witness rows: the per-row expression that parsed every slope,
+# kept as the reference for the reader that parses only other spellings
+# ---------------------------------------------------------------------------
+
+
+def ref_witness_from_json(w) -> tuple[int, int, int, str]:
+    return (
+        parse_int(w["a"]),
+        parse_int(w["b"]),
+        parse_int(w["mu"]),
+        str(Slope.parse(w["slope"])),
+    )
+
+
+GAP_DOC = json.loads((GOLDEN_OUT / "gap-search-sqrt2.out").read_text(encoding="utf-8"))
+GAP_CERT = gap_certificate_from_json(GAP_DOC)
+
+
+@st.composite
+def witness_rows(draw):
+    a = draw(st.integers(-40, 40))
+    b = draw(st.integers(-40, 40))
+    a, b = draw(st.sampled_from([(a, b), (0, 0), (0, b), (a, 0)]))
+    texts = ["1/0", "0/0", f"{b}/{a}"]
+    if a or b:
+        t = slope_text(b, a)
+        k = draw(st.integers(2, 5))
+        texts += [t, f" {t}", f"{t} ", f"\t{t}\n", f"+{t}", f"{b * k}/{a * k}"]
+        texts.append(slope_text(b + 1, a) if a else slope_text(1, 1))
+    if a == 0:
+        texts += ["inf", "oo", "infinity", " oo "]
+    slope = draw(
+        st.one_of(
+            st.sampled_from(texts),
+            st.integers(-3, 3),
+            st.none(),
+            st.lists(st.integers(0, 3), max_size=2),
+        )
+    )
+    return {"a": a, "b": b, "mu": draw(st.integers(-5, 500)), "slope": slope}
+
+
+def _read_or_message(read, doc):
+    try:
+        return read(doc)
+    except SpecFormatError as exc:
+        return str(exc)
+
+
+@given(row=witness_rows())
+@settings(max_examples=1500, deadline=None)
+def test_witness_reader_matches_slope_parse_reference(row):
+    doc = {**GAP_DOC, "witnesses": [row]}
+    expected = _read_or_message(
+        lambda d: replace(GAP_CERT, witnesses=(ref_witness_from_json(d["witnesses"][0]),)),
+        doc,
+    )
+    assert _read_or_message(gap_certificate_from_json, doc) == expected
+
+
+def test_golden_certificates_are_read_without_slope_parse(monkeypatch):
+    calls = []
+    parse = Slope.parse
+
+    def counting_parse(text):
+        calls.append(text)
+        return parse(text)
+
+    monkeypatch.setattr(Slope, "parse", staticmethod(counting_parse))
+    names = sorted(GOLDEN_OUT.glob("gap-search*.out"))
+    assert names
+    for path in names:
+        gap_certificate_from_json(json.loads(path.read_text(encoding="utf-8")))
+    assert calls == []
+    # the count is live: the respelled rows of the golden input are parsed
+    respelled = GOLDEN_OUT.parent / "inputs" / "gap-sqrt2-other-spellings.json"
+    gap_certificate_from_json(json.loads(respelled.read_text(encoding="utf-8")))
+    assert sorted(calls) == sorted(["oo", "10/6", "0/4", " 4/3", "14/10"])
 
 
 # ---------------------------------------------------------------------------
