@@ -44,6 +44,15 @@ from .search import (
 from .serialize import dumps_canonical, frac_to_str, parse_frac, parse_int_vector
 
 
+def _read_json(path):
+    """The JSON document in a file; nesting too deep to decode is malformed."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise json.JSONDecodeError("nesting too deep", "", 0) from exc
+
+
 class _Context:
     """Lazily built algebra data shared by the subcommands."""
 
@@ -53,8 +62,7 @@ class _Context:
     @cached_property
     def spec(self):
         if self.args.algebra:
-            with open(self.args.algebra, encoding="utf-8") as fh:
-                return spec_from_json(json.load(fh))
+            return spec_from_json(_read_json(self.args.algebra))
         return build_c4(parse_frac(self.args.lam))
 
     @cached_property
@@ -76,12 +84,10 @@ class _Context:
         return parse_int_vector(text, self.spec.vertex_count)
 
     def load_rep(self, path):
-        with open(path, encoding="utf-8") as fh:
-            return rep_from_json(self.spec, json.load(fh))
+        return rep_from_json(self.spec, _read_json(path))
 
     def load_formula(self, path):
-        with open(path, encoding="utf-8") as fh:
-            return formula_from_json(self.spec, json.load(fh))
+        return formula_from_json(self.spec, _read_json(path))
 
 
 def _cmd_validate_algebra(ctx: _Context) -> tuple[object, int]:
@@ -216,8 +222,7 @@ def _cmd_pp_pair(ctx: _Context) -> tuple[object, int]:
 
 
 def _cmd_certify(ctx: _Context) -> tuple[object, int]:
-    with open(ctx.args.certificate, encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(ctx.args.certificate)
     kind = data.get("kind") if isinstance(data, dict) else None
     if kind == "gap-vector":
         cert = gap_certificate_from_json(data)

@@ -126,18 +126,6 @@ class QuadIrrational:
                 return lo, hi
             scale *= 4
 
-    def rational_below(self, gap: Fraction) -> Fraction:
-        """A rational q with self - gap < q < self."""
-        if gap <= 0:
-            raise ParameterDomainError("gap must be positive")
-        return self.bracket_until(lambda lo, hi: hi - lo < gap)[0]
-
-    def rational_above(self, gap: Fraction) -> Fraction:
-        """A rational q with self < q < self + gap."""
-        if gap <= 0:
-            raise ParameterDomainError("gap must be positive")
-        return self.bracket_until(lambda lo, hi: hi - lo < gap)[1]
-
     def distance_lower_bound(self, t: Fraction) -> Fraction:
         """A positive rational in [d/2, d) for d = |self - t|, certified.
 

@@ -528,4 +528,6 @@ def rep_from_json(spec: AlgebraSpec, data: dict) -> Representation:
         }
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise SpecFormatError(f"malformed representation: {exc}") from exc
-    return make_representation(spec, dims, maps)
+    rep = make_representation(spec, dims, maps)
+    validate(rep)
+    return rep

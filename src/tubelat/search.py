@@ -183,6 +183,15 @@ def _check_window(r: QuadIrrational, eps: Fraction) -> Fraction:
     return eps
 
 
+def _in_window_below(r: QuadIrrational, eps: Fraction, b: int, a: int) -> bool:
+    """b/a in (r - eps, r): for a > 0 and eps = e/f, floor(a*r) >= b and
+    floor(a*f*r) < b*f + e*a.  For a = 0 these read b <= 0 < b, so false."""
+    if a < 0:
+        a, b = -a, -b
+    e, f = eps.numerator, eps.denominator
+    return r.floor_mul(a) >= b and r.floor_mul(a * f) < b * f + e * a
+
+
 def _could_set_delta(
     r: QuadIrrational, below: list[Fraction], above: list[Fraction]
 ) -> list[Fraction]:
@@ -223,9 +232,9 @@ def delta_for(
     the raw slope b/a within eps of r, for every a >= 1, b >= 0 and every
     exceptional y.
 
-    Strategy: fix eps' = eps/2, bracket r by rationals, enumerate the
-    finitely many candidate exceptions with the two strip enumerators, and
-    take delta below every exceptional perturbed slope's distance to r
+    Strategy: fix eps' = eps/2, bracket r once, within g = eps/8, enumerate
+    the finitely many candidate exceptions with the two strip enumerators,
+    and take delta below every exceptional perturbed slope's distance to r
     (and at most eps'): delta = min(eps', distance_lower_bound(rho)/2).
 
     Each candidate is tested on integers.  With gamma_i = G_i/D, the
@@ -247,8 +256,8 @@ def delta_for(
     eps = _check_window(r, eps)
     eps_prime = eps / 2
     g = eps / 8
-    above = r.rational_above(g)  # in (r, r + g)
-    below = r.rational_below(g)  # in (r - g, r)
+    # r - g < below < r < above < r + g
+    below, above = r.bracket_until(lambda lo, hi: hi - lo < g)
     u1 = above + eps_prime  # in (r + eps', r + eps' + g)
     u2 = above + eps_prime + 2 * g  # in (r + eps' + 2g, r + eps' + 3g)
     t1 = below - (eps - g)  # in (r - eps, r - eps + g)
@@ -338,9 +347,16 @@ def gap_vector(
 
     Such a pair lies within its own budget mu + k, so b/a is the best slope
     below r within that budget.  For each m the search takes that best
-    slope, the largest min(floor(a*r), (m + k - w0*a) // w1) / a, and tests
-    its one multiple of dimension m against the window.  The emitted witness
-    list makes the search strategy irrelevant to correctness.
+    slope, the largest min(floor(a*r), (m + k - w0*a) // w1) / a, and
+    accepts it if it lies in the window with dimension exactly m.
+
+    That pair is reduced: the best slope n/d, in lowest terms, is first
+    reached at a = d, as any pair of that slope within the budget puts
+    (d, n) within it too.  No multiple of it is ever the answer: if the best
+    pair at budget m + k had dimension s < m, it would also be the best of
+    the fewer pairs within s + k, and pass the window there, so the loop
+    would have returned at m = s (s >= w0 + w1, as b/a > r - eps > 0).  The
+    emitted witness list makes the search strategy irrelevant to correctness.
     """
     eps = _check_window(r, eps)
     if k < 0:
@@ -351,20 +367,13 @@ def gap_vector(
         budget = m + k
         while len(floors) <= budget // w0:
             floors.append(r.floor_mul(len(floors)))
-        best_b, best_a = 0, 1
-        for a in range(1, budget // w0 + 1):
-            b = min(floors[a], (budget - w0 * a) // w1)
-            if b * best_a > best_b * a:
-                best_b, best_a = b, a
-        g = gcd(best_b, best_a)
-        b, a = best_b // g, best_a // g
-        step = w0 * a + w1 * b
-        if b < 1 or m % step:
+        a, b = 1, 0  # the best slope b/a so far
+        for a2 in range(1, budget // w0 + 1):
+            b2 = min(floors[a2], (budget - w0 * a2) // w1)
+            if b2 * a > b * a2:
+                a, b = a2, b2
+        if w0 * a + w1 * b != m or not _in_window_below(r, eps, b, a):
             continue
-        # r < b/a + eps, cross-multiplied by a * eps.denominator
-        if r.floor_mul(a * eps.denominator) >= b * eps.denominator + eps.numerator * a:
-            continue
-        a, b = m // step * a, m // step * b
         witnesses = tuple(
             (a2, b2, w0 * a2 + w1 * b2, slope_text(b2, a2))
             for a2, b2 in _budget_pairs(w0, w1, budget)
@@ -395,10 +404,8 @@ def validate_gap_certificate(lattice: K0Lattice, cert: GapCertificate) -> list[s
         )
     if cert.a < 1 or cert.b < 1:
         failures.append("returned pair must have positive coefficients")
-    else:
-        s = Fraction(cert.b, cert.a)
-        if not (cert.r > s and cert.r < s + cert.epsilon):
-            failures.append(f"slope {s} is not in (r - eps, r)")
+    elif not _in_window_below(cert.r, cert.epsilon, cert.b, cert.a):
+        failures.append(f"slope {slope_text(cert.b, cert.a)} is not in (r - eps, r)")
     if cert.mu != w0 * cert.a + w1 * cert.b:
         failures.append("stored mu does not match the pair")
     if cert.budget != cert.mu + cert.k:
@@ -438,16 +445,13 @@ def p_bound(lattice: K0Lattice, exceptional: ExceptionalSet) -> int:
     """The uniform bound p: for every exceptional y,
     |(mu(<hinf,y>*h0 - <h0,y>*hinf) + mu(y)) / <h0,hinf>| <= p,
     rounded up to an integer.  Independent of any slope queried later."""
-    best = Fraction(0)
+    best = 0
     for y in exceptional:
         c_h0 = lattice.bilinear(lattice.hinf, y)
         c_hinf = lattice.bilinear(lattice.h0, y)
-        combo = tuple(
-            c_h0 * u - c_hinf * v for u, v in zip(lattice.h0, lattice.hinf)
-        )
-        val = abs(Fraction(mu(combo) + mu(y), lattice.pairing))
-        best = max(best, val)
-    return ceil(best)
+        # mu(c_h0*h0 - c_hinf*hinf) + mu(y), as mu is linear
+        best = max(best, abs(lattice.mu_of_pair(c_h0, -c_hinf) + mu(y)))
+    return -(-best // lattice.pairing)  # the pairing is positive
 
 
 @dataclass(frozen=True)
@@ -528,15 +532,14 @@ def tube_parameters(
     for _ in range(max_rounds):
         cert = gap_vector(lattice, r, eps_i, k)
         if cert.b > threshold:
-            g = gcd(cert.a, cert.b)
             return TubeParams(
-                a=cert.a // g,
-                b=cert.b // g,
+                a=cert.a,
+                b=cert.b,
                 rank=lattice.pairing,
                 k_used=k,
                 p=p,
                 d=d,
-                lower_bound=Fraction(lattice.mu_of_pair(cert.a, cert.b), lattice.pairing) - p,
+                lower_bound=Fraction(cert.mu, lattice.pairing) - p,
                 threshold=threshold,
                 r=r,
                 epsilon=eps,
@@ -560,16 +563,15 @@ def validate_tube_params(
         failures.append(f"stored p = {tp.p}, recomputed {p}")
     if tp.rank != lattice.pairing:
         failures.append(f"rank {tp.rank} differs from pairing {lattice.pairing}")
-    if Fraction(tp.k_used, lattice.pairing) - 2 * p < tp.d:
+    if tp.k_used < lattice.pairing * (tp.d + 2 * p):
         failures.append("k_used does not achieve the requested gap")
     threshold = lattice.pairing * max_hinf_pairing(lattice, exceptional)
     if tp.b <= threshold:
         failures.append(f"b = {tp.b} does not clear the threshold {threshold}")
     if gcd(tp.a, tp.b) != 1:
         failures.append("slope coefficients are not coprime")
-    s = Fraction(tp.b, tp.a)
-    if not (tp.r > s and tp.r < s + tp.epsilon):
-        failures.append(f"slope {s} is not in (r - eps, r)")
+    if not _in_window_below(tp.r, tp.epsilon, tp.b, tp.a):
+        failures.append(f"slope {slope_text(tp.b, tp.a)} is not in (r - eps, r)")
     expected_lower = Fraction(lattice.mu_of_pair(tp.a, tp.b), lattice.pairing) - p
     if tp.lower_bound != expected_lower:
         failures.append("lower bound arithmetic is wrong")

@@ -48,7 +48,7 @@ def parse_int_vector(text, length: int | None = None) -> tuple[int, ...]:
     if isinstance(text, str):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise SpecFormatError(f"malformed vector {text!r}") from exc
     else:
         data = text

@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from tubelat import algebra, pp, reps
 from tubelat.cli import run
 from tubelat.pp import formula_to_json
 from tubelat.reps import rep_to_json
+
+GOLDEN_OUT = Path(__file__).resolve().parent / "golden" / "expected"
 
 
 def invoke(*argv):
@@ -284,6 +287,67 @@ def test_unreadable_inputs_are_named_errors(tmp_path, argv, error):
     argv = [a.format(dir=tmp_path, bad=bad) for a in argv]
     code, doc = invoke_json(*argv)
     assert code == 1 and doc["error"] == error
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["certify", "{deep}"], "malformed-json"),
+        (["--algebra", "{deep}", "validate-algebra"], "malformed-json"),
+        (["hom", "{deep}", "{deep}"], "malformed-json"),
+        (["pp-free", "{deep}"], "malformed-json"),
+        (["euler", "--x", "[" * 5000, "--y", "h0"], "spec-format"),
+        (["slope", "--vec", "[" * 5000 + "]" * 5000], "spec-format"),
+    ],
+    ids=["certify", "algebra", "rep", "formula", "vec-open", "vec-closed"],
+)
+def test_deeply_nested_json_is_a_named_error(tmp_path, argv, error):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000)
+    code, doc = invoke_json(*[a.format(deep=deep) for a in argv])
+    assert code == 1 and doc["error"] == error
+
+
+def test_rep_breaking_a_relation_is_a_validation_error(tmp_path):
+    # a11.a12.beta - a21.a22.beta acts as 1 - 0 on this module
+    bad = tmp_path / "bad.json"
+    ones = [["1"]]
+    bad.write_text(json.dumps({
+        "dims": [1, 0, 1, 1, 0, 1],
+        "arrows": {"a11": ones, "a12": ones, "beta": ones},
+    }))
+    for argv in (["hom", bad, bad], ["ext", bad, bad], ["slope", bad]):
+        code, doc = invoke_json(*map(str, argv))
+        assert code == 1 and doc["error"] == "validation"
+        assert doc["message"].startswith("relation 1 [")
+
+
+FUZZ_DOCS = {
+    name: json.loads((GOLDEN_OUT / f"{name}.out").read_text(encoding="utf-8"))
+    for name in ("gap-search-sqrt2", "tube-params-eps-1-10")
+}
+_DELETE = object()
+FUZZ_VALUES = (0, -1, 10**40, -(10**40), True, "1", None, 1.5, [], {}, _DELETE)
+
+
+@pytest.mark.parametrize(
+    "name,field", [(name, field) for name, doc in FUZZ_DOCS.items() for field in doc]
+)
+def test_certify_boundary_fuzz(tmp_path, name, field):
+    """Each field set to a boundary value, or deleted: certify answers with
+    one JSON document, a verdict or a named error, never a traceback."""
+    doc_file = tmp_path / "doc.json"
+    for value in FUZZ_VALUES:
+        doc = dict(FUZZ_DOCS[name])
+        if value is _DELETE:
+            del doc[field]
+        else:
+            doc[field] = value
+        doc_file.write_text(json.dumps(doc))
+        code, text = invoke("certify", str(doc_file))
+        out = json.loads(text)
+        assert code in (0, 1), (field, value)
+        assert (code == 0) == (out.get("valid") is True), (field, value)
 
 
 def test_user_algebra_file(tmp_path, spec):

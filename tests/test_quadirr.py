@@ -130,8 +130,7 @@ def test_floor_mul_matches_interval_refinement(r, n):
 @settings(max_examples=300, deadline=None)
 def test_rational_neighbours(r):
     gap = Fraction(1, 997)
-    below = r.rational_below(gap)
-    above = r.rational_above(gap)
+    below, above = r.bracket_until(lambda lo, hi: hi - lo < gap)
     assert r > below and r < above
     assert r < below + gap and r > above - gap
 

@@ -20,6 +20,7 @@ from tubelat.search import (
     _check_strip_args,
     _check_window,
     _could_set_delta,
+    _in_window_below,
     delta_for,
     gap_certificate_from_json,
     gap_certificate_to_json,
@@ -45,7 +46,8 @@ GOLDEN_OUT = Path(__file__).resolve().parent / "golden" / "expected"
 
 # ---------------------------------------------------------------------------
 # Fraction references: the strip enumerators and delta_for as they were
-# before the integer rewrite, kept verbatim to pin every output to them
+# before the integer rewrite, kept to pin every output to them (only the
+# bracketing of r now takes one ``bracket_until`` call)
 # ---------------------------------------------------------------------------
 
 
@@ -95,8 +97,7 @@ def ref_delta_for(lattice, exceptional, r, eps) -> DeltaResult:
     eps = _check_window(r, eps)
     eps_prime = eps / 2
     g = eps / 8
-    above = r.rational_above(g)  # in (r, r + g)
-    below = r.rational_below(g)  # in (r - g, r)
+    below, above = r.bracket_until(lambda lo, hi: hi - lo < g)
     u1 = above + eps_prime  # in (r + eps', r + eps' + g)
     u2 = above + eps_prime + 2 * g  # in (r + eps' + 2g, r + eps' + 3g)
     t1 = below - (eps - g)  # in (r - eps, r - eps + g)
@@ -507,6 +508,53 @@ def test_gap_vector_matches_plain_search(lattice, r, k, eps):
     r = parse_quad_irrational(r)
     cert = gap_vector(lattice, r, eps, k)
     assert (cert.a, cert.b, cert.mu) == reference_gap_vector(lattice, r, eps, k)
+
+
+def ref_in_window_below(r, eps, b, a):
+    """b/a in (r - eps, r) by ``Fraction`` comparisons, as the certificate
+    checks made it before ``_in_window_below``."""
+    s = Fraction(b, a)
+    return r > s and r < s + eps
+
+
+window_rs = st.builds(
+    QuadIrrational,
+    p=st.integers(-6, 6),
+    q=st.integers(-4, 4).filter(bool),
+    d=st.sampled_from([2, 3, 5, 7, 101]),
+    s=st.integers(1, 6),
+)
+big = st.sampled_from([10**40, -(10**40)])
+
+
+@given(
+    r=window_rs,
+    eps=st.one_of(st.fractions(-2, 4, max_denominator=60), big.map(Fraction)),
+    b=st.one_of(st.integers(-300, 300), big),
+    a=st.one_of(st.integers(-300, 300), big).filter(bool),
+)
+@settings(max_examples=1500, deadline=None)
+def test_in_window_below_matches_fraction_reference(r, eps, b, a):
+    assert _in_window_below(r, eps, b, a) == ref_in_window_below(r, eps, b, a)
+
+
+def test_in_window_below_is_false_for_a_zero():
+    for b in (-1, 0, 1, 10**40):
+        assert not _in_window_below(SQRT2, Fraction(10**40), b, 0)
+
+
+@given(
+    r=st.sampled_from(["sqrt:2", "(1+sqrt(5))/2", "sqrt(7)/2", "(3-sqrt(5))/2", "sqrt:101"]),
+    eps=st.fractions(Fraction(1, 30), Fraction(1, 3), max_denominator=30),
+    k=st.integers(0, 60),
+)
+@settings(max_examples=100, deadline=None)
+def test_gap_vector_pair_is_reduced_at_its_own_dimension(lattice, r, eps, k):
+    """Pins the proof in ``gap_vector``'s docstring: the pair it finds is
+    reduced and of dimension mu, so it never needs rescaling."""
+    cert = gap_vector(lattice, parse_quad_irrational(r), eps, k)
+    assert gcd(cert.a, cert.b) == 1
+    assert cert.mu == lattice.mu_h0 * cert.a + lattice.mu_hinf * cert.b
 
 
 def test_gap_vector_sqrt2_frozen(lattice):
