@@ -15,8 +15,9 @@ import os
 import sys
 from functools import cached_property
 
+from . import __version__
 from .algebra import build_c4, derive_path_basis, spec_from_json, spec_report
-from .errors import PreconditionError, SpecFormatError, TubelatError
+from .errors import BudgetExhaustedError, PreconditionError, SpecFormatError, TubelatError
 from .exceptional import enumerate_exceptional, unit_decompose
 from .lattice import K0Lattice
 from .pp import (
@@ -272,7 +273,10 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="JSON file with a user algebra spec (overrides --lambda)",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    parser.add_argument(
+        "--version", action="store_true", help='print {"version": ...} and exit'
+    )
+    sub = parser.add_subparsers(dest="command")
 
     sub.add_parser("validate-algebra")
     p = sub.add_parser("euler")
@@ -332,16 +336,31 @@ def _save_copy(command: str, text: str) -> None:
             fh.write(text)
 
 
+def _answer(args) -> tuple[str, int]:
+    try:
+        doc, code = _COMMANDS[args.command](_Context(args))
+    except (TubelatError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        doc, code = _error_doc(exc), 1
+    return dumps_canonical(doc), code
+
+
 def run(argv=None, stdout=None) -> int:
     stdout = stdout or sys.stdout
     parser = _build_parser()
     args = parser.parse_args(argv)
-    ctx = _Context(args)
+    if args.version:
+        stdout.write(dumps_canonical({"version": __version__}))
+        return 0
+    if args.command is None:
+        parser.error("the following arguments are required: command")
     try:
-        doc, code = _COMMANDS[args.command](ctx)
-    except (TubelatError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
-        doc, code = _error_doc(exc), 1
-    text = dumps_canonical(doc)
+        text, code = _answer(args)
+    except MemoryError:
+        # no search has a work bound yet, so running out of memory, while
+        # computing the answer or encoding it, is how an oversized one ends;
+        # it still ends in one document
+        exc = BudgetExhaustedError(f"out of memory in {args.command}")
+        text, code = dumps_canonical(_error_doc(exc)), 1
     # the copy is written first, so that a failure to write it is the one
     # document on stdout
     try:

@@ -1,13 +1,16 @@
 import io
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from tubelat import algebra, pp, reps
+import tubelat
+from tubelat import algebra, cli, pp, reps
 from tubelat.cli import run
+from tubelat.serialize import dumps_canonical
 from tubelat.pp import formula_to_json
 from tubelat.reps import rep_to_json
 
@@ -271,6 +274,41 @@ def test_output_dir_that_is_a_file_is_one_io_error(tmp_path, monkeypatch):
     doc = json.loads(text)  # exactly one document: no result before the error
     assert code == 1 and doc["error"] == "io"
     assert blocker.read_text() == ""
+
+
+def test_out_of_memory_is_one_budget_error(monkeypatch):
+    def exhaust(ctx):
+        raise MemoryError
+
+    monkeypatch.setitem(cli._COMMANDS, "delta", exhaust)
+    code, text = invoke("delta", "--r", "sqrt:2", "--eps", "1/10")
+    doc = json.loads(text)  # exactly one document
+    assert code == 1 and doc["error"] == "budget-exhausted"
+    assert doc["message"].startswith("out of memory")
+
+
+def test_out_of_memory_while_encoding_is_one_budget_error(monkeypatch):
+    calls = []
+
+    def dumps_exhausting_once(doc):
+        calls.append(doc)
+        if len(calls) == 1:
+            raise MemoryError
+        return dumps_canonical(doc)
+
+    monkeypatch.setattr(cli, "dumps_canonical", dumps_exhausting_once)
+    code, text = invoke("p-bound")
+    doc = json.loads(text)  # exactly one document
+    assert code == 1 and doc["error"] == "budget-exhausted"
+    assert doc["message"] == "out of memory in p-bound"
+    assert len(calls) == 2 and "error" not in calls[0]
+
+
+def test_version_matches_project_metadata():
+    root = Path(__file__).resolve().parents[1]
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    assert re.search(r'^version = "(.*)"$', pyproject, re.M).group(1) == tubelat.__version__
+    assert invoke_json("--version") == (0, {"version": tubelat.__version__})
 
 
 @pytest.mark.parametrize(
