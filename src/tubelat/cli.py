@@ -256,8 +256,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ``SpecFormatError``, so that they end in the one
+    error document; subparsers are made of the same class."""
+
+    def error(self, message):
+        raise SpecFormatError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tubelat",
         description="Exact lattice arithmetic and certified slope searches "
         "for the tubular algebra C(4,lambda).",
@@ -347,12 +355,16 @@ def _answer(args) -> tuple[str, int]:
 def run(argv=None, stdout=None) -> int:
     stdout = stdout or sys.stdout
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+        if args.command is None and not args.version:
+            parser.error("the following arguments are required: command")
+    except SpecFormatError as exc:
+        stdout.write(dumps_canonical(_error_doc(exc)))
+        return 1
     if args.version:
         stdout.write(dumps_canonical({"version": __version__}))
         return 0
-    if args.command is None:
-        parser.error("the following arguments are required: command")
     try:
         text, code = _answer(args)
     except MemoryError:

@@ -14,10 +14,10 @@ integer comparisons:
   candidate pair costs one or two ``floor_mul`` calls, and
   ``distance_lower_bound`` runs only on the exceptions less than twice as
   far from r as the nearest one, the only ones that can set delta;
-* ``gap_vector`` finds the pair of least total dimension mu whose slope in
-  (r - eps, r) is the best slope below r of all pairs within dimension
-  mu + k, and emits every pair within that budget as a certificate, one
-  plain row (a, b, mu, slope text) per pair;
+* ``gap_vector`` walks the Stern-Brocot tree toward r to the pair of least
+  total dimension mu whose slope in (r - eps, r) is the best slope below r
+  of all pairs within dimension mu + k, and emits every pair within that
+  budget as a certificate, one plain row (a, b, mu, slope text) per pair;
 * ``tube_parameters`` turns a requested dimension gap d into a choice of k,
   a certified gap vector and the resulting dimension bounds.
 
@@ -343,52 +343,51 @@ def gap_vector(
 ) -> GapCertificate:
     """Find a*h0 + b*hinf with slope in (r - eps, r) such that every radical
     pair with slope strictly between it and r has total dimension greater
-    than mu + k, with the least such mu.
+    than mu + k, with the least such mu <= max_mu.
 
-    Such a pair lies within its own budget mu + k, so b/a is the best slope
-    below r within that budget.  For each m the search takes that best
-    slope, the largest min(floor(a*r), (m + k - w0*a) // w1) / a, and
-    accepts it if it lies in the window with dimension exactly m.
+    The search walks the Stern-Brocot tree toward r from 0/1 and 1/0: each
+    step replaces one of the Farey neighbours b/a < r < d/c (d*a - b*c = 1)
+    by their mediant (b + d)/(a + c), with one ``floor_mul``.
 
-    That pair is reduced: the best slope n/d, in lowest terms, is first
-    reached at a = d, as any pair of that slope within the budget puts
-    (d, n) within it too.  No multiple of it is ever the answer: if the best
-    pair at budget m + k had dimension s < m, it would also be the best of
-    the fewer pairs within s + k, and pass the window there, so the loop
-    would have returned at m = s (s >= w0 + w1, as b/a > r - eps > 0).  The
-    emitted witness list makes the search strategy irrelevant to correctness.
+    Soundness: a slope p/q in (b/a, d/c) has p*a - b*q >= 1 and
+    d*q - p*c >= 1, so q = a*(d*q - p*c) + c*(p*a - b*q) >= a + c and
+    likewise p >= b + d.  With s(x, y) = w0*x + w1*y and mu = s(a, b), every
+    pair with slope in (b/a, r) weighs at least mu + s(c, d): once
+    s(c, d) > k, none is within mu + k.
+
+    Least mu: a slope x/y < r with no slope in (x/y, r) of weight at most
+    s(y, x) is a lower end, or the walk would pass it at a mediant in
+    (x/y, r) with numerator and denominator at most x and y.  Lower ends
+    come in increasing weight, and s(c, d) only grows while b/a stays, so
+    the first in the window with s(c, d) > k has the least mu.  Walk
+    fractions are reduced, so the pair is too.
+
+    Bound: a lower end outside the window never qualifies, and every later
+    one weighs at least the mediant, so the walk gives up once that exceeds
+    max_mu.  One in the window goes on only while s(c, d) <= k, so the
+    mediant, gaining at least min(w0, w1) a step, stays within max_mu + k.
     """
     eps = _check_window(r, eps)
     if k < 0:
         raise PreconditionError("k must be nonnegative")
     w0, w1 = lattice.mu_h0, lattice.mu_hinf
-    floors: list[int] = []  # floors[a] = floor(a*r), the largest b with b/a < r
-    for m in range(w0 + w1, max_mu + 1):
-        budget = m + k
-        while len(floors) <= budget // w0:
-            floors.append(r.floor_mul(len(floors)))
-        a, b = 1, 0  # the best slope b/a so far
-        for a2 in range(1, budget // w0 + 1):
-            b2 = min(floors[a2], (budget - w0 * a2) // w1)
-            if b2 * a > b * a2:
-                a, b = a2, b2
-        if w0 * a + w1 * b != m or not _in_window_below(r, eps, b, a):
-            continue
-        witnesses = tuple(
-            (a2, b2, w0 * a2 + w1 * b2, slope_text(b2, a2))
-            for a2, b2 in _budget_pairs(w0, w1, budget)
-        )
-        return GapCertificate(
-            r=r,
-            epsilon=eps,
-            k=k,
-            a=a,
-            b=b,
-            mu=m,
-            budget=budget,
-            mu_weights=(w0, w1),
-            witnesses=witnesses,
-        )
+    a, b, c, d = 1, 0, 0, 1
+    while (mu := w0 * a + w1 * b) <= max_mu:
+        inside = _in_window_below(r, eps, b, a)
+        if inside and w0 * c + w1 * d > k:
+            return GapCertificate(
+                r=r, epsilon=eps, k=k, a=a, b=b, mu=mu, budget=mu + k,
+                mu_weights=(w0, w1), witnesses=tuple(
+                    (a2, b2, w0 * a2 + w1 * b2, slope_text(b2, a2))
+                    for a2, b2 in _budget_pairs(w0, w1, mu + k)
+                ),
+            )
+        if not inside and mu + w0 * c + w1 * d > max_mu:
+            break  # b/a never qualifies, and later lower ends are too heavy
+        if r.floor_mul(a + c) < b + d:  # the mediant is above r
+            c, d = a + c, b + d
+        else:
+            a, b = a + c, b + d
     raise BudgetExhaustedError(
         f"no certified gap vector with total dimension <= {max_mu}"
     )

@@ -312,6 +312,29 @@ def test_version_matches_project_metadata():
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["frob"],
+        ["omega", "--bad"],
+        ["gap-search", "--r", "sqrt:2", "--eps", "1/10"],
+        ["--lambda"],
+        ["tube-params", "--r", "sqrt:2", "--eps", "1/10", "--d", "1.5"],
+    ],
+)
+def test_usage_errors_are_one_spec_format_document(argv, capsys):
+    code, doc = invoke_json(*argv)
+    assert code == 1 and doc["error"] == "spec-format"
+    assert capsys.readouterr().err == ""
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["gap-search", "--help"], stdout=io.StringIO())
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: tubelat gap-search")
+
+
+@pytest.mark.parametrize(
     "argv,error",
     [
         (["hom", "{dir}", "{dir}"], "io"),

@@ -1,12 +1,13 @@
 import json
 import random
+import signal
 from dataclasses import replace
 from fractions import Fraction
 from math import ceil, floor, gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tubelat.errors import BudgetExhaustedError, PreconditionError, SpecFormatError
@@ -16,7 +17,9 @@ from tubelat.quadirr import QuadIrrational, parse_quad_irrational
 from tubelat.search import (
     DeltaResult,
     ExceptionRecord,
+    GapCertificate,
     _a_ceiling,
+    _budget_pairs,
     _check_strip_args,
     _check_window,
     _could_set_delta,
@@ -543,6 +546,98 @@ def test_in_window_below_is_false_for_a_zero():
         assert not _in_window_below(SQRT2, Fraction(10**40), b, 0)
 
 
+def scan_gap_vector(lattice, r, eps, k, max_mu=200_000):
+    """``gap_vector`` as it was before the Stern-Brocot walk: for each total
+    dimension m, the best slope below r within budget m + k by one pass over
+    the columns, accepted when it has dimension m and lies in the window."""
+    eps = _check_window(r, eps)
+    if k < 0:
+        raise PreconditionError("k must be nonnegative")
+    w0, w1 = lattice.mu_h0, lattice.mu_hinf
+    floors: list[int] = []  # floors[a] = floor(a*r), the largest b with b/a < r
+    for m in range(w0 + w1, max_mu + 1):
+        budget = m + k
+        while len(floors) <= budget // w0:
+            floors.append(r.floor_mul(len(floors)))
+        a, b = 1, 0  # the best slope b/a so far
+        for a2 in range(1, budget // w0 + 1):
+            b2 = min(floors[a2], (budget - w0 * a2) // w1)
+            if b2 * a > b * a2:
+                a, b = a2, b2
+        if w0 * a + w1 * b != m or not _in_window_below(r, eps, b, a):
+            continue
+        witnesses = tuple(
+            (a2, b2, w0 * a2 + w1 * b2, slope_text(b2, a2))
+            for a2, b2 in _budget_pairs(w0, w1, budget)
+        )
+        return GapCertificate(
+            r=r,
+            epsilon=eps,
+            k=k,
+            a=a,
+            b=b,
+            mu=m,
+            budget=budget,
+            mu_weights=(w0, w1),
+            witnesses=witnesses,
+        )
+    raise BudgetExhaustedError(
+        f"no certified gap vector with total dimension <= {max_mu}"
+    )
+
+
+def _certificate_or_message(search, *args):
+    try:
+        return search(*args)
+    except BudgetExhaustedError as exc:
+        return str(exc)
+
+
+@given(
+    r=window_rs,
+    eps=st.fractions(Fraction(1, 60), Fraction(2), max_denominator=60),
+    k=st.integers(0, 60),
+    max_mu=st.integers(0, 300),
+)
+@settings(max_examples=400, deadline=None)
+def test_gap_vector_matches_the_scan(lattice, r, eps, k, max_mu):
+    """The whole certificate, or the budget error's text, is the scan's."""
+    assume(r > eps)
+    args = (lattice, r, eps, k, max_mu)
+    assert _certificate_or_message(gap_vector, *args) == _certificate_or_message(
+        scan_gap_vector, *args
+    )
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@pytest.mark.parametrize(
+    "r, eps, k",
+    [
+        (parse_quad_irrational("sqrt:999999999989"), Fraction(1, 10), 1),
+        (QuadIrrational(0, 1, 2, 10**100), Fraction(1, 10**101), 1),
+        (QuadIrrational(0, 1, 2, 10**100), Fraction(1, 10**101), 10**9),
+    ],
+    ids=["radicand-near-10**12", "r-near-10**-100", "r-near-10**-100-k-10**9"],
+)
+def test_gap_vector_budget_exhaustion_within_a_second(lattice, r, eps, k):
+    """The walk gives up once the mediant over a lower end outside the
+    window weighs more than max_mu: here after about 33 000 steps, where the
+    scan did not end, and at k = 10**9 as at k = 1.  The alarm makes a walk
+    that runs on a failure."""
+
+    def stop(signum, frame):
+        raise TimeoutError("gap_vector ran for more than a second")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(BudgetExhaustedError):
+            gap_vector(lattice, r, eps, k)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @given(
     r=st.sampled_from(["sqrt:2", "(1+sqrt(5))/2", "sqrt(7)/2", "(3-sqrt(5))/2", "sqrt:101"]),
     eps=st.fractions(Fraction(1, 30), Fraction(1, 3), max_denominator=30),
@@ -550,8 +645,9 @@ def test_in_window_below_is_false_for_a_zero():
 )
 @settings(max_examples=100, deadline=None)
 def test_gap_vector_pair_is_reduced_at_its_own_dimension(lattice, r, eps, k):
-    """Pins the proof in ``gap_vector``'s docstring: the pair it finds is
-    reduced and of dimension mu, so it never needs rescaling."""
+    """Pins the end of the least-mu argument in ``gap_vector``'s docstring:
+    the pair is a Stern-Brocot fraction, so it is reduced, and mu is its
+    own dimension."""
     cert = gap_vector(lattice, parse_quad_irrational(r), eps, k)
     assert gcd(cert.a, cert.b) == 1
     assert cert.mu == lattice.mu_h0 * cert.a + lattice.mu_hinf * cert.b
@@ -583,6 +679,17 @@ def test_gap_vector_k_zero(lattice):
     assert (cert.a, cert.b) == (3, 4)
     assert cert.budget == cert.mu
     assert oracle_competitors(lattice, cert.a, cert.b, SQRT2, cert.budget) == []
+
+
+def test_gap_vector_gap_must_exceed_k(lattice):
+    """4/3 (dimension 34) is the answer up to k = 23.  At k = 24 the pair
+    (5, 7), of dimension exactly 34 + 24, lies between 4/3 and sqrt 2."""
+    eps = Fraction(1, 10)
+    cert = gap_vector(lattice, SQRT2, eps, 23)
+    assert (cert.a, cert.b, cert.mu) == (3, 4, 34)
+    cert = gap_vector(lattice, SQRT2, eps, 24)
+    assert (cert.a, cert.b, cert.mu) == (5, 7, 58)
+    assert oracle_competitors(lattice, 3, 4, SQRT2, 34 + 24) == [(5, 7)]
 
 
 def test_gap_vector_window_is_strict(lattice):
