@@ -2,20 +2,27 @@
 
 Contract: a matrix argument is any sequence of row sequences of
 ``Fraction`` (lists, tuples, or a mix) and a vector any sequence of
-``Fraction``.  No function mutates its arguments, and every matrix or vector
-returned is a fresh list, so callers pass stored tuple matrices as they are
-and never copy on the way in or out.  A matrix with zero rows carries no
-column information, so every function that must cope with empty input takes
+``Fraction``.  ``rank``, ``nullspace`` and ``solve`` also take a matrix
+whose rows are all ``{column: value}`` maps, the sparse form in which the
+module layer builds its systems; a column missing from a map holds zero.
+No function mutates its arguments, and every matrix or vector returned is a
+fresh list, so callers pass stored tuple matrices as they are and never copy
+on the way in or out.  A matrix with zero rows, or of map rows, carries no
+column information, so every function that must cope with such input takes
 the column count explicitly.
 
-Every reduction goes through ``rref``, one sparse exact elimination: a row is
-stored as its nonzero integer numerators by column over one common
-denominator, and a pivot step touches only the rows that hold the pivot
-column, so a system costs its nonzeros rather than its size.  A reduced row
-echelon form is unique for its row space and column order, so the reduced
-rows, the pivot list and every basis derived from them (``nullspace``,
-``column_space_basis``, ``solve``, ``inverse``) depend on the input alone,
-not on how the elimination is carried out; all derived bases are byte-stable.
+Every reduction goes through ``rref_maps``, one sparse exact elimination of
+map rows of an explicit width: a row is stored as its nonzero integer
+numerators by column over one common denominator, an index from each column
+to the rows holding it finds the pivot candidates, and a pivot step touches
+only the rows that hold the pivot column, so a system costs its nonzeros
+rather than its size.  ``rref`` is its dense front end: it hands over the
+nonzero entries of each row and writes the reduced rows back out densely.
+A reduced row echelon form is unique for its row space and column order, so
+the reduced rows, the pivot list and every basis derived from them
+(``nullspace``, ``column_space_basis``, ``solve``, ``inverse``) depend on
+the input alone, not on how the elimination is carried out; all derived
+bases are byte-stable.
 """
 
 from __future__ import annotations
@@ -57,45 +64,45 @@ def mat_vec(a: Mat, v: Vec) -> Vec:
     return [sum((row[k] * v[k] for k in range(len(v))), ZERO) for row in a]
 
 
-def rref(a: Mat, cols: int | None = None) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form (copy) and the list of pivot columns.
+def rref_maps(rows, width: int, cols: int | None = None) -> tuple[list[dict], list[int]]:
+    """Reduced row echelon form of ``{column: value}`` rows, and the pivots.
 
-    Only the first ``cols`` columns (default: all) are pivoted; later columns
-    are carried along.  All ``len(a)`` rows come back, as wide as the input
-    rows, pivot rows first.  The pivot is the topmost remaining row holding
-    the column, a +-1 entry preferred, and swapping it into place orders the
-    rest as textbook Gauss-Jordan elimination would: uniqueness does not fix
-    the carried columns of the non-pivot rows, this order does.
+    ``width`` is the number of columns; only the first ``cols`` (default:
+    all) are pivoted, and later columns are carried along.  A zero value in
+    a map is allowed and dropped.  All ``len(rows)`` rows come back as fresh
+    maps of their nonzero entries, pivot rows first.  The pivot is the
+    topmost remaining row holding the column, a +-1 entry preferred, and
+    swapping it into place orders the rest as textbook Gauss-Jordan
+    elimination would: uniqueness does not fix the carried columns of the
+    non-pivot rows, this order does.
     """
-    width = len(a[0]) if a else 0
     # row k is nums[k] / dens[k]: nonzero integer numerators by column over a
-    # positive common denominator
+    # positive common denominator; holders[j] is the set of rows holding column j
     nums, dens = [], []
-    for row in a:
-        nonzero = {j: x for j, x in enumerate(row) if x}
-        d = lcm(*[x.denominator for x in nonzero.values()])
-        nums.append({j: x.numerator * (d // x.denominator) for j, x in nonzero.items()})
+    holders: dict[int, set[int]] = {}
+    for k, row in enumerate(rows):
+        d = lcm(*[x.denominator for x in row.values()])
+        nums.append({j: n for j, x in row.items() if (n := x.numerator * (d // x.denominator))})
         dens.append(d)
-    # order[:len(pivots)] are the pivot rows, order[len(pivots):] the others
+        for j in nums[k]:
+            holders.setdefault(j, set()).add(k)
+    # order[:len(pivots)] are the pivot rows, order[len(pivots):] the others,
+    # and row k stands at order[place[k]]
     order = list(range(len(nums)))
+    place = list(order)
     pivots: list[int] = []
     for c in range(width if cols is None else cols):
         r = len(pivots)
         if r == len(order):
             break
-        p = None
-        for i in range(r, len(order)):
-            x = nums[order[i]].get(c)
-            if x is not None:
-                if abs(x) == dens[order[i]]:
-                    p = i
-                    break
-                if p is None:
-                    p = i
-        if p is None:
+        held = [k for k in holders.get(c, ()) if place[k] >= r]
+        if not held:
             continue
-        order[r], order[p] = order[p], order[r]
-        k = order[r]
+        units = [k for k in held if abs(nums[k][c]) == dens[k]]
+        k = min(units or held, key=place.__getitem__)
+        p = place[k]
+        order[r], order[p] = k, order[r]
+        place[order[p]], place[k] = p, r
         pivot = nums[k]
         # scale to a leading 1: the row becomes pivot / pivot[c], pivot[c] > 0
         g = gcd(*pivot.values())
@@ -105,20 +112,25 @@ def rref(a: Mat, cols: int | None = None) -> tuple[Mat, list[int]]:
             for j in pivot:
                 pivot[j] //= g
         pc = dens[k] = pivot[c]
-        for i, row in enumerate(nums):
-            f = row.get(c)
-            if f is None or i == k:
+        for i in list(holders[c]):
+            if i == k:
                 continue
+            row = nums[i]
+            f = row[c]
             # row / d - (f / d) (pivot / pc) = (pc row - f pivot) / (pc d)
             if pc != 1:
                 for j in row:
                     row[j] *= pc
             for j, y in pivot.items():
-                x = row.get(j, 0) - f * y
-                if x:
+                x = row.get(j)
+                if x is None:
+                    row[j] = -f * y
+                    holders[j].add(i)
+                elif x := x - f * y:
                     row[j] = x
                 else:
                     del row[j]
+                    holders[j].discard(i)
             d = dens[i] * pc
             g = gcd(d, *row.values())
             if g != 1:
@@ -126,43 +138,64 @@ def rref(a: Mat, cols: int | None = None) -> tuple[Mat, list[int]]:
                     row[j] //= g
             dens[i] = d // g
         pivots.append(c)
+    return [{j: Fraction(x, dens[k]) for j, x in nums[k].items()} for k in order], pivots
+
+
+def rref(a: Mat, cols: int | None = None) -> tuple[Mat, list[int]]:
+    """Dense front end of ``rref_maps``: the reduced rows (as wide as the
+    input rows) and the pivot columns, for dense rows."""
+    width = len(a[0]) if a else 0
+    reduced, pivots = rref_maps([{j: x for j, x in enumerate(row) if x} for row in a], width, cols)
     out = []
-    for k in order:
+    for row in reduced:
         dense = [ZERO] * width
-        for j, x in nums[k].items():
-            dense[j] = Fraction(x, dens[k])
+        for j, x in row.items():
+            dense[j] = x
         out.append(dense)
     return out, pivots
 
 
-def rank(a: Mat, cols: int | None = None) -> int:
-    return len(rref(a, cols)[1])
-
-
-def nullspace(a: Mat, cols: int) -> list[Vec]:
-    """Basis of the right kernel, one vector per free column, deterministic."""
+def _pivot_rows(a, cols: int | None) -> tuple[list[dict], list[int]]:
+    """The pivot rows of the reduced form of ``a`` as maps, and the pivots;
+    dense rows go through ``rref``, map rows straight to ``rref_maps``."""
+    if a and isinstance(a[0], dict):
+        reduced, pivots = rref_maps(a, cols, cols)
+        return reduced[: len(pivots)], pivots
     reduced, pivots = rref(a, cols)
+    return [{j: x for j, x in enumerate(row) if x} for row in reduced[: len(pivots)]], pivots
+
+
+def rank(a, cols: int | None = None) -> int:
+    return len(_pivot_rows(a, cols)[1])
+
+
+def nullspace(a, cols: int) -> list[Vec]:
+    """Basis of the right kernel, one vector per free column, deterministic."""
+    reduced, pivots = _pivot_rows(a, cols)
     pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = [ZERO] * cols
+    free = {f: [ZERO] * cols for f in range(cols) if f not in pivot_set}
+    for f, v in free.items():
         v[f] = ONE
-        for r, p in enumerate(pivots):
-            v[p] = -reduced[r][f]
-        basis.append(v)
-    return basis
+    for row, p in zip(reduced, pivots):
+        for j, x in row.items():
+            v = free.get(j)
+            if v is not None:
+                v[p] = -x
+    return list(free.values())
 
 
-def solve(a: Mat, b: Vec, cols: int) -> Vec | None:
+def solve(a, b: Vec, cols: int) -> Vec | None:
     """One solution of ``a x = b`` or ``None`` if the system is inconsistent."""
-    aug = [[*row, bi] for row, bi in zip(a, b)]
-    reduced, pivots = rref(aug, cols + 1)
+    if a and isinstance(a[0], dict):
+        aug = [{**row, cols: bi} if bi else row for row, bi in zip(a, b)]
+    else:
+        aug = [[*row, bi] for row, bi in zip(a, b)]
+    reduced, pivots = _pivot_rows(aug, cols + 1)
     if cols in pivots:
         return None
     x = [ZERO] * cols
-    for r, p in enumerate(pivots):
-        x[p] = reduced[r][cols]
+    for row, p in zip(reduced, pivots):
+        x[p] = row.get(cols, ZERO)
     return x
 
 

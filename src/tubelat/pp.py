@@ -28,9 +28,9 @@ from .reps import (
     Element,
     Representation,
     direct_sum,
-    path_matrix,
     projective,
     projective_generator,
+    push,
     quotient_by_elements,
     sum_embed,
     zero_rep,
@@ -140,22 +140,18 @@ def solution_space(phi: PpFormula, m: Representation) -> list[list[Fraction]]:
     for d in col_dims:
         col_offsets.append(total)
         total += d
-    rows: list[list[Fraction]] = []
+    rows: list[dict[int, Fraction]] = []
     for r, row_type in enumerate(phi.row_types):
-        height = m.dims[row_type]
-        if height == 0:
-            continue
-        block_rows = [[ZERO] * total for _ in range(height)]
+        block_rows: list[dict[int, Fraction]] = [{} for _ in range(m.dims[row_type])]
         for c, combo in enumerate(phi.entries[r]):
-            width, off = col_dims[c], col_offsets[c]
-            if not combo or width == 0:
-                continue
-            for coeff, path in combo:
-                pm = path_matrix(m, path, src_hint=phi.col_types[c])
-                for i in range(height):
-                    for j in range(width):
-                        if pm[i][j]:
-                            block_rows[i][off + j] += coeff * pm[i][j]
+            for j in range(col_dims[c]):
+                # column col of the block is the combination of the images of
+                # the unit vector e_j along the entry's paths
+                col = col_offsets[c] + j
+                for coeff, path in combo:
+                    for i, x in push(m, path, {j: ONE}).items():
+                        y = block_rows[i].get(col)
+                        block_rows[i][col] = coeff * x if y is None else y + coeff * x
         rows.extend(block_rows)
     kernel = linalg.nullspace(rows, total)
     free_dim = free_ambient_dim(phi, m)

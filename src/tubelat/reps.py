@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .algebra import AlgebraSpec, Path, PathBasis
@@ -29,6 +30,7 @@ from .serialize import frac_to_str, parse_frac, parse_int
 # they are, since it reads any row sequences and returns fresh lists.
 Matrix = tuple[tuple[Fraction, ...], ...]
 Element = tuple[int, tuple[Fraction, ...]]  # (vertex, coordinates)
+SparseVec = dict[int, Fraction]  # {coordinate: nonzero value}
 
 
 def _freeze(rows) -> Matrix:
@@ -48,6 +50,18 @@ class Representation:
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
+
+    @cached_property
+    def columns(self) -> dict[str, list[list[tuple[int, Fraction]]]]:
+        """Each arrow's matrix by columns, a column as its nonzero entries
+        ``(row, value)``; computed once, as the matrices never change."""
+        return {
+            arrow.label: [
+                [(i, row[j]) for i, row in enumerate(self.maps[arrow.label]) if row[j]]
+                for j in range(self.dims[arrow.src])
+            ]
+            for arrow in self.spec.arrows
+        }
 
 
 def make_representation(spec: AlgebraSpec, dims, maps) -> Representation:
@@ -75,30 +89,35 @@ def make_representation(spec: AlgebraSpec, dims, maps) -> Representation:
     return Representation(spec=spec, dims=dims, maps=frozen)
 
 
-def path_matrix(rep: Representation, path: Path, src_hint: int | None = None) -> linalg.Mat:
-    """Matrix of a path acting dims(src) -> dims(tgt); identity for trivial paths."""
-    src, _ = rep.spec.path_endpoints(path, src_hint)
-    mat = linalg.identity(rep.dims[src])
+def push(rep: Representation, path: Path, vec: SparseVec) -> SparseVec:
+    """The image of a sparse vector along a path, one sparse matrix-vector
+    step per arrow; ``push(rep, path, {j: ONE})`` is column j of the path's
+    matrix, and a trivial path returns ``vec`` itself."""
     for label in path:
-        mat = linalg.mat_mul(rep.maps[label], mat, b_cols=rep.dims[src])
-    return mat
+        columns = rep.columns[label]
+        image: SparseVec = {}
+        for j, x in vec.items():
+            for i, y in columns[j]:
+                image[i] = image.get(i, 0) + x * y
+        vec = {i: x for i, x in image.items() if x}
+    return vec
 
 
 def validate(rep: Representation) -> None:
-    """Check that every relation acts as the zero matrix; failures name the
-    violated relation."""
+    """Check that every relation acts as the zero matrix, column by column;
+    failures name the violated relation."""
     failures = []
     for idx, rel in enumerate(rep.spec.relations):
-        src, tgt = rep.spec.path_endpoints(rel[0][1])
-        acc = [[ZERO] * rep.dims[src] for _ in range(rep.dims[tgt])]
-        for coeff, path in rel:
-            pm = path_matrix(rep, path)
-            for i in range(rep.dims[tgt]):
-                for j in range(rep.dims[src]):
-                    acc[i][j] += coeff * pm[i][j]
-        if any(x != 0 for row in acc for x in row):
-            pretty = " + ".join(f"({frac_to_str(c)})*{'.'.join(p)}" for c, p in rel)
-            failures.append(f"relation {idx + 1} [{pretty}] is violated")
+        src, _ = rep.spec.path_endpoints(rel[0][1])
+        for j in range(rep.dims[src]):
+            column: SparseVec = {}
+            for coeff, path in rel:
+                for i, x in push(rep, path, {j: ONE}).items():
+                    column[i] = column.get(i, 0) + coeff * x
+            if any(column.values()):
+                pretty = " + ".join(f"({frac_to_str(c)})*{'.'.join(p)}" for c, p in rel)
+                failures.append(f"relation {idx + 1} [{pretty}] is violated")
+                break
     if failures:
         raise ValidationError(failures)
 
@@ -187,25 +206,29 @@ def _unknown_offsets(m: Representation, n: Representation) -> tuple[list[int], i
 
 
 def _intertwiner_rows(m: Representation, n: Representation):
+    """The system f_v . a = b . f_u of a morphism m -> n as ``{column: value}``
+    rows, its unknowns the entries of the blocks f_v in row-major order."""
     if m.spec != n.spec:
         raise TypeMismatchError("modules live over different algebras")
     offsets, total = _unknown_offsets(m, n)
     rows = []
     for arrow in m.spec.arrows:
         u, v = arrow.src, arrow.tgt
-        a = m.maps[arrow.label]  # dims_M[v] x dims_M[u]
+        a_cols = m.columns[arrow.label]  # dims_M[v] x dims_M[u], by columns
         b = n.maps[arrow.label]  # dims_N[v] x dims_N[u]
+        mu, mv = m.dims[u], m.dims[v]
         # f_v . a = b . f_u, one equation per (i < dims_N[v], j < dims_M[u])
         for i in range(n.dims[v]):
-            for j in range(m.dims[u]):
-                row = [ZERO] * total
-                for t in range(m.dims[v]):
-                    if a[t][j]:
-                        row[offsets[v] + i * m.dims[v] + t] += a[t][j]
-                for s in range(n.dims[u]):
-                    if b[i][s]:
-                        row[offsets[u] + s * m.dims[u] + j] -= b[i][s]
-                if any(x != 0 for x in row):
+            base = offsets[v] + i * mv
+            b_row = [(offsets[u] + s * mu, -x) for s, x in enumerate(b[i]) if x]
+            for j in range(mu):
+                row = {base + t: x for t, x in a_cols[j]}
+                for col, y in b_row:
+                    # f_u and f_v share unknowns only on a loop (u = v), where
+                    # the sum may be zero; the elimination drops zero values
+                    x = row.get(col + j)
+                    row[col + j] = y if x is None else x + y
+                if row:
                     rows.append(row)
     return rows, offsets, total
 
@@ -274,11 +297,10 @@ def morphism_taking(
             raise TypeMismatchError("point images must live at the same vertex")
         if len(src) != m.dims[v] or len(tgt) != n.dims[v]:
             raise TypeMismatchError("point coordinates have the wrong length")
+        src_entries = [(j, x) for j, x in enumerate(src) if x]
         for i in range(n.dims[v]):
-            row = [ZERO] * total
-            for j in range(m.dims[v]):
-                row[offsets[v] + i * m.dims[v] + j] = src[j]
-            rows.append(row)
+            base = offsets[v] + i * m.dims[v]
+            rows.append({base + j: x for j, x in src_entries})
             rhs.append(tgt[i])
     sol = linalg.solve(rows, rhs, total)
     if sol is None:
@@ -422,16 +444,21 @@ def projective_cover_presentation(basis: PathBasis, rep: Representation) -> Pres
     for s in summands:
         p0 = direct_sum(p0, s)
 
-    # cover columns: basis path p of the (v, fpos) summand maps to column
-    # fpos of p's matrix
-    cols_per_vertex: Bases = [[] for _ in range(spec.vertex_count)]
+    # cover columns: basis path p of the (v, fpos) summand maps to the image
+    # of the unit vector e_fpos along p
+    cols_per_vertex: list[list[SparseVec]] = [[] for _ in range(spec.vertex_count)]
     for v, fpos in generators:
         for u in range(spec.vertex_count):
             for path in basis.paths_between(v, u):
-                cols_per_vertex[u].append([row[fpos] for row in path_matrix(rep, path, v)])
+                cols_per_vertex[u].append(push(rep, path, {fpos: ONE}))
     kernel_bases: Bases = []
     for u, cols in enumerate(cols_per_vertex):
-        kernel_basis = linalg.nullspace(linalg.transpose(cols, rep.dims[u]), len(cols))
+        # the cover map at u, as map rows: its row i holds coordinate i of each column
+        rows: list[SparseVec] = [{} for _ in range(rep.dims[u])]
+        for k, col in enumerate(cols):
+            for i, x in col.items():
+                rows[i][k] = x
+        kernel_basis = linalg.nullspace(rows, len(cols))
         if len(cols) - len(kernel_basis) != rep.dims[u]:
             raise ConsistencyError("projective cover fails to be surjective")
         kernel_bases.append(kernel_basis)

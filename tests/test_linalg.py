@@ -265,3 +265,66 @@ def test_derived_functions_match_the_reference(am, data):
             square and linalg.inverse(square),
         )
     assert got == want
+
+
+# The map-row entry: ``rref_maps`` against the same dense reference.
+
+
+def dense(maps, width):
+    out = []
+    for row in maps:
+        vec = [ZERO] * width
+        for j, x in row.items():
+            vec[j] = x
+        out.append(vec)
+    return out
+
+
+@st.composite
+def map_matrices(draw):
+    """A sparse matrix, sometimes with a row repeated as it is, and its rows as
+    ``{column: value}`` maps, some holding an explicit zero."""
+    a, width = draw(sparse_matrices())
+    if a and draw(st.booleans()):
+        a.append(list(a[draw(st.integers(0, len(a) - 1))]))
+    rows = []
+    for row in a:
+        entries = {j: x for j, x in enumerate(row) if x}
+        if draw(st.booleans()):
+            entries.setdefault(draw(st.integers(0, width - 1)), ZERO)
+        rows.append(entries)
+    return a, rows, width
+
+
+@settings(max_examples=400, deadline=None)
+@given(map_matrices(), st.data())
+def test_rref_maps_matches_the_dense_reference(amw, data):
+    a, rows, width = amw
+    before = copy.deepcopy(rows)
+    # the width is explicit; cols below it carries the later columns along
+    for cols in (None, width, data.draw(st.integers(0, width))):
+        reduced, pivots = linalg.rref_maps(rows, width, cols)
+        assert all(type(row) is dict and all(row.values()) for row in reduced)
+        assert not any(row is given for row in reduced for given in rows)
+        assert (dense(reduced, width), pivots) == dense_rref(a, cols)
+    assert rows == before
+
+
+def test_rref_maps_of_empty_maps():
+    assert linalg.rref_maps([], 4) == ([], [])
+    assert linalg.rref_maps([{}, {}], 3) == ([{}, {}], [])
+    # an explicit zero is dropped; column 2 is carried, not pivoted
+    assert linalg.rref_maps([{1: ZERO}, {}, {2: Fraction(-2)}], 3, 2) == ([{}, {}, {2: Fraction(-2)}], [])
+    reduced, pivots = linalg.rref_maps([{}, {2: Fraction(-2), 0: Fraction(4)}, {}], 3)
+    assert (reduced, pivots) == ([{0: ONE, 2: Fraction(-1, 2)}, {}, {}], [0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(map_matrices(), st.data())
+def test_derived_functions_on_map_rows_match_the_reference(amw, data):
+    a, rows, cols = amw
+    rhs = data.draw(st.lists(NONZERO | st.just(ZERO), min_size=len(a), max_size=len(a)))
+    got = (linalg.rank(rows, cols), linalg.nullspace(rows, cols), linalg.solve(rows, rhs, cols))
+    with mock.patch.object(linalg, "rref", dense_rref):
+        want = (linalg.rank(a, cols), linalg.nullspace(a, cols), linalg.solve(a, rhs, cols))
+    assert got == want

@@ -24,7 +24,10 @@ from tubelat.pp import (
     zero_formula,
 )
 
+from test_reps import module_fixtures, path_matrix
+
 ONE = Fraction(1)
+ZERO = Fraction(0)
 
 
 def random_formula(spec, basis, rng, free_type=None, max_bound=2, max_rows=2):
@@ -323,3 +326,50 @@ def test_formula_json_rejects_negative_indices(spec, row, col):
     # without "rows" the row types are derived from the entries
     with pytest.raises(SpecFormatError):
         formula_from_json(spec, {"free": 1, "types": [1], "entries": [entry]})
+
+
+# The dense ``solution_space`` that the map rows replaced, kept verbatim as the
+# reference (with the dense ``path_matrix`` kept in test_reps).
+def dense_solution_space(phi, m):
+    """Echelonized basis of phi(M) inside the free coordinate block."""
+    pp._check_compatible(phi, m)
+    col_dims = [m.dims[t] for t in phi.col_types]
+    col_offsets = []
+    total = 0
+    for d in col_dims:
+        col_offsets.append(total)
+        total += d
+    rows = []
+    for r, row_type in enumerate(phi.row_types):
+        height = m.dims[row_type]
+        if height == 0:
+            continue
+        block_rows = [[ZERO] * total for _ in range(height)]
+        for c, combo in enumerate(phi.entries[r]):
+            width, off = col_dims[c], col_offsets[c]
+            if not combo or width == 0:
+                continue
+            for coeff, path in combo:
+                pm = path_matrix(m, path, src_hint=phi.col_types[c])
+                for i in range(height):
+                    for j in range(width):
+                        if pm[i][j]:
+                            block_rows[i][off + j] += coeff * pm[i][j]
+        rows.extend(block_rows)
+    kernel = linalg.nullspace(rows, total)
+    free_dim = pp.free_ambient_dim(phi, m)
+    projected = [vec[:free_dim] for vec in kernel]
+    return linalg.column_space_basis(projected, free_dim)
+
+
+def test_solution_spaces_match_the_dense_reference(spec, basis):
+    rng = random.Random(64)
+    modules = module_fixtures(spec, basis)
+    for t in range(6):
+        formulas = [tautology(spec, t), zero_formula(spec, t)]
+        formulas += [random_formula(spec, basis, rng, free_type=t, max_bound=3, max_rows=3) for _ in range(4)]
+        formulas += [meet(formulas[2], formulas[3]), plus(formulas[4], formulas[5])]
+        formulas += [arrow_divisibility(spec, a.label) for a in spec.arrows if a.tgt == t]
+        for phi in formulas:
+            for m in modules:
+                assert solution_space(phi, m) == dense_solution_space(phi, m)

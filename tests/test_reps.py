@@ -3,9 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from tubelat.errors import SpecFormatError, TypeMismatchError, ValidationError
-from tubelat import reps
+from tubelat.errors import (
+    ConsistencyError,
+    SpecFormatError,
+    TypeMismatchError,
+    ValidationError,
+)
+from tubelat import linalg, reps
+from tubelat.linalg import ZERO
+from tubelat.serialize import frac_to_str
 from tubelat.reps import (
+    Presentation,
+    apply_morphism,
     compose_morphisms,
     direct_sum,
     ext_dim,
@@ -14,8 +23,10 @@ from tubelat.reps import (
     is_morphism,
     make_representation,
     module_slope,
+    morphism_taking,
     pd_at_most_1,
     projective,
+    projective_cover_presentation,
     random_representation,
     rep_from_json,
     rep_to_json,
@@ -188,6 +199,226 @@ def test_hom_ext_on_the_largest_ladder_pair(spec, basis, lattice):
     # pd B_5 <= 1, so Hom - Ext is the Euler form
     assert hom - ext == lattice.bilinear(b.dims, a.dims) == 19
 
+
+def test_hom_ext_on_the_n8_ladder_pair(spec, basis, lattice):
+    # total dimension 60 / 59; pd B_8 <= 1, so Hom - Ext is the Euler form
+    a, b = ladder_pair(spec, basis, 8)
+    assert (b.total_dim, a.total_dim) == (60, 59)
+    hom, ext = hom_dim(b, a), ext_dim(basis, b, a)
+    assert (hom, ext) == (56, 1)
+    assert hom - ext == lattice.bilinear(b.dims, a.dims)
+
+
+# ---------------------------------------------------------------------------
+# The dense module-layer code that the sparse rows replaced, kept verbatim as
+# the reference: path matrices as products of dense matrices, intertwiner and
+# point rows as dense lists, and cover columns read off whole path matrices.
+# ---------------------------------------------------------------------------
+
+
+def path_matrix(rep, path, src_hint=None):
+    """Matrix of a path acting dims(src) -> dims(tgt); identity for trivial paths."""
+    src, _ = rep.spec.path_endpoints(path, src_hint)
+    mat = linalg.identity(rep.dims[src])
+    for label in path:
+        mat = linalg.mat_mul(rep.maps[label], mat, b_cols=rep.dims[src])
+    return mat
+
+
+def dense_validate(rep):
+    failures = []
+    for idx, rel in enumerate(rep.spec.relations):
+        src, tgt = rep.spec.path_endpoints(rel[0][1])
+        acc = [[ZERO] * rep.dims[src] for _ in range(rep.dims[tgt])]
+        for coeff, path in rel:
+            pm = path_matrix(rep, path)
+            for i in range(rep.dims[tgt]):
+                for j in range(rep.dims[src]):
+                    acc[i][j] += coeff * pm[i][j]
+        if any(x != 0 for row in acc for x in row):
+            pretty = " + ".join(f"({frac_to_str(c)})*{'.'.join(p)}" for c, p in rel)
+            failures.append(f"relation {idx + 1} [{pretty}] is violated")
+    if failures:
+        raise ValidationError(failures)
+
+
+def dense_intertwiner_rows(m, n):
+    if m.spec != n.spec:
+        raise TypeMismatchError("modules live over different algebras")
+    offsets, total = reps._unknown_offsets(m, n)
+    rows = []
+    for arrow in m.spec.arrows:
+        u, v = arrow.src, arrow.tgt
+        a = m.maps[arrow.label]  # dims_M[v] x dims_M[u]
+        b = n.maps[arrow.label]  # dims_N[v] x dims_N[u]
+        # f_v . a = b . f_u, one equation per (i < dims_N[v], j < dims_M[u])
+        for i in range(n.dims[v]):
+            for j in range(m.dims[u]):
+                row = [ZERO] * total
+                for t in range(m.dims[v]):
+                    if a[t][j]:
+                        row[offsets[v] + i * m.dims[v] + t] += a[t][j]
+                for s in range(n.dims[u]):
+                    if b[i][s]:
+                        row[offsets[u] + s * m.dims[u] + j] -= b[i][s]
+                if any(x != 0 for x in row):
+                    rows.append(row)
+    return rows, offsets, total
+
+
+def dense_hom_basis(m, n):
+    rows, offsets, total = dense_intertwiner_rows(m, n)
+    return [
+        reps._vector_to_morphism(vec, offsets, m, n)
+        for vec in linalg.nullspace(rows, total)
+    ]
+
+
+def dense_morphism_taking(m, n, pairs):
+    rows, offsets, total = dense_intertwiner_rows(m, n)
+    rhs = [ZERO] * len(rows)
+    for (v, src), (w, tgt) in pairs:
+        if v != w:
+            raise TypeMismatchError("point images must live at the same vertex")
+        if len(src) != m.dims[v] or len(tgt) != n.dims[v]:
+            raise TypeMismatchError("point coordinates have the wrong length")
+        for i in range(n.dims[v]):
+            row = [ZERO] * total
+            for j in range(m.dims[v]):
+                row[offsets[v] + i * m.dims[v] + j] = src[j]
+            rows.append(row)
+            rhs.append(tgt[i])
+    sol = linalg.solve(rows, rhs, total)
+    if sol is None:
+        return None
+    return reps._vector_to_morphism(sol, offsets, m, n)
+
+
+def dense_projective_cover_presentation(basis, rep):
+    spec = rep.spec
+    rad = reps.radical_bases(rep)
+    # one generator per top basis vector: the unit vector at (v, fpos)
+    generators = [
+        (v, fpos)
+        for v in range(spec.vertex_count)
+        for fpos in reps._reducer(rad[v], rep.dims[v])[0]
+    ]
+
+    summands = [projective(basis, v) for v, _ in generators]
+    p0 = zero_rep(spec)
+    for s in summands:
+        p0 = direct_sum(p0, s)
+
+    # cover columns: basis path p of the (v, fpos) summand maps to column
+    # fpos of p's matrix
+    cols_per_vertex = [[] for _ in range(spec.vertex_count)]
+    for v, fpos in generators:
+        for u in range(spec.vertex_count):
+            for path in basis.paths_between(v, u):
+                cols_per_vertex[u].append([row[fpos] for row in path_matrix(rep, path, v)])
+    kernel_bases = []
+    for u, cols in enumerate(cols_per_vertex):
+        kernel_basis = linalg.nullspace(linalg.transpose(cols, rep.dims[u]), len(cols))
+        if len(cols) - len(kernel_basis) != rep.dims[u]:
+            raise ConsistencyError("projective cover fails to be surjective")
+        kernel_bases.append(kernel_basis)
+    return Presentation(cover_source=p0, kernel=reps.sub_representation(p0, kernel_bases))
+
+
+def big_module(spec, basis):
+    """C = P6^4 + P4 + P5 + P3, the benchmark's largest target module."""
+    c = zero_rep(spec)
+    for i in (5, 5, 5, 5, 3, 4, 2):
+        c = direct_sum(c, projective(basis, i))
+    return c
+
+
+def module_fixtures(spec, basis):
+    """Ten random quotients of projective sums, the ladder pairs n <= 3 and C."""
+    rng = random.Random(61)
+    modules = [random_representation(basis, rng, max_summands=3) for _ in range(10)]
+    for n in (1, 2, 3):
+        modules += ladder_pair(spec, basis, n)
+    return modules + [big_module(spec, basis)]
+
+
+def same_module(m, n):
+    return m.dims == n.dims and m.maps == n.maps
+
+
+def test_presentations_match_the_dense_reference(spec, basis):
+    for m in module_fixtures(spec, basis):
+        if m.total_dim == 0:
+            continue
+        got, want = projective_cover_presentation(basis, m), dense_projective_cover_presentation(basis, m)
+        assert same_module(got.cover_source, want.cover_source)
+        assert same_module(got.kernel, want.kernel)
+
+
+def fixture_pairs(spec, basis):
+    modules = module_fixtures(spec, basis)
+    randoms, ladders, c = modules[:10], modules[10:16], modules[16]
+    pairs = list(zip(randoms, randoms[1:] + randoms[:1]))
+    pairs += [(ladders[k], ladders[k + 1]) for k in (0, 2, 4)]
+    pairs += [(ladders[k + 1], ladders[k]) for k in (0, 2, 4)]
+    return pairs + [(projective(basis, 2), c), (c, ladders[3]), (randoms[0], c)]
+
+
+def test_hom_bases_match_the_dense_reference(spec, basis):
+    for m, n in fixture_pairs(spec, basis):
+        assert hom_basis(m, n) == dense_hom_basis(m, n)
+
+
+def test_morphism_taking_matches_the_dense_reference(spec, basis):
+    rng = random.Random(62)
+    for m, n in fixture_pairs(spec, basis):
+        vertices = [v for v in range(6) if m.dims[v] and n.dims[v]]
+        if not vertices:
+            continue
+        hom = hom_basis(m, n)
+        points = []
+        for _ in range(2):
+            v = rng.choice(vertices)
+            x = (v, tuple(Fraction(rng.randint(-2, 2)) for _ in range(m.dims[v])))
+            if hom:
+                # a reachable image: a combination of the Hom basis applied to x
+                coeffs = [rng.randint(-1, 1) for _ in hom]
+                image = [ZERO] * n.dims[v]
+                for k, g in zip(coeffs, hom):
+                    image = [y + k * z for y, z in zip(image, apply_morphism(g, x)[1])]
+                points.append((x, (v, tuple(image))))
+            # and one that is most likely not reachable
+            points.append((x, (v, tuple(Fraction(rng.randint(-2, 2)) for _ in range(n.dims[v])))))
+        for k in range(len(points) + 1):
+            got = morphism_taking(m, n, points[:k])
+            assert got == dense_morphism_taking(m, n, points[:k])
+            if got is not None:
+                assert is_morphism(m, n, got)
+
+
+def test_validate_matches_the_dense_reference(spec, basis):
+    for m in module_fixtures(spec, basis):
+        validate(m)
+        dense_validate(m)
+    rng = random.Random(63)
+    broken = 0
+    for _ in range(40):
+        dims = tuple(rng.randint(0, 2) for _ in range(6))
+        maps = {
+            a.label: [[Fraction(rng.randint(-1, 1)) for _ in range(dims[a.src])] for _ in range(dims[a.tgt])]
+            for a in spec.arrows
+        }
+        rep = make_representation(spec, dims, maps)
+        outcomes = []
+        for check in (validate, dense_validate):
+            try:
+                check(rep)
+                outcomes.append(None)
+            except ValidationError as exc:
+                outcomes.append(exc.failures)
+        assert outcomes[0] == outcomes[1]
+        broken += outcomes[0] is not None
+    assert broken >= 10
 def test_module_slopes(spec, lattice):
     assert str(module_slope(lattice, make_representation(spec, H0, {}))) == "0"
     assert module_slope(lattice, make_representation(spec, HINF, {})).is_infinite
@@ -219,3 +450,27 @@ def test_rep_json_round_trip(spec, basis):
     back = rep_from_json(spec, data)
     assert back.dims == m.dims
     assert back.maps == m.maps
+
+
+def test_intertwiner_rows_on_a_loop_match_the_dense_reference():
+    # C(4, lambda) has no loop; on a loop u = v the blocks f_u and f_v are the
+    # same unknowns, so the two sides of f_v . a = b . f_u can cancel
+    from tubelat.algebra import AlgebraSpec, Arrow
+
+    quiver = AlgebraSpec("loop", 2, (Arrow("x", 0, 0), Arrow("y", 0, 1)), (), Fraction(2))
+    rng = random.Random(65)
+    for _ in range(30):
+        m, n = (
+            make_representation(
+                quiver,
+                dims,
+                {
+                    a.label: [[Fraction(rng.randint(-1, 1)) for _ in range(dims[a.src])] for _ in range(dims[a.tgt])]
+                    for a in quiver.arrows
+                },
+            )
+            for dims in ((rng.randint(0, 3), rng.randint(0, 2)), (rng.randint(0, 3), rng.randint(0, 2)))
+        )
+        assert hom_basis(m, n) == dense_hom_basis(m, n)
+        assert hom_basis(m, m) == dense_hom_basis(m, m)
+        assert hom_dim(m, m) >= (1 if m.total_dim else 0)
