@@ -5,6 +5,7 @@ Contract: a matrix argument is any sequence of row sequences of
 ``Fraction``.  ``rank``, ``nullspace`` and ``solve`` also take a matrix
 whose rows are all ``{column: value}`` maps, the sparse form in which the
 module layer builds its systems; a column missing from a map holds zero.
+Either row form reaches the elimination through one adaptor, ``_map_rows``.
 No function mutates its arguments, and every matrix or vector returned is a
 fresh list, so callers pass stored tuple matrices as they are and never copy
 on the way in or out.  A matrix with zero rows, or of map rows, carries no
@@ -16,8 +17,9 @@ map rows of an explicit width: a row is stored as its nonzero integer
 numerators by column over one common denominator, an index from each column
 to the rows holding it finds the pivot candidates, and a pivot step touches
 only the rows that hold the pivot column, so a system costs its nonzeros
-rather than its size.  ``rref`` is its dense front end: it hands over the
-nonzero entries of each row and writes the reduced rows back out densely.
+rather than its size.  ``rank``, ``nullspace`` and ``solve`` read its pivot
+rows as maps; ``rref`` is its dense front end, which writes the reduced rows
+back out densely.
 A reduced row echelon form is unique for its row space and column order, so
 the reduced rows, the pivot list and every basis derived from them
 (``nullspace``, ``column_space_basis``, ``solve``, ``inverse``) depend on
@@ -145,7 +147,7 @@ def rref(a: Mat, cols: int | None = None) -> tuple[Mat, list[int]]:
     """Dense front end of ``rref_maps``: the reduced rows (as wide as the
     input rows) and the pivot columns, for dense rows."""
     width = len(a[0]) if a else 0
-    reduced, pivots = rref_maps([{j: x for j, x in enumerate(row) if x} for row in a], width, cols)
+    reduced, pivots = rref_maps(_map_rows(a), width, cols)
     out = []
     for row in reduced:
         dense = [ZERO] * width
@@ -155,14 +157,19 @@ def rref(a: Mat, cols: int | None = None) -> tuple[Mat, list[int]]:
     return out, pivots
 
 
+def _map_rows(a) -> list[dict]:
+    """The rows of ``a`` as ``{column: value}`` maps: map rows as they are,
+    dense rows by their nonzero entries."""
+    return [row if isinstance(row, dict) else {j: x for j, x in enumerate(row) if x} for row in a]
+
+
 def _pivot_rows(a, cols: int | None) -> tuple[list[dict], list[int]]:
     """The pivot rows of the reduced form of ``a`` as maps, and the pivots;
-    dense rows go through ``rref``, map rows straight to ``rref_maps``."""
-    if a and isinstance(a[0], dict):
-        reduced, pivots = rref_maps(a, cols, cols)
-        return reduced[: len(pivots)], pivots
-    reduced, pivots = rref(a, cols)
-    return [{j: x for j, x in enumerate(row) if x} for row in reduced[: len(pivots)]], pivots
+    ``cols`` defaults to the width of dense rows."""
+    if cols is None:
+        cols = len(a[0]) if a else 0
+    reduced, pivots = rref_maps(_map_rows(a), cols)
+    return reduced[: len(pivots)], pivots
 
 
 def rank(a, cols: int | None = None) -> int:
@@ -186,10 +193,7 @@ def nullspace(a, cols: int) -> list[Vec]:
 
 def solve(a, b: Vec, cols: int) -> Vec | None:
     """One solution of ``a x = b`` or ``None`` if the system is inconsistent."""
-    if a and isinstance(a[0], dict):
-        aug = [{**row, cols: bi} if bi else row for row, bi in zip(a, b)]
-    else:
-        aug = [[*row, bi] for row, bi in zip(a, b)]
+    aug = [{**row, cols: bi} if bi else row for row, bi in zip(_map_rows(a), b)]
     reduced, pivots = _pivot_rows(aug, cols + 1)
     if cols in pivots:
         return None

@@ -27,10 +27,9 @@ from .linalg import ONE, ZERO
 from .reps import (
     Element,
     Representation,
+    act,
     direct_sum,
     projective,
-    projective_generator,
-    push,
     quotient_by_elements,
     sum_embed,
     zero_rep,
@@ -145,13 +144,9 @@ def solution_space(phi: PpFormula, m: Representation) -> list[list[Fraction]]:
         block_rows: list[dict[int, Fraction]] = [{} for _ in range(m.dims[row_type])]
         for c, combo in enumerate(phi.entries[r]):
             for j in range(col_dims[c]):
-                # column col of the block is the combination of the images of
-                # the unit vector e_j along the entry's paths
-                col = col_offsets[c] + j
-                for coeff, path in combo:
-                    for i, x in push(m, path, {j: ONE}).items():
-                        y = block_rows[i].get(col)
-                        block_rows[i][col] = coeff * x if y is None else y + coeff * x
+                # column j of the (r, c) block is the image of e_j under the entry
+                for i, x in act(m, combo, {j: ONE}).items():
+                    block_rows[i][col_offsets[c] + j] = x
         rows.extend(block_rows)
     kernel = linalg.nullspace(rows, total)
     free_dim = free_ambient_dim(phi, m)
@@ -262,47 +257,32 @@ def free_realisation(basis: PathBasis, phi: PpFormula) -> PointedModule:
     """The module presented by H, with the free generators' images marked.
 
     Quotients the direct sum of one projective per variable by the submodule
-    generated by the row elements of H.
+    generated by the row elements of H: row r's element sums the images of
+    the variables' generators (trivial paths) under its entries.
     """
-    spec = phi.spec
-    summands = [projective(basis, t) for t in phi.col_types]
-    free_mod = zero_rep(spec)
-    offsets = []
-    for s in summands:
-        offsets.append(free_mod.dims)
-        free_mod = direct_sum(free_mod, s)
-
-    def embed(col: int, elem: Element) -> Element:
-        v, coords = elem
-        before = offsets[col][v]
-        after = free_mod.dims[v] - before - summands[col].dims[v]
-        return (v, (ZERO,) * before + tuple(coords) + (ZERO,) * after)
+    types = phi.col_types
+    free_mod = direct_sum(zero_rep(phi.spec), *(projective(basis, t) for t in types))
+    # the generator's position: the summands before it, then its trivial path
+    gens = [
+        sum(len(basis.paths_between(s, t)) for s in types[:c]) + basis.paths_between(t, t).index(())
+        for c, t in enumerate(types)
+    ]
 
     relation_elements: list[Element] = []
     for r, row_type in enumerate(phi.row_types):
-        acc = [ZERO] * free_mod.dims[row_type]
-        nonzero = False
-        for c, combo in enumerate(phi.entries[r]):
-            if not combo:
-                continue
-            paths = basis.paths_between(phi.col_types[c], row_type)
-            index = {p: k for k, p in enumerate(paths)}
-            local = [ZERO] * summands[c].dims[row_type]
-            for coeff, path in combo:
-                for word, red_coeff in basis.reduce(path).items():
-                    local[index[word]] += coeff * red_coeff
-            _, coords = embed(c, (row_type, tuple(local)))
-            acc = [x + y for x, y in zip(acc, coords)]
-            nonzero = True
-        if nonzero and any(x != 0 for x in acc):
-            relation_elements.append((row_type, tuple(acc)))
+        elem = [ZERO] * free_mod.dims[row_type]
+        for combo, g in zip(phi.entries[r], gens):
+            for i, x in act(free_mod, combo, {g: ONE}).items():
+                elem[i] += x
+        if any(elem):
+            relation_elements.append((row_type, tuple(elem)))
 
     module, reducers = quotient_by_elements(free_mod, relation_elements)
     points = []
-    for c in range(phi.free_count):
-        t = phi.col_types[c]
-        gen = embed(c, projective_generator(basis, t))
-        points.append((t, tuple(reducers[t](gen[1]))))
+    for t, g in zip(types[: phi.free_count], gens):
+        gen = [ZERO] * free_mod.dims[t]
+        gen[g] = ONE
+        points.append((t, tuple(reducers[t](gen))))
     return PointedModule(module=module, points=tuple(points))
 
 

@@ -3,9 +3,11 @@
 A representation assigns a rational vector space to every vertex and a
 matrix to every arrow; an element at vertex u is pushed along an arrow
 u -> v by the arrow's matrix (covariant convention, pinned empirically by
-the law hom(P_i, M) = dim(M)_i).  Hom spaces are kernels of the intertwiner
-system, Ext is computed from a projective-cover presentation, and all linear
-algebra is exact.
+the law hom(P_i, M) = dim(M)_i), and a combination of paths by ``act``.
+Hom spaces are kernels of the intertwiner system, built as map rows that
+``linalg`` adapts like dense ones; Ext comes from a projective-cover
+presentation 0 -> K -> P0 -> M -> 0, with Hom(P0, N) read off by Yoneda
+(Hom(P_v, N) = N_v).  All linear algebra is exact.
 """
 
 from __future__ import annotations
@@ -103,6 +105,16 @@ def push(rep: Representation, path: Path, vec: SparseVec) -> SparseVec:
     return vec
 
 
+def act(rep: Representation, combo, vec: SparseVec) -> SparseVec:
+    """The image of a sparse vector under a combination of ``(coefficient,
+    path)`` terms, each term pushed along its path."""
+    image: SparseVec = {}
+    for coeff, path in combo:
+        for i, x in push(rep, path, vec).items():
+            image[i] = image.get(i, 0) + coeff * x
+    return {i: x for i, x in image.items() if x}
+
+
 def validate(rep: Representation) -> None:
     """Check that every relation acts as the zero matrix, column by column;
     failures name the violated relation."""
@@ -110,11 +122,7 @@ def validate(rep: Representation) -> None:
     for idx, rel in enumerate(rep.spec.relations):
         src, _ = rep.spec.path_endpoints(rel[0][1])
         for j in range(rep.dims[src]):
-            column: SparseVec = {}
-            for coeff, path in rel:
-                for i, x in push(rep, path, {j: ONE}).items():
-                    column[i] = column.get(i, 0) + coeff * x
-            if any(column.values()):
+            if act(rep, rel, {j: ONE}):
                 pretty = " + ".join(f"({frac_to_str(c)})*{'.'.join(p)}" for c, p in rel)
                 failures.append(f"relation {idx + 1} [{pretty}] is violated")
                 break
@@ -161,24 +169,21 @@ def projective(basis: PathBasis, i: int) -> Representation:
     return make_representation(spec, dims, maps)
 
 
-def projective_generator(basis: PathBasis, i: int) -> Element:
-    """The trivial path of P_i, as an element at vertex i."""
-    paths = basis.paths_between(i, i)
-    coords = tuple(ONE if p == () else ZERO for p in paths)
-    return (i, coords)
-
-
-def direct_sum(m: Representation, n: Representation) -> Representation:
-    if m.spec is not n.spec and m.spec != n.spec:
+def direct_sum(*modules: Representation) -> Representation:
+    """The sum of one or more modules, its matrices block-diagonal."""
+    spec = modules[0].spec
+    if any(m.spec is not spec and m.spec != spec for m in modules):
         raise TypeMismatchError("direct sum of modules over different algebras")
-    dims = tuple(a + b for a, b in zip(m.dims, n.dims))
+    dims = tuple(map(sum, zip(*(m.dims for m in modules))))
     maps = {}
-    for arrow in m.spec.arrows:
-        pad_m, pad_n = (ZERO,) * m.dims[arrow.src], (ZERO,) * n.dims[arrow.src]
-        maps[arrow.label] = [r + pad_n for r in m.maps[arrow.label]] + [
-            pad_m + r for r in n.maps[arrow.label]
-        ]
-    return make_representation(m.spec, dims, maps)
+    for arrow in spec.arrows:
+        rows, before = [], 0
+        for m in modules:
+            after = dims[arrow.src] - before - m.dims[arrow.src]
+            rows += [(ZERO,) * before + r + (ZERO,) * after for r in m.maps[arrow.label]]
+            before += m.dims[arrow.src]
+        maps[arrow.label] = rows
+    return make_representation(spec, dims, maps)
 
 
 def sum_embed(m: Representation, n: Representation, elem: Element, side: int) -> Element:
@@ -423,51 +428,48 @@ def top_dims(rep: Representation) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Presentation:
-    """A projective cover P0 ->> M with its kernel subrepresentation."""
+    """A projective cover P0 ->> M with its kernel subrepresentation; P0 has
+    one summand P_v per generator (v, fpos), the unit vector e_fpos of M_v."""
 
     cover_source: Representation
     kernel: Representation
+    generators: tuple[tuple[int, int], ...]
 
 
 def projective_cover_presentation(basis: PathBasis, rep: Representation) -> Presentation:
     spec = rep.spec
-    rad = radical_bases(rep)
-    # one generator per top basis vector: the unit vector at (v, fpos)
-    generators = [
-        (v, fpos)
-        for v in range(spec.vertex_count)
-        for fpos in _reducer(rad[v], rep.dims[v])[0]
-    ]
+    # one generator per top basis vector: the positions that lead no reduced
+    # row of the radical
+    generators = []
+    for v, rows in enumerate(radical_bases(rep)):
+        leads = {next(j for j, x in enumerate(row) if x) for row in rows}
+        generators += [(v, fpos) for fpos in range(rep.dims[v]) if fpos not in leads]
+    projectives = {v: projective(basis, v) for v, _ in generators}
+    p0 = direct_sum(zero_rep(spec), *(projectives[v] for v, _ in generators))
 
-    summands = [projective(basis, v) for v, _ in generators]
-    p0 = zero_rep(spec)
-    for s in summands:
-        p0 = direct_sum(p0, s)
-
-    # cover columns: basis path p of the (v, fpos) summand maps to the image
-    # of the unit vector e_fpos along p
-    cols_per_vertex: list[list[SparseVec]] = [[] for _ in range(spec.vertex_count)]
+    # the cover map at each u as map rows: basis path p of the (v, fpos)
+    # summand maps to the image of e_fpos along p
+    rows: list[list[SparseVec]] = [[{} for _ in range(d)] for d in rep.dims]
+    next_col = [0] * spec.vertex_count
     for v, fpos in generators:
         for u in range(spec.vertex_count):
             for path in basis.paths_between(v, u):
-                cols_per_vertex[u].append(push(rep, path, {fpos: ONE}))
+                for i, x in push(rep, path, {fpos: ONE}).items():
+                    rows[u][i][next_col[u]] = x
+                next_col[u] += 1
     kernel_bases: Bases = []
-    for u, cols in enumerate(cols_per_vertex):
-        # the cover map at u, as map rows: its row i holds coordinate i of each column
-        rows: list[SparseVec] = [{} for _ in range(rep.dims[u])]
-        for k, col in enumerate(cols):
-            for i, x in col.items():
-                rows[i][k] = x
-        kernel_basis = linalg.nullspace(rows, len(cols))
-        if len(cols) - len(kernel_basis) != rep.dims[u]:
+    for u, width in enumerate(p0.dims):
+        kernel_basis = linalg.nullspace(rows[u], width)
+        if width - len(kernel_basis) != rep.dims[u]:
             raise ConsistencyError("projective cover fails to be surjective")
         kernel_bases.append(kernel_basis)
-    return Presentation(cover_source=p0, kernel=sub_representation(p0, kernel_bases))
+    return Presentation(p0, sub_representation(p0, kernel_bases), tuple(generators))
 
 
 def ext_dim(basis: PathBasis, m: Representation, n: Representation) -> int:
     """dim Ext^1(M, N) as the cokernel of Hom(P0, N) -> Hom(K, N) for the
-    projective-cover presentation 0 -> K -> P0 -> M -> 0."""
+    projective-cover presentation 0 -> K -> P0 -> M -> 0; Hom(P0, N) is the
+    sum of N_v over the cover's generators (Yoneda)."""
     if m.spec != n.spec:
         raise TypeMismatchError("modules live over different algebras")
     if m.total_dim == 0:
@@ -475,7 +477,7 @@ def ext_dim(basis: PathBasis, m: Representation, n: Representation) -> int:
     pres = projective_cover_presentation(basis, m)
     value = (
         hom_dim(pres.kernel, n)
-        - hom_dim(pres.cover_source, n)
+        - sum(n.dims[v] for v, _ in pres.generators)
         + hom_dim(m, n)
     )
     if value < 0:
@@ -487,13 +489,11 @@ def is_projective(basis: PathBasis, rep: Representation) -> bool:
     """A module is projective iff its projective cover has the same dimension
     vector (the cover is then an isomorphism)."""
     tops = top_dims(rep)
-    expected = [0] * rep.spec.vertex_count
-    for v, count in enumerate(tops):
-        if count:
-            pv = projective(basis, v)
-            for u in range(rep.spec.vertex_count):
-                expected[u] += count * pv.dims[u]
-    return tuple(expected) == rep.dims
+    expected = tuple(
+        sum(count * len(basis.paths_between(v, u)) for v, count in enumerate(tops))
+        for u in range(rep.spec.vertex_count)
+    )
+    return expected == rep.dims
 
 
 def pd_at_most_1(basis: PathBasis, rep: Representation) -> bool:
@@ -516,9 +516,7 @@ def random_representation(
 ) -> Representation:
     spec = basis.spec
     count = rng.randint(1, max_summands)
-    p = zero_rep(spec)
-    for _ in range(count):
-        p = direct_sum(p, projective(basis, rng.randrange(spec.vertex_count)))
+    p = direct_sum(*(projective(basis, rng.randrange(spec.vertex_count)) for _ in range(count)))
     gens: list[Element] = []
     for _ in range(rng.randint(0, max_generators)):
         candidates = [v for v in range(spec.vertex_count) if p.dims[v] > 0]

@@ -24,7 +24,7 @@ from tubelat.pp import (
     zero_formula,
 )
 
-from test_reps import module_fixtures, path_matrix
+from test_reps import module_fixtures, path_matrix, same_module
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -373,3 +373,104 @@ def test_solution_spaces_match_the_dense_reference(spec, basis):
         for phi in formulas:
             for m in modules:
                 assert solution_space(phi, m) == dense_solution_space(phi, m)
+
+
+# The ``free_realisation`` that pushing generators replaced, kept verbatim as
+# the reference: entries reduced to path-basis coordinates of each summand and
+# embedded by the summands' offsets in a pairwise direct sum.
+def reference_free_realisation(basis, phi):
+    spec = phi.spec
+    summands = [reps.projective(basis, t) for t in phi.col_types]
+    free_mod = reps.zero_rep(spec)
+    offsets = []
+    for s in summands:
+        offsets.append(free_mod.dims)
+        free_mod = reps.direct_sum(free_mod, s)
+
+    def embed(col, elem):
+        v, coords = elem
+        before = offsets[col][v]
+        after = free_mod.dims[v] - before - summands[col].dims[v]
+        return (v, (ZERO,) * before + tuple(coords) + (ZERO,) * after)
+
+    relation_elements = []
+    for r, row_type in enumerate(phi.row_types):
+        acc = [ZERO] * free_mod.dims[row_type]
+        nonzero = False
+        for c, combo in enumerate(phi.entries[r]):
+            if not combo:
+                continue
+            paths = basis.paths_between(phi.col_types[c], row_type)
+            index = {p: k for k, p in enumerate(paths)}
+            local = [ZERO] * summands[c].dims[row_type]
+            for coeff, path in combo:
+                for word, red_coeff in basis.reduce(path).items():
+                    local[index[word]] += coeff * red_coeff
+            _, coords = embed(c, (row_type, tuple(local)))
+            acc = [x + y for x, y in zip(acc, coords)]
+            nonzero = True
+        if nonzero and any(x != 0 for x in acc):
+            relation_elements.append((row_type, tuple(acc)))
+
+    module, reducers = reps.quotient_by_elements(free_mod, relation_elements)
+    points = []
+    for c in range(phi.free_count):
+        t = phi.col_types[c]
+        # the trivial path of P_t, as an element at vertex t
+        generator = (t, tuple(ONE if p == () else ZERO for p in basis.paths_between(t, t)))
+        gen = embed(c, generator)
+        points.append((t, tuple(reducers[t](gen[1]))))
+    return pp.PointedModule(module=module, points=tuple(points))
+
+
+def quiver_paths(spec, src, tgt):
+    """Every path from src to tgt in the quiver, normal form or not."""
+    found, stack = [], [(src, ())]
+    while stack:
+        v, path = stack.pop()
+        if v == tgt:
+            found.append(path)
+        stack += [(a.tgt, path + (a.label,)) for a in spec.arrows if a.src == v]
+    return sorted(found)
+
+
+def random_formula_with_free(spec, rng, free_count):
+    """Up to three rows over ``free_count`` free and up to two bound
+    variables whose types repeat; each row's type is reached by a path from
+    some column, and entries mix quiver paths with coefficients of either
+    sign."""
+    pool = rng.sample(range(spec.vertex_count), 3)
+    col_types = [rng.choice(pool) for _ in range(free_count + rng.randint(0, 2))]
+    targets = [u for t in col_types for u in range(spec.vertex_count) if quiver_paths(spec, t, u)]
+    row_types = [rng.choice(targets or pool) for _ in range(rng.randint(0, 3))]
+    entries = [
+        [
+            tuple(
+                (Fraction(rng.choice([-2, -1, 1, 2, 3])), path)
+                for path in quiver_paths(spec, t, u)
+                if rng.random() < 0.6
+            )
+            for t in col_types
+        ]
+        for u in row_types
+    ]
+    return make_formula(spec, free_count, col_types, row_types, entries)
+
+
+@pytest.mark.parametrize("lam", [Fraction(2), Fraction(-1), Fraction(5, 3)], ids=str)
+def test_free_realisations_match_the_reference(lam):
+    from tubelat.algebra import build_c4, derive_path_basis
+
+    spec = build_c4(lam)
+    basis = derive_path_basis(spec)
+    rng = random.Random(66)
+    cut = 0  # realisations that some relation makes smaller than the free module
+    for free_count in (0, 1, 2):
+        for _ in range(20):
+            phi = random_formula_with_free(spec, rng, free_count)
+            got, want = free_realisation(basis, phi), reference_free_realisation(basis, phi)
+            assert same_module(got.module, want.module)
+            assert got.points == want.points
+            free_dim = sum(len(basis.paths_between(t, u)) for t in phi.col_types for u in range(6))
+            cut += got.module.total_dim < free_dim
+    assert cut >= 20
