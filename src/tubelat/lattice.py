@@ -60,6 +60,9 @@ def reduced_ratio(num: int, den: int) -> tuple[int, int]:
 
 def slope_text(num: int, den: int) -> str:
     """The wire text of the slope num/den: "inf", "n" or "n/d", reduced."""
+    if den > 0:  # every pair in the cone: one gcd, no sign to fix
+        g = gcd(num, den)
+        return str(num // g) if den == g else f"{num // g}/{den // g}"
     n, d = reduced_ratio(num, den)
     if d == 0:
         return "inf"

@@ -17,9 +17,10 @@ map rows of an explicit width: a row is stored as its nonzero integer
 numerators by column over one common denominator, an index from each column
 to the rows holding it finds the pivot candidates, and a pivot step touches
 only the rows that hold the pivot column, so a system costs its nonzeros
-rather than its size.  ``rank``, ``nullspace`` and ``solve`` read its pivot
-rows as maps; ``rref`` is its dense front end, which writes the reduced rows
-back out densely.
+rather than its size.  ``nullspace`` and ``solve`` read its pivot rows as
+maps, ``rank`` only counts the pivots of its elimination (skipping the
+conversion of the reduced rows to ``Fraction``s), and ``rref`` is its dense
+front end, which writes the reduced rows back out densely.
 A reduced row echelon form is unique for its row space and column order, so
 the reduced rows, the pivot list and every basis derived from them
 (``nullspace``, ``column_space_basis``, ``solve``, ``inverse``) depend on
@@ -78,6 +79,14 @@ def rref_maps(rows, width: int, cols: int | None = None) -> tuple[list[dict], li
     elimination would: uniqueness does not fix the carried columns of the
     non-pivot rows, this order does.
     """
+    nums, dens, order, pivots = _eliminate(rows, width, cols)
+    return [{j: Fraction(x, dens[k]) for j, x in nums[k].items()} for k in order], pivots
+
+
+def _eliminate(rows, width: int, cols: int | None = None):
+    """The elimination of ``rref_maps`` without its output conversion: the
+    reduced rows as integer numerators ``nums`` over denominators ``dens``,
+    row ``order[i]`` in place i, and the pivots."""
     # row k is nums[k] / dens[k]: nonzero integer numerators by column over a
     # positive common denominator; holders[j] is the set of rows holding column j
     nums, dens = [], []
@@ -140,7 +149,7 @@ def rref_maps(rows, width: int, cols: int | None = None) -> tuple[list[dict], li
                     row[j] //= g
             dens[i] = d // g
         pivots.append(c)
-    return [{j: Fraction(x, dens[k]) for j, x in nums[k].items()} for k in order], pivots
+    return nums, dens, order, pivots
 
 
 def rref(a: Mat, cols: int | None = None) -> tuple[Mat, list[int]]:
@@ -173,7 +182,10 @@ def _pivot_rows(a, cols: int | None) -> tuple[list[dict], list[int]]:
 
 
 def rank(a, cols: int | None = None) -> int:
-    return len(_pivot_rows(a, cols)[1])
+    """The number of pivots; no reduced row is converted to ``Fraction``s."""
+    if cols is None:
+        cols = len(a[0]) if a else 0
+    return len(_eliminate(_map_rows(a), cols)[3])
 
 
 def nullspace(a, cols: int) -> list[Vec]:

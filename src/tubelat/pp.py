@@ -261,7 +261,8 @@ def free_realisation(basis: PathBasis, phi: PpFormula) -> PointedModule:
     the variables' generators (trivial paths) under its entries.
     """
     types = phi.col_types
-    free_mod = direct_sum(zero_rep(phi.spec), *(projective(basis, t) for t in types))
+    summand = {t: projective(basis, t) for t in set(types)}
+    free_mod = direct_sum(zero_rep(phi.spec), *(summand[t] for t in types))
     # the generator's position: the summands before it, then its trivial path
     gens = [
         sum(len(basis.paths_between(s, t)) for s in types[:c]) + basis.paths_between(t, t).index(())

@@ -36,7 +36,7 @@ SparseVec = dict[int, Fraction]  # {coordinate: nonzero value}
 
 
 def _freeze(rows) -> Matrix:
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
+    return tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows)
 
 
 def zero_matrix(rows: int, cols: int) -> Matrix:

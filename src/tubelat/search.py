@@ -394,7 +394,15 @@ def gap_vector(
 
 
 def validate_gap_certificate(lattice: K0Lattice, cert: GapCertificate) -> list[str]:
-    """Re-derive everything the certificate claims; returns failure messages."""
+    """Re-derive everything the certificate claims; returns failure messages.
+
+    Each row's (b, a) is reduced once to n/d, which gives both its slope
+    text and the test "n/d strictly inside (cert.b/cert.a, r)".  That test
+    needs ``floor_mul(d)`` only below one rational upper end hi > r of
+    ``r.bracket()``, taken once per call: n/d >= hi > r already means
+    ``floor_mul(d) < n``, so the integer test n * hi.denominator <
+    hi.numerator * d settles every row far above r without an ``isqrt``.
+    """
     failures: list[str] = []
     w0, w1 = lattice.mu_h0, lattice.mu_hinf
     if cert.mu_weights != (w0, w1):
@@ -411,19 +419,31 @@ def validate_gap_certificate(lattice: K0Lattice, cert: GapCertificate) -> list[s
         failures.append("budget is not mu + k")
 
     # the scan is sorted: one pair past the rows settles any claimed budget
-    got = sorted((a, b) for a, b, _, _ in cert.witnesses)
+    got = [(a, b) for a, b, _, _ in cert.witnesses]
+    got.sort()
     if got != list(islice(_budget_pairs(w0, w1, cert.budget), len(got) + 1)):
         failures.append("witness list is not the full budget scan")
+    r, ca, cb = cert.r, cert.a, cert.b
+    _, hi = r.bracket()
+    hn, hd = hi.numerator, hi.denominator
     for a, b, m, slope in cert.witnesses:
         if m != w0 * a + w1 * b:
             failures.append(f"witness ({a},{b}) has wrong mu {m}")
             continue
-        if not (a or b) or slope != slope_text(b, a):
+        if a > 0:  # the wire text of slope_text, from the one reduction
+            g = gcd(b, a)
+            n, d = b // g, a // g
+            text = str(n) if d == 1 else f"{n}/{d}"
+        elif a or b:  # infinity, or a tampered row with a < 0
+            n, d = reduced_ratio(b, a)
+            text = slope_text(b, a)
+        else:
+            text = None  # 0/0 is no slope
+        if text is None or slope != text:
             failures.append(f"witness ({a},{b}) has wrong slope {slope}")
             continue
         # is the reduced slope n/d, d > 0, strictly inside (b/a, r)?
-        n, d = reduced_ratio(b, a)
-        if d and cert.a >= 1 and n * cert.a > cert.b * d and cert.r.floor_mul(d) >= n:
+        if d and ca >= 1 and n * ca > cb * d and n * hd < hn * d and r.floor_mul(d) >= n:
             failures.append(
                 f"witness ({a},{b}) has slope {slope} strictly inside "
                 "the certified gap"
@@ -603,7 +623,11 @@ def gap_certificate_to_json(cert: GapCertificate) -> dict:
 
 
 def _witness_from_json(w) -> tuple[int, int, int, str]:
-    a, b, m = parse_int(w["a"]), parse_int(w["b"]), parse_int(w["mu"])
+    # a JSON number without a fraction is read as an int; anything else
+    # goes through parse_int, a then b then mu, for its error message
+    a = x if type(x := w["a"]) is int else parse_int(x)
+    b = x if type(x := w["b"]) is int else parse_int(x)
+    m = x if type(x := w["mu"]) is int else parse_int(x)
     slope = w["slope"]
     # the reduced text of b/a is its own normal form, so only another
     # spelling (or the undefined 0/0 row) needs Slope.parse

@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubelat.errors import ConsistencyError, PreconditionError, UndefinedSlopeError
-from tubelat.lattice import K0Lattice, Slope, mu, slope_text, vec_add, vec_scale
+from tubelat.lattice import (
+    K0Lattice,
+    Slope,
+    mu,
+    reduced_ratio,
+    slope_text,
+    vec_add,
+    vec_scale,
+)
 
 from conftest import unit
 
@@ -147,6 +155,46 @@ def test_slope_text_matches_slope_on_a_grid():
             assert Slope.parse(text) == Slope.from_ratio(b, a), (a, b)
     with pytest.raises(UndefinedSlopeError):
         slope_text(0, 0)
+
+
+def ref_slope_text(num: int, den: int) -> str:
+    """``slope_text`` as it was before its den > 0 path, kept as the
+    reference: every call reduced through ``reduced_ratio``."""
+    n, d = reduced_ratio(num, den)
+    if d == 0:
+        return "inf"
+    if d == 1:
+        return str(n)
+    return f"{n}/{d}"
+
+
+def _text_or_error(text, num, den):
+    try:
+        return text(num, den)
+    except UndefinedSlopeError as exc:
+        return ("error", str(exc))
+
+
+def test_slope_text_matches_the_reference_on_a_grid():
+    for num in range(-40, 41):
+        for den in range(-40, 41):
+            expected = _text_or_error(ref_slope_text, num, den)
+            assert _text_or_error(slope_text, num, den) == expected, (num, den)
+
+
+BIG = 10**40
+big_ints = st.one_of(
+    st.integers(-BIG, BIG),
+    st.sampled_from([BIG, -BIG, BIG - 1, 1 - BIG, 0, 1, -1]),
+)
+
+
+@given(num=big_ints, den=big_ints, g=st.sampled_from([1, 2, 3, 10**20, BIG]))
+@settings(max_examples=500, deadline=None)
+def test_slope_text_matches_the_reference_on_large_integers(num, den, g):
+    # a common factor g makes the gcd do real work
+    for n, d in ((num, den), (num * g, den * g)):
+        assert _text_or_error(slope_text, n, d) == _text_or_error(ref_slope_text, n, d)
 
 
 # hypothesis needs a plain-function fixture indirection for session fixtures

@@ -3,6 +3,7 @@ import random
 import signal
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 from math import ceil, floor, gcd
 from pathlib import Path
 
@@ -10,9 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tubelat import search
 from tubelat.errors import BudgetExhaustedError, PreconditionError, SpecFormatError
 from tubelat.exceptional import ExceptionalSet
-from tubelat.lattice import Slope, slope_text, vec_add
+from tubelat.lattice import K0Lattice, Slope, reduced_ratio, slope_text, vec_add
 from tubelat.quadirr import QuadIrrational, parse_quad_irrational
 from tubelat.search import (
     DeltaResult,
@@ -42,6 +44,8 @@ from tubelat.search import (
     validate_tube_params,
 )
 from tubelat.serialize import dumps_canonical, parse_int
+
+from test_lattice import ref_slope_text
 
 SQRT2 = QuadIrrational(0, 1, 2, 1)
 GOLDEN_OUT = Path(__file__).resolve().parent / "golden" / "expected"
@@ -894,6 +898,208 @@ def test_golden_certificates_are_read_without_slope_parse(monkeypatch):
     respelled = GOLDEN_OUT.parent / "inputs" / "gap-sqrt2-other-spellings.json"
     gap_certificate_from_json(json.loads(respelled.read_text(encoding="utf-8")))
     assert sorted(calls) == sorted(["oo", "10/6", "0/4", " 4/3", "14/10"])
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        {"a": "x"},
+        {"a": 1.0, "b": 2},
+        {"a": 1, "b": True},
+        {"a": 1, "b": "x", "mu": None},
+        {"a": 1, "b": 2, "mu": 2.5},
+        {"a": 1, "b": 2, "mu": 3},
+        {"b": "x", "mu": "y"},
+        {"a": False, "b": 0, "mu": 0, "slope": "0"},
+        [1, 2, 3, "2"],
+        "row",
+    ],
+    ids=repr,
+)
+def test_witness_reader_errors_come_in_field_order(row, monkeypatch):
+    """The first bad or missing field, in the order a, b, mu, slope, names
+    the error, as with ``parse_int`` on every field."""
+    doc = {**GAP_DOC, "witnesses": [row]}
+    got = _read_or_message(gap_certificate_from_json, doc)
+    monkeypatch.setattr(search, "_witness_from_json", ref_witness_from_json)
+    assert got == _read_or_message(gap_certificate_from_json, doc)
+
+
+# ---------------------------------------------------------------------------
+# Checking witness rows: the checker as it was before it reduced each row
+# once and bounded its floor_mul calls by hi, kept as the reference
+# ---------------------------------------------------------------------------
+
+
+def ref_validate_gap_certificate(lattice: K0Lattice, cert: GapCertificate) -> list[str]:
+    """Re-derive everything the certificate claims; returns failure messages."""
+    failures: list[str] = []
+    w0, w1 = lattice.mu_h0, lattice.mu_hinf
+    if cert.mu_weights != (w0, w1):
+        failures.append(
+            f"mu weights {cert.mu_weights} do not match the algebra ({w0}, {w1})"
+        )
+    if cert.a < 1 or cert.b < 1:
+        failures.append("returned pair must have positive coefficients")
+    elif not _in_window_below(cert.r, cert.epsilon, cert.b, cert.a):
+        failures.append(f"slope {ref_slope_text(cert.b, cert.a)} is not in (r - eps, r)")
+    if cert.mu != w0 * cert.a + w1 * cert.b:
+        failures.append("stored mu does not match the pair")
+    if cert.budget != cert.mu + cert.k:
+        failures.append("budget is not mu + k")
+
+    # the scan is sorted: one pair past the rows settles any claimed budget
+    got = sorted((a, b) for a, b, _, _ in cert.witnesses)
+    if got != list(islice(_budget_pairs(w0, w1, cert.budget), len(got) + 1)):
+        failures.append("witness list is not the full budget scan")
+    for a, b, m, slope in cert.witnesses:
+        if m != w0 * a + w1 * b:
+            failures.append(f"witness ({a},{b}) has wrong mu {m}")
+            continue
+        if not (a or b) or slope != ref_slope_text(b, a):
+            failures.append(f"witness ({a},{b}) has wrong slope {slope}")
+            continue
+        # is the reduced slope n/d, d > 0, strictly inside (b/a, r)?
+        n, d = reduced_ratio(b, a)
+        if d and cert.a >= 1 and n * cert.a > cert.b * d and cert.r.floor_mul(d) >= n:
+            failures.append(
+                f"witness ({a},{b}) has slope {slope} strictly inside "
+                "the certified gap"
+            )
+    return failures
+
+
+BASE_CERTS = [
+    gap_certificate_from_json(
+        json.loads((GOLDEN_OUT / f"{name}.out").read_text(encoding="utf-8"))
+    )
+    for name in (
+        "gap-search-sqrt2",
+        "gap-search-golden",
+        "gap-search-sqrt7-over-2",
+        "gap-search-negative-q",
+    )
+]
+
+
+def pairs_near(r, max_a: int = 5000) -> list[tuple[int, int]]:
+    """Pairs (a, b) with b/a close to r on either side: the Stern-Brocot
+    ends of the walk toward r (r > 0) up to denominator ``max_a``, then the
+    upper end hi of ``r.bracket()`` and its neighbours p/q with q = hi's
+    denominator, so that rows lie in (r, hi), at hi and just above it."""
+    a, b, c, d = 1, 0, 0, 1
+    out = []
+    while a + c <= max_a:
+        if r_exceeds(r, b + d, a + c):
+            a, b = a + c, b + d
+            out.append((a, b))
+        else:
+            c, d = a + c, b + d
+            out.append((c, d))
+    _, hi = r.bracket()
+    q, p = hi.denominator, hi.numerator
+    out += [(q, p - 1), (q, p), (q, p + 1), (2 * q, 2 * p - 1), (2 * q, 2 * p + 1)]
+    return out
+
+
+NEAR = [pairs_near(cert.r) for cert in BASE_CERTS]
+
+
+def test_pairs_near_r_reach_between_r_and_hi():
+    """The rows that only the hi test sends to floor_mul do occur."""
+    for cert, pairs in zip(BASE_CERTS, NEAR):
+        lo, hi = cert.r.bracket()
+        above = [lo < Fraction(b, a) < hi for a, b in pairs if not r_exceeds(cert.r, b, a)]
+        below = [lo < Fraction(b, a) < hi for a, b in pairs if r_exceeds(cert.r, b, a)]
+        assert any(above) and not all(above) and any(below), cert.r
+
+
+def worse_pairs(cert, max_a: int = 40) -> list[tuple[int, int]]:
+    """Pairs with a slope in the window below the certified one: moving the
+    pair there leaves rows strictly inside (b/a, r)."""
+    return [
+        (a, b)
+        for a in range(1, max_a + 1)
+        for b in range(1, 2 * max_a)
+        if b * cert.a < cert.b * a and ref_in_window_below(cert.r, cert.epsilon, b, a)
+    ]
+
+
+WORSE = [worse_pairs(cert) for cert in BASE_CERTS]
+MUTATIONS = [
+    "mu", "slope", "zero-row", "negative-a", "drop", "repeat", "extra",
+    "near-r", "pair-a", "worse-pair",
+]
+
+
+@st.composite
+def mutated_certificates(draw):
+    which = draw(st.integers(0, len(BASE_CERTS) - 1))
+    cert = BASE_CERTS[which]
+    w0, w1 = cert.mu_weights
+    rows = list(cert.witnesses)
+
+    def row(a, b):
+        return (a, b, w0 * a + w1 * b, ref_slope_text(b, a) if a or b else "0/0")
+
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), min_size=1, max_size=4)):
+        i = draw(st.integers(0, len(rows) - 1))
+        a, b, m, text = rows[i]
+        if kind == "mu":
+            rows[i] = (a, b, m + draw(st.sampled_from([-1, 1, w0, -w1])), text)
+        elif kind == "slope":
+            k = draw(st.integers(2, 4))
+            rows[i] = (a, b, m, draw(st.sampled_from([
+                f"{b * k}/{a * k}", f"{-b}/{-a}", f"{b}/{a}", f"{b + 1}/{a or 1}",
+                "inf", "0", "0/0", f" {text}", None, 7,
+            ])))
+        elif kind == "zero-row":
+            rows.insert(i, (0, 0, 0, draw(st.sampled_from(["0/0", "inf", "0", None]))))
+        elif kind == "negative-a":
+            rows.insert(i, row(-(a or 1), -b))
+        elif kind == "drop":
+            del rows[i]
+        elif kind == "repeat":
+            rows.insert(i, rows[i])
+        elif kind == "extra":
+            rows.insert(i, row(draw(st.integers(0, 40)), draw(st.integers(0, 60))))
+        elif kind == "near-r":
+            a, b = draw(st.sampled_from(NEAR[which]))
+            k = draw(st.sampled_from([1, 1, 2, -1]))
+            rows.insert(i, row(a * k, b * k))
+        elif kind == "pair-a":
+            cert = replace(cert, a=draw(st.integers(-2, 0)))
+        else:  # worse-pair: the pair moves down the window, the budget stays
+            a, b = draw(st.sampled_from(WORSE[which]))
+            mu = w0 * a + w1 * b
+            cert = replace(cert, a=a, b=b, mu=mu, k=cert.budget - mu)
+    return replace(cert, witnesses=tuple(rows))
+
+
+@given(cert=mutated_certificates())
+@settings(max_examples=600, deadline=None)
+def test_checker_matches_the_reference_on_mutated_certificates(lattice, cert):
+    """Whole failure lists, in order, on every kind of tampering."""
+    assert validate_gap_certificate(lattice, cert) == ref_validate_gap_certificate(
+        lattice, cert
+    )
+
+
+def test_checker_matches_the_reference_with_rows_inside_the_gap(lattice):
+    """Each worse pair, with every near row added: rows strictly inside
+    (b/a, r), some just below r, some in (r, hi), at hi and above it."""
+    for cert, worse, near in zip(BASE_CERTS, WORSE, NEAR):
+        w0, w1 = cert.mu_weights
+        extra = tuple((a, b, w0 * a + w1 * b, ref_slope_text(b, a)) for a, b in near)
+        assert worse
+        for a, b in worse:
+            mu = w0 * a + w1 * b
+            moved = replace(
+                cert, a=a, b=b, mu=mu, k=cert.budget - mu, witnesses=cert.witnesses + extra
+            )
+            got = validate_gap_certificate(lattice, moved)
+            assert any("strictly inside" in f for f in got)
+            assert got == ref_validate_gap_certificate(lattice, moved)
 
 
 # ---------------------------------------------------------------------------
