@@ -1,9 +1,12 @@
-"""Explicit finite-dimensional modules as matrix data.
+"""Explicit finite-dimensional modules as sparse matrix data.
 
 A representation assigns a rational vector space to every vertex and a
-matrix to every arrow; an element at vertex u is pushed along an arrow
-u -> v by the arrow's matrix (covariant convention, pinned empirically by
-the law hom(P_i, M) = dim(M)_i), and a combination of paths by ``act``.
+matrix to every arrow, stored once by columns: per source coordinate, its
+nonzero ``(row, value)`` pairs in ascending row order, so equal matrices
+have equal columns.  ``make_representation`` takes dense input and
+``matrix`` is the one dense view.  An element at vertex u is pushed along an
+arrow u -> v by the arrow's matrix (covariant convention, pinned empirically
+by the law hom(P_i, M) = dim(M)_i), and a combination of paths by ``act``.
 Hom spaces are kernels of the intertwiner system, built as map rows that
 ``linalg`` adapts like dense ones; Ext comes from a projective-cover
 presentation 0 -> K -> P0 -> M -> 0, with Hom(P0, N) read off by Yoneda
@@ -14,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 
 from . import linalg
 from .algebra import AlgebraSpec, Path, PathBasis
@@ -28,67 +30,62 @@ from .lattice import K0Lattice, Slope
 from .linalg import ONE, ZERO
 from .serialize import frac_to_str, parse_frac, parse_int
 
-# Stored matrices and coordinates are frozen tuples; they go to ``linalg`` as
+# Dense matrices and coordinates are frozen tuples; they go to ``linalg`` as
 # they are, since it reads any row sequences and returns fresh lists.
 Matrix = tuple[tuple[Fraction, ...], ...]
+Column = tuple[tuple[int, Fraction], ...]  # nonzero (row, value), rows ascending
 Element = tuple[int, tuple[Fraction, ...]]  # (vertex, coordinates)
 SparseVec = dict[int, Fraction]  # {coordinate: nonzero value}
-
-
-def _freeze(rows) -> Matrix:
-    return tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows)
-
-
-def zero_matrix(rows: int, cols: int) -> Matrix:
-    return tuple((ZERO,) * cols for _ in range(rows))
 
 
 @dataclass(frozen=True, eq=False)
 class Representation:
     spec: AlgebraSpec
     dims: tuple[int, ...]
-    maps: dict[str, Matrix] = field(repr=False)
+    columns: dict[str, tuple[Column, ...]] = field(repr=False)
 
     @property
     def total_dim(self) -> int:
         return sum(self.dims)
 
-    @cached_property
-    def columns(self) -> dict[str, list[list[tuple[int, Fraction]]]]:
-        """Each arrow's matrix by columns, a column as its nonzero entries
-        ``(row, value)``; computed once, as the matrices never change."""
-        return {
-            arrow.label: [
-                [(i, row[j]) for i, row in enumerate(self.maps[arrow.label]) if row[j]]
-                for j in range(self.dims[arrow.src])
-            ]
-            for arrow in self.spec.arrows
-        }
+
+def _column(vec) -> Column:
+    return tuple((i, x) for i, x in enumerate(vec) if x)
+
+
+def matrix(rep: Representation, label: str) -> Matrix:
+    """The dense dims(tgt) x dims(src) matrix of an arrow."""
+    arrow = rep.spec.arrow_map()[label]
+    rows = [[ZERO] * rep.dims[arrow.src] for _ in range(rep.dims[arrow.tgt])]
+    for j, column in enumerate(rep.columns[label]):
+        for i, x in column:
+            rows[i][j] = x
+    return tuple(map(tuple, rows))
 
 
 def make_representation(spec: AlgebraSpec, dims, maps) -> Representation:
-    """Normalise and shape-check; every arrow needs a dims(tgt) x dims(src)
-    matrix (missing ones default to zero)."""
+    """Normalise and shape-check dense input; every arrow needs a
+    dims(tgt) x dims(src) matrix (missing ones default to zero)."""
     dims = tuple(int(d) for d in dims)
     if len(dims) != spec.vertex_count or any(d < 0 for d in dims):
         raise SpecFormatError(f"bad dimension vector {dims}")
-    frozen: dict[str, Matrix] = {}
+    columns: dict[str, tuple[Column, ...]] = {}
     for arrow in spec.arrows:
         rows, cols = dims[arrow.tgt], dims[arrow.src]
         mat = maps.get(arrow.label)
         if mat is None:
-            frozen[arrow.label] = zero_matrix(rows, cols)
+            columns[arrow.label] = ((),) * cols
             continue
-        m = _freeze(mat)
+        m = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in mat]
         if len(m) != rows or any(len(r) != cols for r in m):
             raise SpecFormatError(
                 f"matrix for arrow {arrow.label!r} must be {rows}x{cols}"
             )
-        frozen[arrow.label] = m
-    unknown = set(maps) - set(frozen)
+        columns[arrow.label] = tuple(map(_column, linalg.transpose(m, cols)))
+    unknown = set(maps) - set(columns)
     if unknown:
         raise SpecFormatError(f"matrices for unknown arrows: {sorted(unknown)}")
-    return Representation(spec=spec, dims=dims, maps=frozen)
+    return Representation(spec, dims, columns)
 
 
 def push(rep: Representation, path: Path, vec: SparseVec) -> SparseVec:
@@ -140,14 +137,14 @@ def module_slope(lattice: K0Lattice, rep: Representation) -> Slope:
 
 
 def zero_rep(spec: AlgebraSpec) -> Representation:
-    return make_representation(spec, (0,) * spec.vertex_count, {})
+    return Representation(spec, (0,) * spec.vertex_count, {a.label: () for a in spec.arrows})
 
 
 def simple(spec: AlgebraSpec, i: int) -> Representation:
     if not 0 <= i < spec.vertex_count:
         raise SpecFormatError(f"vertex {i} out of range")
     dims = tuple(1 if v == i else 0 for v in range(spec.vertex_count))
-    return make_representation(spec, dims, {})
+    return Representation(spec, dims, {a.label: ((),) * dims[a.src] for a in spec.arrows})
 
 
 def projective(basis: PathBasis, i: int) -> Representation:
@@ -156,34 +153,31 @@ def projective(basis: PathBasis, i: int) -> Representation:
     if not 0 <= i < spec.vertex_count:
         raise SpecFormatError(f"vertex {i} out of range")
     dims = tuple(len(basis.paths_between(i, v)) for v in range(spec.vertex_count))
-    maps: dict[str, list[list[Fraction]]] = {}
+    columns = {}
     for arrow in spec.arrows:
-        src_paths = basis.paths_between(i, arrow.src)
-        tgt_paths = basis.paths_between(i, arrow.tgt)
-        index = {p: k for k, p in enumerate(tgt_paths)}
-        mat = [[ZERO] * len(src_paths) for _ in range(len(tgt_paths))]
-        for col, p in enumerate(src_paths):
-            for word, coeff in basis.reduce(p + (arrow.label,)).items():
-                mat[index[word]][col] += coeff
-        maps[arrow.label] = mat
-    return make_representation(spec, dims, maps)
+        index = {p: k for k, p in enumerate(basis.paths_between(i, arrow.tgt))}
+        columns[arrow.label] = tuple(
+            tuple(sorted((index[word], c) for word, c in basis.reduce(p + (arrow.label,)).items()))
+            for p in basis.paths_between(i, arrow.src)
+        )
+    return Representation(spec, dims, columns)
 
 
 def direct_sum(*modules: Representation) -> Representation:
-    """The sum of one or more modules, its matrices block-diagonal."""
+    """The sum of one or more modules, its matrices block-diagonal: each
+    summand's columns in turn, rows shifted past the summands before it."""
     spec = modules[0].spec
     if any(m.spec is not spec and m.spec != spec for m in modules):
         raise TypeMismatchError("direct sum of modules over different algebras")
     dims = tuple(map(sum, zip(*(m.dims for m in modules))))
-    maps = {}
+    columns = {}
     for arrow in spec.arrows:
-        rows, before = [], 0
+        cols, before = [], 0
         for m in modules:
-            after = dims[arrow.src] - before - m.dims[arrow.src]
-            rows += [(ZERO,) * before + r + (ZERO,) * after for r in m.maps[arrow.label]]
-            before += m.dims[arrow.src]
-        maps[arrow.label] = rows
-    return make_representation(spec, dims, maps)
+            cols += [tuple((i + before, x) for i, x in c) for c in m.columns[arrow.label]]
+            before += m.dims[arrow.tgt]
+        columns[arrow.label] = tuple(cols)
+    return Representation(spec, dims, columns)
 
 
 def sum_embed(m: Representation, n: Representation, elem: Element, side: int) -> Element:
@@ -220,21 +214,25 @@ def _intertwiner_rows(m: Representation, n: Representation):
     for arrow in m.spec.arrows:
         u, v = arrow.src, arrow.tgt
         a_cols = m.columns[arrow.label]  # dims_M[v] x dims_M[u], by columns
-        b = n.maps[arrow.label]  # dims_N[v] x dims_N[u]
         mu, mv = m.dims[u], m.dims[v]
+        # row i of b (dims_N[v] x dims_N[u]) as (first unknown of f_u's row s, -b[i][s])
+        b_rows: list[list[tuple[int, Fraction]]] = [[] for _ in range(n.dims[v])]
+        for s, column in enumerate(n.columns[arrow.label]):
+            for i, x in column:
+                b_rows[i].append((offsets[u] + s * mu, -x))
+        a_held = [j for j in range(mu) if a_cols[j]]
         # f_v . a = b . f_u, one equation per (i < dims_N[v], j < dims_M[u])
-        for i in range(n.dims[v]):
+        # that has a term: where row i of b is zero, only the j that a holds
+        for i, b_row in enumerate(b_rows):
             base = offsets[v] + i * mv
-            b_row = [(offsets[u] + s * mu, -x) for s, x in enumerate(b[i]) if x]
-            for j in range(mu):
+            for j in range(mu) if b_row else a_held:
                 row = {base + t: x for t, x in a_cols[j]}
                 for col, y in b_row:
                     # f_u and f_v share unknowns only on a loop (u = v), where
                     # the sum may be zero; the elimination drops zero values
                     x = row.get(col + j)
                     row[col + j] = y if x is None else x + y
-                if row:
-                    rows.append(row)
+                rows.append(row)
     return rows, offsets, total
 
 
@@ -271,7 +269,7 @@ def apply_morphism(f: Morphism, elem: Element) -> Element:
 def compose_morphisms(f: Morphism, g: Morphism, source_dims) -> Morphism:
     """f after g, blockwise; ``source_dims`` is the dimension vector of g's source."""
     return tuple(
-        _freeze(linalg.mat_mul(fb, gb, b_cols=d))
+        tuple(map(tuple, linalg.mat_mul(fb, gb, b_cols=d)))
         for fb, gb, d in zip(f, g, source_dims)
     )
 
@@ -279,8 +277,8 @@ def compose_morphisms(f: Morphism, g: Morphism, source_dims) -> Morphism:
 def is_morphism(m: Representation, n: Representation, f: Morphism) -> bool:
     for arrow in m.spec.arrows:
         u, v = arrow.src, arrow.tgt
-        lhs = linalg.mat_mul(f[v], m.maps[arrow.label], b_cols=m.dims[u])
-        rhs = linalg.mat_mul(n.maps[arrow.label], f[u], b_cols=m.dims[u])
+        lhs = linalg.mat_mul(f[v], matrix(m, arrow.label), b_cols=m.dims[u])
+        rhs = linalg.mat_mul(matrix(n, arrow.label), f[u], b_cols=m.dims[u])
         if lhs != rhs:
             return False
     return True
@@ -336,7 +334,7 @@ def submodule_closure(rep: Representation, gens: list[Element]) -> Bases:
             u, v = arrow.src, arrow.tgt
             if not spans[u]:
                 continue
-            a = rep.maps[arrow.label]
+            a = matrix(rep, arrow.label)
             pushed = [linalg.mat_vec(a, vec) for vec in spans[u]]
             merged = linalg.column_space_basis(spans[v] + pushed, rep.dims[v])
             if len(merged) != len(spans[v]):
@@ -349,19 +347,19 @@ def sub_representation(rep: Representation, bases: Bases) -> Representation:
     """The subrepresentation spanned by arrow-closed per-vertex bases (each
     basis vector in ambient coordinates)."""
     dims = tuple(len(b) for b in bases)
-    maps = {}
+    columns = {}
     for arrow in rep.spec.arrows:
         u, v = arrow.src, arrow.tgt
+        a = matrix(rep, arrow.label)
         tgt_matrix = linalg.transpose(bases[v], rep.dims[v])
         cols = []
         for vec in bases[u]:
-            img = linalg.mat_vec(rep.maps[arrow.label], vec)
-            coeffs = linalg.solve(tgt_matrix, img, dims[v])
+            coeffs = linalg.solve(tgt_matrix, linalg.mat_vec(a, vec), dims[v])
             if coeffs is None:
                 raise ConsistencyError("bases are not closed under the arrows")
-            cols.append(coeffs)
-        maps[arrow.label] = linalg.transpose(cols, dims[v])
-    return make_representation(rep.spec, dims, maps)
+            cols.append(_column(coeffs))
+        columns[arrow.label] = tuple(cols)
+    return Representation(rep.spec, dims, columns)
 
 
 def _reducer(basis_vectors: list[list[Fraction]], dim: int):
@@ -394,14 +392,12 @@ def quotient_representation(
         reducers.append(reduce)
         frees.append(free)
     dims = tuple(len(f) for f in frees)
-    maps = {}
+    columns = {}
     for arrow in rep.spec.arrows:
         u, v = arrow.src, arrow.tgt
-        a_cols = linalg.transpose(rep.maps[arrow.label], rep.dims[u])
-        cols = [reducers[v](a_cols[fpos]) for fpos in frees[u]]
-        maps[arrow.label] = linalg.transpose(cols, dims[v])
-    quot = make_representation(rep.spec, dims, maps)
-    return quot, reducers
+        a_cols = linalg.transpose(matrix(rep, arrow.label), rep.dims[u])
+        columns[arrow.label] = tuple(_column(reducers[v](a_cols[fpos])) for fpos in frees[u])
+    return Representation(rep.spec, dims, columns), reducers
 
 
 def quotient_by_elements(
@@ -414,7 +410,7 @@ def radical_bases(rep: Representation) -> Bases:
     """Per-vertex bases of rad(M) = sum of images of all arrow maps."""
     spans: Bases = [[] for _ in range(rep.spec.vertex_count)]
     for arrow in rep.spec.arrows:
-        spans[arrow.tgt] += linalg.transpose(rep.maps[arrow.label], rep.dims[arrow.src])
+        spans[arrow.tgt] += linalg.transpose(matrix(rep, arrow.label), rep.dims[arrow.src])
     return [
         linalg.column_space_basis(spans[v], rep.dims[v])
         for v in range(rep.spec.vertex_count)
@@ -538,8 +534,8 @@ def rep_to_json(rep: Representation) -> dict:
     return {
         "dims": list(rep.dims),
         "arrows": {
-            label: [[frac_to_str(x) for x in row] for row in mat]
-            for label, mat in sorted(rep.maps.items())
+            label: [[frac_to_str(x) for x in row] for row in matrix(rep, label)]
+            for label in sorted(rep.columns)
         },
     }
 

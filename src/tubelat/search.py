@@ -38,6 +38,8 @@ from .lattice import DimVector, K0Lattice, Slope, mu, reduced_ratio, slope_text
 from .quadirr import QuadIrrational, parse_quad_irrational
 from .serialize import frac_to_str, parse_frac, parse_int
 
+MAX_SHRINK_ROUNDS = 64  # window shrinks in tube_parameters before budget-exhausted
+
 
 @dataclass(frozen=True)
 class PerturbedSlopeParams:
@@ -535,7 +537,6 @@ def tube_parameters(
     r: QuadIrrational,
     eps,
     d: int,
-    max_rounds: int = 64,
 ) -> TubeParams:
     """Choose the smallest k with k/<h0,hinf> - 2p >= d, run the gap search,
     and shrink the window toward r until the returned numerator clears the
@@ -548,7 +549,7 @@ def tube_parameters(
     threshold = lattice.pairing * max_hinf_pairing(lattice, exceptional)
 
     eps_i = eps
-    for _ in range(max_rounds):
+    for _ in range(MAX_SHRINK_ROUNDS):
         cert = gap_vector(lattice, r, eps_i, k)
         if cert.b > threshold:
             return TubeParams(
@@ -569,7 +570,7 @@ def tube_parameters(
         lo, _ = r.bracket_until(lambda lo, hi: lo > s, 1 << 8)
         eps_i = lo - s
     raise BudgetExhaustedError(
-        f"threshold b > {threshold} not reached within {max_rounds} rounds"
+        f"threshold b > {threshold} not reached within {MAX_SHRINK_ROUNDS} rounds"
     )
 
 

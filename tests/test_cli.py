@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -136,6 +137,30 @@ def test_hom_ext_slope_on_files(tmp_path, spec, basis):
     r_file.write_text(json.dumps(rep_to_json(h0_rep)))
     code, doc = invoke_json("slope", str(r_file))
     assert code == 0 and doc == "0"
+
+
+ZERO_2000 = str(GOLDEN_OUT.parent / "inputs" / "zero-2000.json")
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [(["hom", ZERO_2000, ZERO_2000], "hom-zero-2000"), (["slope", ZERO_2000], "slope-zero-2000")],
+)
+def test_zero_module_of_dimension_2000_ends_within_2_s(argv, name):
+    # a 60-byte file: 2000-dimensional spaces, every arrow zero; reading it
+    # and solving its Hom system cost the stored entries, not the dimensions
+    def too_slow(signum, frame):
+        pytest.fail(f"{argv[0]} ran past 2 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(2)
+    try:
+        got = invoke(*argv)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    exit_codes = json.loads((GOLDEN_OUT / "exit_codes.json").read_text(encoding="utf-8"))
+    assert got == (exit_codes[name], (GOLDEN_OUT / f"{name}.out").read_text(encoding="utf-8"))
 
 
 def test_pp_commands(tmp_path, spec, basis):

@@ -72,7 +72,7 @@ def test_divisibility_matches_arrow_image(spec, basis):
         m = nonzero_fixture(basis, rng)
         sol = solution_space(arrow_divisibility(spec, label), m)
         image = [
-            [m.maps[label][i][j] for i in range(m.dims[arrow.tgt])]
+            [reps.matrix(m, label)[i][j] for i in range(m.dims[arrow.tgt])]
             for j in range(m.dims[arrow.src])
         ]
         assert linalg.same_subspace(sol, image, m.dims[arrow.tgt])

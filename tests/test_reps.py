@@ -1,4 +1,5 @@
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -221,7 +222,7 @@ def path_matrix(rep, path, src_hint=None):
     src, _ = rep.spec.path_endpoints(path, src_hint)
     mat = linalg.identity(rep.dims[src])
     for label in path:
-        mat = linalg.mat_mul(rep.maps[label], mat, b_cols=rep.dims[src])
+        mat = linalg.mat_mul(reps.matrix(rep, label), mat, b_cols=rep.dims[src])
     return mat
 
 
@@ -249,8 +250,8 @@ def dense_intertwiner_rows(m, n):
     rows = []
     for arrow in m.spec.arrows:
         u, v = arrow.src, arrow.tgt
-        a = m.maps[arrow.label]  # dims_M[v] x dims_M[u]
-        b = n.maps[arrow.label]  # dims_N[v] x dims_N[u]
+        a = reps.matrix(m, arrow.label)  # dims_M[v] x dims_M[u]
+        b = reps.matrix(n, arrow.label)  # dims_N[v] x dims_N[u]
         # f_v . a = b . f_u, one equation per (i < dims_N[v], j < dims_M[u])
         for i in range(n.dims[v]):
             for j in range(m.dims[u]):
@@ -347,7 +348,7 @@ def module_fixtures(spec, basis):
 
 
 def same_module(m, n):
-    return m.dims == n.dims and m.maps == n.maps
+    return m.dims == n.dims and m.columns == n.columns
 
 
 def test_presentations_match_the_dense_reference(spec, basis):
@@ -444,8 +445,8 @@ def reference_direct_sum(m, n):
     maps = {}
     for arrow in m.spec.arrows:
         pad_m, pad_n = (ZERO,) * m.dims[arrow.src], (ZERO,) * n.dims[arrow.src]
-        maps[arrow.label] = [r + pad_n for r in m.maps[arrow.label]] + [
-            pad_m + r for r in n.maps[arrow.label]
+        maps[arrow.label] = [r + pad_n for r in reps.matrix(m, arrow.label)] + [
+            pad_m + r for r in reps.matrix(n, arrow.label)
         ]
     return make_representation(m.spec, dims, maps)
 
@@ -537,11 +538,11 @@ def test_spec_mismatch_rejected(spec, basis):
 
 def test_rep_json_round_trip(spec, basis):
     rng = random.Random(29)
-    m = random_representation(basis, rng)
-    data = rep_to_json(m)
-    back = rep_from_json(spec, data)
-    assert back.dims == m.dims
-    assert back.maps == m.maps
+    modules = [random_representation(basis, rng), zero_rep(spec), make_representation(spec, (2, 0, 3, 1, 0, 2), {})]
+    for m in modules + module_fixtures(spec, basis):
+        back = rep_from_json(spec, rep_to_json(m))
+        assert back.dims == m.dims
+        assert back.columns == m.columns
 
 
 def test_intertwiner_rows_on_a_loop_match_the_dense_reference():
@@ -566,3 +567,212 @@ def test_intertwiner_rows_on_a_loop_match_the_dense_reference():
         assert hom_basis(m, n) == dense_hom_basis(m, n)
         assert hom_basis(m, m) == dense_hom_basis(m, m)
         assert hom_dim(m, m) >= (1 if m.total_dim else 0)
+    # a zero arrow or row of b gives no equation where a holds nothing either
+    zero_arrows = [make_representation(quiver, dims, {}) for dims in ((0, 0), (2, 0), (0, 2), (3, 2))]
+    zero_arrows += [
+        make_representation(quiver, (2, 1), {"x": [[0, 1], [0, 0]]}),
+        make_representation(quiver, (3, 2), {"y": [[0, 1, 0], [0, 0, 0]]}),
+    ]
+    for m in zero_arrows:
+        for n in zero_arrows:
+            assert hom_basis(m, n) == dense_hom_basis(m, n)
+
+
+# ---------------------------------------------------------------------------
+# The dense builders that column storage replaced, kept verbatim as the
+# reference: a module was its dims and one frozen dense matrix per arrow.
+# ---------------------------------------------------------------------------
+
+DenseRep = namedtuple("DenseRep", "spec dims maps")
+
+
+def dense(m):
+    """A module's dense form, read through the one dense view."""
+    return DenseRep(m.spec, m.dims, {a.label: reps.matrix(m, a.label) for a in m.spec.arrows})
+
+
+def ref_freeze(rows):
+    return tuple(tuple(x if type(x) is Fraction else Fraction(x) for x in row) for row in rows)
+
+
+def ref_zero_matrix(rows, cols):
+    return tuple((ZERO,) * cols for _ in range(rows))
+
+
+def ref_make_representation(spec, dims, maps):
+    """Normalise and shape-check; every arrow needs a dims(tgt) x dims(src)
+    matrix (missing ones default to zero)."""
+    dims = tuple(int(d) for d in dims)
+    if len(dims) != spec.vertex_count or any(d < 0 for d in dims):
+        raise SpecFormatError(f"bad dimension vector {dims}")
+    frozen = {}
+    for arrow in spec.arrows:
+        rows, cols = dims[arrow.tgt], dims[arrow.src]
+        mat = maps.get(arrow.label)
+        if mat is None:
+            frozen[arrow.label] = ref_zero_matrix(rows, cols)
+            continue
+        m = ref_freeze(mat)
+        if len(m) != rows or any(len(r) != cols for r in m):
+            raise SpecFormatError(
+                f"matrix for arrow {arrow.label!r} must be {rows}x{cols}"
+            )
+        frozen[arrow.label] = m
+    unknown = set(maps) - set(frozen)
+    if unknown:
+        raise SpecFormatError(f"matrices for unknown arrows: {sorted(unknown)}")
+    return DenseRep(spec=spec, dims=dims, maps=frozen)
+
+
+def ref_projective(basis, i):
+    """P_i on the normal-form path basis, arrows acting by composition."""
+    spec = basis.spec
+    if not 0 <= i < spec.vertex_count:
+        raise SpecFormatError(f"vertex {i} out of range")
+    dims = tuple(len(basis.paths_between(i, v)) for v in range(spec.vertex_count))
+    maps = {}
+    for arrow in spec.arrows:
+        src_paths = basis.paths_between(i, arrow.src)
+        tgt_paths = basis.paths_between(i, arrow.tgt)
+        index = {p: k for k, p in enumerate(tgt_paths)}
+        mat = [[ZERO] * len(src_paths) for _ in range(len(tgt_paths))]
+        for col, p in enumerate(src_paths):
+            for word, coeff in basis.reduce(p + (arrow.label,)).items():
+                mat[index[word]][col] += coeff
+        maps[arrow.label] = mat
+    return ref_make_representation(spec, dims, maps)
+
+
+def ref_direct_sum(*modules):
+    """The sum of one or more modules, its matrices block-diagonal."""
+    spec = modules[0].spec
+    if any(m.spec is not spec and m.spec != spec for m in modules):
+        raise TypeMismatchError("direct sum of modules over different algebras")
+    dims = tuple(map(sum, zip(*(m.dims for m in modules))))
+    maps = {}
+    for arrow in spec.arrows:
+        rows, before = [], 0
+        for m in modules:
+            after = dims[arrow.src] - before - m.dims[arrow.src]
+            rows += [(ZERO,) * before + r + (ZERO,) * after for r in m.maps[arrow.label]]
+            before += m.dims[arrow.src]
+        maps[arrow.label] = rows
+    return ref_make_representation(spec, dims, maps)
+
+
+def ref_sub_representation(rep, bases):
+    """The subrepresentation spanned by arrow-closed per-vertex bases (each
+    basis vector in ambient coordinates)."""
+    dims = tuple(len(b) for b in bases)
+    maps = {}
+    for arrow in rep.spec.arrows:
+        u, v = arrow.src, arrow.tgt
+        tgt_matrix = linalg.transpose(bases[v], rep.dims[v])
+        cols = []
+        for vec in bases[u]:
+            img = linalg.mat_vec(rep.maps[arrow.label], vec)
+            coeffs = linalg.solve(tgt_matrix, img, dims[v])
+            if coeffs is None:
+                raise ConsistencyError("bases are not closed under the arrows")
+            cols.append(coeffs)
+        maps[arrow.label] = linalg.transpose(cols, dims[v])
+    return ref_make_representation(rep.spec, dims, maps)
+
+
+def ref_quotient_representation(rep, bases):
+    """The quotient by an arrow-closed subspace family, plus the per-vertex
+    projection functions (ambient coordinates -> quotient coordinates)."""
+    reducers = []
+    frees = []
+    for v in range(rep.spec.vertex_count):
+        free, reduce = reps._reducer(bases[v], rep.dims[v])
+        reducers.append(reduce)
+        frees.append(free)
+    dims = tuple(len(f) for f in frees)
+    maps = {}
+    for arrow in rep.spec.arrows:
+        u, v = arrow.src, arrow.tgt
+        a_cols = linalg.transpose(rep.maps[arrow.label], rep.dims[u])
+        cols = [reducers[v](a_cols[fpos]) for fpos in frees[u]]
+        maps[arrow.label] = linalg.transpose(cols, dims[v])
+    quot = ref_make_representation(rep.spec, dims, maps)
+    return quot, reducers
+
+
+def assert_stores(m, ref):
+    """m stores ref's matrices, each as canonical columns: one per source
+    coordinate, nonzero Fraction values, rows strictly ascending."""
+    assert m.dims == ref.dims and set(m.columns) == set(ref.maps)
+    for arrow in m.spec.arrows:
+        assert reps.matrix(m, arrow.label) == ref.maps[arrow.label]
+        assert len(m.columns[arrow.label]) == m.dims[arrow.src]
+        for column in m.columns[arrow.label]:
+            assert all(type(x) is Fraction and x for _, x in column)
+            assert all(i < j for (i, _), (j, _) in zip(column, column[1:]))
+
+
+def storage_fixtures(spec, basis):
+    """The module fixtures (ladder pairs and C among them), modules with a
+    whole zero arrow, and dimension vectors with zeros."""
+    modules = module_fixtures(spec, basis)
+    for m in modules[:3] + modules[10:12]:
+        maps = {a.label: reps.matrix(m, a.label) for a in spec.arrows if a.label != "beta"}
+        modules.append(make_representation(spec, m.dims, maps))
+    modules += [zero_rep(spec), simple(spec, 2), make_representation(spec, (2, 0, 3, 1, 0, 2), {})]
+    return modules + [make_representation(spec, (0, 1, 2, 0, 1, 0), {"a22": [[0], [3]], "gamma": [[0, 0]]})]
+
+
+def test_projective_matches_the_dense_reference(basis):
+    for i in range(6):
+        assert_stores(projective(basis, i), ref_projective(basis, i))
+
+
+def test_direct_sum_matches_the_dense_reference(spec, basis):
+    modules = storage_fixtures(spec, basis)
+    for k in range(1, 5):
+        for start in range(0, len(modules) - k + 1, 2):
+            group = modules[start : start + k]
+            assert_stores(direct_sum(*group), ref_direct_sum(*map(dense, group)))
+
+
+def test_sub_and_quotient_match_the_dense_reference(spec, basis):
+    rng = random.Random(66)
+    for m in storage_fixtures(spec, basis):
+        vertices = [v for v in range(6) if m.dims[v]]
+        gens = [(v, tuple(Fraction(rng.randint(-1, 1)) for _ in range(m.dims[v]))) for v in vertices[:2]]
+        for some in ([], gens[:1], gens):
+            bases = reps.submodule_closure(m, some)
+            assert_stores(reps.sub_representation(m, bases), ref_sub_representation(dense(m), bases))
+            quot, _ = reps.quotient_representation(m, bases)
+            assert_stores(quot, ref_quotient_representation(dense(m), bases)[0])
+
+
+def test_make_representation_matches_the_dense_reference(spec):
+    rng = random.Random(67)
+    for _ in range(60):
+        dims = tuple(rng.randint(0, 3) for _ in range(6))
+        maps = {
+            a.label: [[rng.choice((0, 0, 1, -2, "3/2", Fraction(1, 3))) for _ in range(dims[a.src])] for _ in range(dims[a.tgt])]
+            for a in spec.arrows
+            if rng.random() < 0.7
+        }
+        m, ref = make_representation(spec, dims, maps), ref_make_representation(spec, dims, maps)
+        assert_stores(m, ref)
+        # the one dense view gives back the input, normalised to Fractions
+        for label, mat in maps.items():
+            assert reps.matrix(m, label) == tuple(tuple(Fraction(x) for x in row) for row in mat)
+    bad = [
+        ((1,) * 5, {}),
+        ((1, 1, -1, 1, 1, 1), {}),
+        ((1,) * 6, {"beta": [[1], [2]]}),
+        ((1,) * 6, {"beta": [[1, 2]]}),
+        ((1,) * 6, {"nope": [[1]]}),
+        ((1,) * 6, {"nope": [[1]], "gamma": [[1], [1]]}),
+        ((1,) * 6, {"gamma": [[1], [1]], "beta": []}),
+    ]
+    for dims, maps in bad:
+        with pytest.raises(SpecFormatError) as got:
+            make_representation(spec, dims, maps)
+        with pytest.raises(SpecFormatError) as want:
+            ref_make_representation(spec, dims, maps)
+        assert str(got.value) == str(want.value)
