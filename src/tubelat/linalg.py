@@ -2,9 +2,10 @@
 
 Contract: a matrix argument is any sequence of row sequences of
 ``Fraction`` (lists, tuples, or a mix) and a vector any sequence of
-``Fraction``.  ``rank``, ``nullspace`` and ``solve`` also take a matrix
-whose rows are all ``{column: value}`` maps, the sparse form in which the
-module layer builds its systems; a column missing from a map holds zero.
+``Fraction``.  ``rank``, ``nullspace``, ``solve`` and ``column_space_basis``
+also take a matrix whose rows are all ``{column: value}`` maps, the sparse
+form in which the module layer builds its systems; a column missing from a
+map holds zero.
 Either row form reaches the elimination through one adaptor, ``_map_rows``.
 No function mutates its arguments, and every matrix or vector returned is a
 fresh list, so callers pass stored tuple matrices as they are and never copy
@@ -157,13 +158,14 @@ def rref(a: Mat, cols: int | None = None) -> tuple[Mat, list[int]]:
     input rows) and the pivot columns, for dense rows."""
     width = len(a[0]) if a else 0
     reduced, pivots = rref_maps(_map_rows(a), width, cols)
-    out = []
-    for row in reduced:
-        dense = [ZERO] * width
-        for j, x in row.items():
-            dense[j] = x
-        out.append(dense)
-    return out, pivots
+    return [_dense(row, width) for row in reduced], pivots
+
+
+def _dense(row: dict, width: int) -> Vec:
+    out = [ZERO] * width
+    for j, x in row.items():
+        out[j] = x
+    return out
 
 
 def _map_rows(a) -> list[dict]:
@@ -224,14 +226,12 @@ def inverse(a: Mat) -> Mat | None:
     return [row[n:] for row in reduced]
 
 
-def column_space_basis(vectors: list[Vec], dim: int) -> list[Vec]:
-    """Deterministic basis of span(vectors): the ones at pivot positions of the
-    coordinate matrix, echelonized.  Returns reduced, leading-one vectors."""
-    if not vectors:
-        return []
-    reduced, pivots = rref(vectors, dim)
-    # rows of the rref of the stacked vectors span the same space
-    return reduced[: len(pivots)]
+def column_space_basis(vectors, dim: int) -> list[Vec]:
+    """Deterministic basis of span(vectors), for dense vectors of length
+    ``dim`` or ``{coordinate: value}`` maps: the pivot rows of their reduced
+    form, which span the same space, written out densely."""
+    reduced, _ = _pivot_rows(vectors, dim)
+    return [_dense(row, dim) for row in reduced]
 
 
 def in_span(vectors: list[Vec], v: Vec, dim: int) -> bool:
@@ -241,26 +241,3 @@ def in_span(vectors: list[Vec], v: Vec, dim: int) -> bool:
 def subspace_leq(u: list[Vec], v: list[Vec], dim: int) -> bool:
     """span(u) contained in span(v)."""
     return rank([*v, *u], dim) == rank(v, dim)
-
-
-def subspace_sum(u: list[Vec], v: list[Vec], dim: int) -> list[Vec]:
-    return column_space_basis([*u, *v], dim)
-
-
-def subspace_intersection(u: list[Vec], v: list[Vec], dim: int) -> list[Vec]:
-    """Basis of span(u) n span(v) via the kernel of [U^T | -V^T]."""
-    if not u or not v:
-        return []
-    cols = len(u) + len(v)
-    system = []
-    for coord in range(dim):
-        system.append([w[coord] for w in u] + [-w[coord] for w in v])
-    vectors = [
-        [sum((cj * w[k] for cj, w in zip(c, u) if cj), ZERO) for k in range(dim)]
-        for c in nullspace(system, cols)
-    ]
-    return column_space_basis(vectors, dim)
-
-
-def same_subspace(u: list[Vec], v: list[Vec], dim: int) -> bool:
-    return subspace_leq(u, v, dim) and subspace_leq(v, u, dim)

@@ -407,10 +407,11 @@ def quotient_by_elements(
 
 
 def radical_bases(rep: Representation) -> Bases:
-    """Per-vertex bases of rad(M) = sum of images of all arrow maps."""
-    spans: Bases = [[] for _ in range(rep.spec.vertex_count)]
+    """Per-vertex bases of rad(M) = sum of images of all arrow maps, the
+    span of the arrows' columns; a zero column adds nothing to it."""
+    spans: list[list[SparseVec]] = [[] for _ in range(rep.spec.vertex_count)]
     for arrow in rep.spec.arrows:
-        spans[arrow.tgt] += linalg.transpose(matrix(rep, arrow.label), rep.dims[arrow.src])
+        spans[arrow.tgt] += [dict(column) for column in rep.columns[arrow.label] if column]
     return [
         linalg.column_space_basis(spans[v], rep.dims[v])
         for v in range(rep.spec.vertex_count)

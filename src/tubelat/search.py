@@ -16,8 +16,9 @@ integer comparisons:
   far from r as the nearest one, the only ones that can set delta;
 * ``gap_vector`` walks the Stern-Brocot tree toward r to the pair of least
   total dimension mu whose slope in (r - eps, r) is the best slope below r
-  of all pairs within dimension mu + k, and emits every pair within that
-  budget as a certificate, one plain row (a, b, mu, slope text) per pair;
+  of all pairs within dimension mu + k, and certifies it by every pair
+  within that budget, one row (a, b, mu, slope text) per pair, made only
+  when the certificate is read or written;
 * ``tube_parameters`` turns a requested dimension gap d into a choice of k,
   a certified gap vector and the resulting dimension bounds.
 
@@ -36,7 +37,7 @@ from .errors import BudgetExhaustedError, PreconditionError, SpecFormatError
 from .exceptional import ExceptionalSet
 from .lattice import DimVector, K0Lattice, Slope, mu, reduced_ratio, slope_text
 from .quadirr import QuadIrrational, parse_quad_irrational
-from .serialize import frac_to_str, parse_frac, parse_int
+from .serialize import Rows, frac_to_str, parse_frac, parse_int
 
 MAX_SHRINK_ROUNDS = 64  # window shrinks in tube_parameters before budget-exhausted
 
@@ -57,14 +58,6 @@ def perturbed_params(lattice: K0Lattice, y) -> PerturbedSlopeParams:
         gamma2=Fraction(-lattice.bilinear(lattice.hinf, y), lattice.pairing),
         y=y,
     )
-
-
-def perturbed_slope(a: int, b: int, params: PerturbedSlopeParams) -> Fraction | None:
-    """The perturbed slope as a rational, or None when its denominator is 0."""
-    den = a + params.gamma2
-    if den == 0:
-        return None
-    return (b + params.gamma1) / den
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +304,10 @@ class GapCertificate:
 
     ``witnesses`` holds a row (a, b, mu, slope_text(b, a)) for each pair with
     total dimension at most ``budget``; validity means none of them has slope
-    strictly between the returned slope and r.
+    strictly between the returned slope and r.  From ``gap_vector`` it is a
+    lazy ``BudgetScan``; from ``gap_certificate_from_json``, the tuple of the
+    rows as read, which ``validate_gap_certificate`` judges row by row.  The
+    two compare equal when their rows do.
     """
 
     r: QuadIrrational
@@ -322,7 +318,7 @@ class GapCertificate:
     mu: int
     budget: int
     mu_weights: tuple[int, int]
-    witnesses: tuple[tuple[int, int, int, str], ...]
+    witnesses: BudgetScan | tuple[tuple[int, int, int, str], ...]
 
     @property
     def slope(self) -> Slope:
@@ -334,6 +330,46 @@ def _budget_pairs(w0: int, w1: int, budget: int):
     for a in range(0, budget // w0 + 1):
         for b in range(0 if a else 1, (budget - w0 * a) // w1 + 1):
             yield a, b
+
+
+class BudgetScan:
+    """The rows (a, b, mu, slope_text(b, a)) of ``_budget_pairs(w0, w1,
+    budget)``, in its order, built only while iterated.  ``len`` sums
+    floor((budget - w0*a)/w1) + 1 over a and drops the origin, building no
+    row.  The view is immutable and equals, and hashes as, the tuple of its
+    rows.  A plain class: a dataclass would cost each import a millisecond."""
+
+    __slots__ = ("w0", "w1", "budget")
+
+    def __init__(self, w0: int, w1: int, budget: int):
+        for name, value in zip(self.__slots__, (w0, w1, budget)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a BudgetScan")
+
+    def __repr__(self) -> str:
+        return f"BudgetScan(w0={self.w0}, w1={self.w1}, budget={self.budget})"
+
+    def __iter__(self):
+        w0, w1 = self.w0, self.w1
+        for a, b in _budget_pairs(w0, w1, self.budget):
+            yield a, b, w0 * a + w1 * b, slope_text(b, a)
+
+    def __len__(self) -> int:
+        w0, w1, budget = self.w0, self.w1, self.budget
+        return max(0, sum((budget - w0 * a) // w1 + 1 for a in range(budget // w0 + 1)) - 1)
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, BudgetScan)):
+            return NotImplemented
+        scan = (self.w0, self.w1, self.budget)
+        if type(other) is BudgetScan and (other.w0, other.w1, other.budget) == scan:
+            return True  # the same scan: no row built
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
 
 
 def gap_vector(
@@ -368,6 +404,8 @@ def gap_vector(
     one weighs at least the mediant, so the walk gives up once that exceeds
     max_mu.  One in the window goes on only while s(c, d) <= k, so the
     mediant, gaining at least min(w0, w1) a step, stays within max_mu + k.
+
+    ``witnesses`` is the ``BudgetScan`` of (w0, w1, mu + k): no row is built.
     """
     eps = _check_window(r, eps)
     if k < 0:
@@ -379,10 +417,7 @@ def gap_vector(
         if inside and w0 * c + w1 * d > k:
             return GapCertificate(
                 r=r, epsilon=eps, k=k, a=a, b=b, mu=mu, budget=mu + k,
-                mu_weights=(w0, w1), witnesses=tuple(
-                    (a2, b2, w0 * a2 + w1 * b2, slope_text(b2, a2))
-                    for a2, b2 in _budget_pairs(w0, w1, mu + k)
-                ),
+                mu_weights=(w0, w1), witnesses=BudgetScan(w0, w1, mu + k),
             )
         if not inside and mu + w0 * c + w1 * d > max_mu:
             break  # b/a never qualifies, and later lower ends are too heavy
@@ -616,10 +651,7 @@ def gap_certificate_to_json(cert: GapCertificate) -> dict:
         "mu": cert.mu,
         "budget": cert.budget,
         "mu_weights": list(cert.mu_weights),
-        "witnesses": [
-            {"a": a, "b": b, "mu": m, "slope": slope}
-            for a, b, m, slope in cert.witnesses
-        ],
+        "witnesses": Rows(cert.witnesses),
     }
 
 

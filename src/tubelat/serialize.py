@@ -9,14 +9,13 @@ Every output is written by ``dumps_canonical``, whose bytes are those of
 because on CPython 3.10-3.13 any ``indent`` forces the pure-Python encoder,
 which spends most of the time of a large certificate.  A ``JSONEncoder``
 without ``indent`` runs in C, and its item separator can carry the indent of
-one depth.  So two shapes are given to C whole: a container whose values are
-all scalars (str, int, bool, None), and a list of non-empty such dicts, the
-witness rows.  The rows come out of one C call at the depth of their fields;
-one ``str.replace`` of the row boundary ``},<newline><indent>{`` then puts
-back the lines around each row's braces.  The boundary cannot occur inside
-a row: a scalar never ends in ``}``, and an encoded string never holds a raw
-newline, since JSON escapes every control character.  Everything else is
-written by a short recursion with sorted keys.
+one depth, so a container whose values are all scalars (str, int, bool,
+None) is given to C whole.  The witness rows of a gap certificate travel as
+one ``Rows`` value, whatever their source: the lazy budget scan of a
+certificate that ``search.gap_vector`` built, or the tuples of one read from
+the wire.  It reads as the list of row dicts, and it is written by one
+``%``-template per row, at the depth where it stands, with no dict built.
+Everything else is written by a short recursion with sorted keys.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 from .errors import SpecFormatError
@@ -99,30 +97,72 @@ def _key(key) -> str:
     return _encoder(0).encode({key: None})[1:-7]
 
 
+class Rows:
+    """Read-only witness rows for a document.  ``source`` holds one tuple
+    (a, b, mu, slope) per row, three ints and a str; the rows read as the
+    list of dicts with those keys (``len``, iteration, indexing, slicing,
+    ``+`` and ``==`` with a list), and iterating builds each dict afresh."""
+
+    __slots__ = ("_source",)
+    KEYS = ("a", "b", "mu", "slope")  # sorted, as the template writes them
+
+    def __init__(self, source):
+        self._source = source
+
+    def __len__(self) -> int:
+        return len(self._source)
+
+    def __iter__(self):
+        return (dict(zip(self.KEYS, row)) for row in self._source)
+
+    def __getitem__(self, index):
+        return list(self)[index]
+
+    def __add__(self, other: list) -> list:
+        return list(self) + other
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, (list, Rows)) else NotImplemented
+
+    __hash__ = None  # unhashable, like the list it reads as
+
+
+def _write_rows(rows: Rows, depth: int) -> str:
+    """``rows`` as json spells the list of its dicts at ``depth``.  A value
+    that is not exactly an int (a, b, mu) or a str (slope) raises TypeError,
+    where ``%s`` would write a bool or a ``Fraction`` as Python spells it."""
+    inner = _INDENT * (depth + 1)
+    deep = inner + _INDENT
+    fields = ",\n".join(deep + encode_basestring_ascii(k) + ": %s" for k in Rows.KEYS)
+    template = inner + "{\n" + fields + "\n" + inner + "}"
+    lines = []
+    for a, b, m, slope in rows._source:
+        if type(a) is not int or type(b) is not int or type(m) is not int or type(slope) is not str:
+            raise TypeError(f"witness row {(a, b, m, slope)!r} is not three ints and a str")
+        lines.append(template % (a, b, m, encode_basestring_ascii(slope)))
+    if not lines:
+        return "[]"
+    return "[\n" + ",\n".join(lines) + "\n" + _INDENT * depth + "]"
+
+
 def _write(obj, depth: int) -> str:
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:
         return leaf(obj)
+    if type(obj) is Rows:
+        return _write_rows(obj, depth)
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         return _encoder(0).encode(obj)
     is_dict = isinstance(obj, dict)
     pad = _INDENT * depth
     inner = pad + _INDENT
-    types = set(map(type, obj.values() if is_dict else obj))
-    if types <= _SCALARS:
+    if set(map(type, obj.values() if is_dict else obj)) <= _SCALARS:
         text = _encoder(depth + 1).encode(obj)
         return text[0] + "\n" + inner + text[1:-1] + "\n" + pad + text[-1]
     if is_dict:
         items = sorted(obj.items())
         body = ",\n".join(inner + _key(k) + ": " + _write(v, depth + 1) for k, v in items)
         return "{\n" + body + "\n" + pad + "}"
-    rows = types == {dict} and all(obj)
-    if rows and set(map(type, chain.from_iterable(map(dict.values, obj)))) <= _SCALARS:
-        deep = inner + _INDENT
-        text = _encoder(depth + 2).encode(obj)
-        boundary = "\n" + inner + "},\n" + inner + "{\n" + deep
-        body = text[2:-2].replace("},\n" + deep + "{", boundary)
-        return "[\n" + inner + "{\n" + deep + body + "\n" + inner + "}\n" + pad + "]"
     body = ",\n".join(inner + _write(v, depth + 1) for v in obj)
     return "[\n" + body + "\n" + pad + "]"
 

@@ -24,13 +24,14 @@ from tubelat.search import (
     gap_vector,
     p_bound,
     perturbed_params,
-    perturbed_slope,
     quasisimple_bounds,
     tube_parameters,
     validate_gap_certificate,
 )
 
 from conftest import unit
+from test_linalg import same_subspace, subspace_intersection, subspace_sum
+from test_search import perturbed_slope
 
 H0 = (1, 1, 2, 1, 1, 0)
 HINF = (0, 0, 1, 1, 1, 1)
@@ -252,14 +253,14 @@ def test_criterion_09_pp_calculus(spec, basis):
                 dim = n.dims[t]
                 sa = pp.solution_space(phi, n)
                 sb = pp.solution_space(psi, n)
-                assert linalg.same_subspace(
+                assert same_subspace(
                     pp.solution_space(pp.meet(phi, psi), n),
-                    linalg.subspace_intersection(sa, sb, dim),
+                    subspace_intersection(sa, sb, dim),
                     dim,
                 )
-                assert linalg.same_subspace(
+                assert same_subspace(
                     pp.solution_space(pp.plus(phi, psi), n),
-                    linalg.subspace_sum(sa, sb, dim),
+                    subspace_sum(sa, sb, dim),
                     dim,
                 )
         # solvability criterion, both directions, on every fixture

@@ -25,6 +25,7 @@ from tubelat.pp import (
 )
 
 from test_reps import module_fixtures, path_matrix, same_module
+from test_linalg import same_subspace, subspace_intersection, subspace_sum
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -75,7 +76,7 @@ def test_divisibility_matches_arrow_image(spec, basis):
             [reps.matrix(m, label)[i][j] for i in range(m.dims[arrow.tgt])]
             for j in range(m.dims[arrow.src])
         ]
-        assert linalg.same_subspace(sol, image, m.dims[arrow.tgt])
+        assert same_subspace(sol, image, m.dims[arrow.tgt])
 
 
 def test_formula_type_checking(spec):
@@ -93,12 +94,12 @@ def test_meet_plus_lattice_identities(spec, basis):
         dim = m.dims[t]
         sol = solution_space(phi, m)
         with_taut = solution_space(meet(phi, tautology(spec, t)), m)
-        assert linalg.same_subspace(sol, with_taut, dim)
+        assert same_subspace(sol, with_taut, dim)
         with_zero = solution_space(plus(phi, zero_formula(spec, t)), m)
-        assert linalg.same_subspace(sol, with_zero, dim)
+        assert same_subspace(sol, with_zero, dim)
         # idempotence on fixtures
-        assert linalg.same_subspace(sol, solution_space(meet(phi, phi), m), dim)
-        assert linalg.same_subspace(sol, solution_space(plus(phi, phi), m), dim)
+        assert same_subspace(sol, solution_space(meet(phi, phi), m), dim)
+        assert same_subspace(sol, solution_space(plus(phi, phi), m), dim)
 
 
 def test_meet_plus_against_subspace_oracle(spec, basis):
@@ -110,14 +111,14 @@ def test_meet_plus_against_subspace_oracle(spec, basis):
         m = nonzero_fixture(basis, rng)
         dim = m.dims[t]
         sa, sb = solution_space(phi, m), solution_space(psi, m)
-        assert linalg.same_subspace(
+        assert same_subspace(
             solution_space(meet(phi, psi), m),
-            linalg.subspace_intersection(sa, sb, dim),
+            subspace_intersection(sa, sb, dim),
             dim,
         )
-        assert linalg.same_subspace(
+        assert same_subspace(
             solution_space(plus(phi, psi), m),
-            linalg.subspace_sum(sa, sb, dim),
+            subspace_sum(sa, sb, dim),
             dim,
         )
 

@@ -1,6 +1,9 @@
+import json
 import random
+import signal
 from collections import namedtuple
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +40,9 @@ from tubelat.reps import (
 )
 
 from conftest import unit
+from test_linalg import dense_rref
+
+ZERO_2000 = Path(__file__).resolve().parent / "golden" / "inputs" / "zero-2000.json"
 
 H0 = (1, 1, 2, 1, 1, 0)
 HINF = (0, 0, 1, 1, 1, 1)
@@ -349,6 +355,48 @@ def module_fixtures(spec, basis):
 
 def same_module(m, n):
     return m.dims == n.dims and m.columns == n.columns
+
+
+def dense_radical_bases(rep):
+    """``radical_bases`` as it was: every arrow densified, its columns
+    stacked at the target, reduced by the plain dense elimination."""
+    spans = [[] for _ in range(rep.spec.vertex_count)]
+    for arrow in rep.spec.arrows:
+        spans[arrow.tgt] += linalg.transpose(reps.matrix(rep, arrow.label), rep.dims[arrow.src])
+    out = []
+    for v, span in enumerate(spans):
+        reduced, pivots = dense_rref(span, rep.dims[v])
+        out.append(reduced[: len(pivots)])
+    return out
+
+
+def test_radical_bases_match_the_dense_reference(spec, basis):
+    modules = module_fixtures(spec, basis) + [
+        zero_rep(spec),
+        make_representation(spec, (2, 0, 3, 1, 2, 2), {}),
+        simple(spec, 2),
+    ] + [projective(basis, i) for i in range(6)]
+    for m in modules:
+        assert reps.radical_bases(m) == dense_radical_bases(m)
+
+
+def test_radical_bases_of_the_zero_module_of_dimension_2000_end_within_2_s(spec):
+    # six 2000-dimensional spaces, every arrow zero: no column adds to a span.
+    # ``ext`` on this file still has no bound: nothing limits its cover's work.
+    zero = rep_from_json(spec, json.loads(ZERO_2000.read_text(encoding="utf-8")))
+
+    def too_slow(signum, frame):
+        pytest.fail("radical_bases ran past 2 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.alarm(2)
+    try:
+        rad = reps.radical_bases(zero)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert rad == [[]] * 6
+    assert reps.top_dims(zero) == (2000,) * 6
 
 
 def test_presentations_match_the_dense_reference(spec, basis):

@@ -8,7 +8,7 @@ from math import ceil, floor, gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tubelat import search
@@ -17,6 +17,7 @@ from tubelat.exceptional import ExceptionalSet
 from tubelat.lattice import K0Lattice, Slope, reduced_ratio, slope_text, vec_add
 from tubelat.quadirr import QuadIrrational, parse_quad_irrational
 from tubelat.search import (
+    BudgetScan,
     DeltaResult,
     ExceptionRecord,
     GapCertificate,
@@ -33,7 +34,6 @@ from tubelat.search import (
     max_hinf_pairing,
     p_bound,
     perturbed_params,
-    perturbed_slope,
     quasisimple_bounds,
     strip_pairs_above,
     strip_pairs_below,
@@ -49,6 +49,14 @@ from test_lattice import ref_slope_text
 
 SQRT2 = QuadIrrational(0, 1, 2, 1)
 GOLDEN_OUT = Path(__file__).resolve().parent / "golden" / "expected"
+
+
+def perturbed_slope(a: int, b: int, params) -> Fraction | None:
+    """The perturbed slope as a rational, or None when its denominator is 0."""
+    den = a + params.gamma2
+    if den == 0:
+        return None
+    return (b + params.gamma1) / den
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +558,77 @@ def test_in_window_below_is_false_for_a_zero():
         assert not _in_window_below(SQRT2, Fraction(10**40), b, 0)
 
 
+def ref_witness_rows(w0, w1, budget):
+    """The witness rows as ``gap_vector`` built them before ``BudgetScan``:
+    one tuple (a, b, mu, slope text) per pair of the budget scan."""
+    return tuple(
+        (a2, b2, w0 * a2 + w1 * b2, slope_text(b2, a2))
+        for a2, b2 in _budget_pairs(w0, w1, budget)
+    )
+
+
+@given(w0=st.integers(1, 7), w1=st.integers(1, 7), budget=st.integers(-3, 90))
+@example(w0=3, w1=5, budget=0)
+@example(w0=3, w1=5, budget=2)
+@example(w0=4, w1=4, budget=3)
+@example(w0=2, w1=3, budget=2)
+@settings(max_examples=400, deadline=None)
+def test_budget_scan_is_the_tuple_of_its_rows(w0, w1, budget):
+    """Rows, order, ``len`` and equality in both directions, with budgets
+    below min(w0, w1) (no row at all) included."""
+    scan, ref = BudgetScan(w0, w1, budget), ref_witness_rows(w0, w1, budget)
+    assert tuple(scan) == ref
+    assert len(scan) == len(ref)
+    assert scan == ref and ref == scan
+    assert not scan != ref and not ref != scan
+    assert hash(scan) == hash(ref)
+    # the scan is every pair but the origin within the budget, sorted
+    assert [(a, b) for a, b, _, _ in scan] == sorted(
+        (a, b)
+        for a in range(max(budget, 0) + 1)
+        for b in range(max(budget, 0) + 1)
+        if (a or b) and w0 * a + w1 * b <= budget
+    )
+    if budget < min(w0, w1):
+        assert ref == () and len(scan) == 0
+    if ref:
+        assert scan != ref[:-1] and ref[:-1] != scan
+        assert scan != ref + ref[-1:] and ref + ref[-1:] != scan
+    # a scan of other weights or budget is equal exactly when its rows are
+    for other in (BudgetScan(w0, w1, budget + 1), BudgetScan(w1, w0, budget), BudgetScan(w0, w1, budget)):
+        assert (scan == other) == (ref == tuple(other)) == (other == scan)
+    assert scan != list(ref) and list(ref) != scan  # a tuple, not a list
+
+
+def test_budget_scan_is_immutable():
+    scan = BudgetScan(3, 5, 20)
+    for name in ("w0", "w1", "budget", "other"):
+        with pytest.raises(AttributeError):
+            setattr(scan, name, 21)
+    assert scan == BudgetScan(3, 5, 20) and hash(scan) == hash(BudgetScan(3, 5, 20))
+    assert repr(scan) == "BudgetScan(w0=3, w1=5, budget=20)"
+
+
+def test_gap_vector_and_tube_parameters_build_no_witness_row(
+    lattice, exceptional_set, monkeypatch
+):
+    """Rows come only from iterating the scan: with the pair scan broken,
+    both searches still answer, and the rows appear once they are read."""
+    def no_rows(*args):
+        raise AssertionError("a witness row was built")
+
+    monkeypatch.setattr(search, "_budget_pairs", no_rows)
+    cert = gap_vector(lattice, SQRT2, Fraction(1, 10), 500)
+    tp = tube_parameters(lattice, exceptional_set, SQRT2, Fraction(1, 10), 10)
+    assert isinstance(cert.witnesses, BudgetScan) and isinstance(tp.certificate.witnesses, BudgetScan)
+    assert len(cert.witnesses) == 14839  # a closed form, no row built
+    assert gap_certificate_to_json(cert)["budget"] == cert.budget
+    monkeypatch.undo()
+    w0, w1 = cert.mu_weights
+    assert cert.witnesses == ref_witness_rows(w0, w1, cert.budget)
+    assert len(ref_witness_rows(w0, w1, cert.budget)) == 14839
+
+
 def scan_gap_vector(lattice, r, eps, k, max_mu=200_000):
     """``gap_vector`` as it was before the Stern-Brocot walk: for each total
     dimension m, the best slope below r within budget m + k by one pass over
@@ -570,10 +649,7 @@ def scan_gap_vector(lattice, r, eps, k, max_mu=200_000):
                 a, b = a2, b2
         if w0 * a + w1 * b != m or not _in_window_below(r, eps, b, a):
             continue
-        witnesses = tuple(
-            (a2, b2, w0 * a2 + w1 * b2, slope_text(b2, a2))
-            for a2, b2 in _budget_pairs(w0, w1, budget)
-        )
+        witnesses = ref_witness_rows(w0, w1, budget)
         return GapCertificate(
             r=r,
             epsilon=eps,

@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubelat.serialize import dumps_canonical
+from tubelat.quadirr import QuadIrrational
+from tubelat.search import (
+    BudgetScan,
+    gap_certificate_from_json,
+    gap_certificate_to_json,
+    gap_vector,
+    tube_parameters,
+    tube_params_from_json,
+    tube_params_to_json,
+)
+from tubelat.serialize import Rows, dumps_canonical
 
 
 def ref_dumps_canonical(obj) -> str:
@@ -13,8 +23,18 @@ def ref_dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
-# strings that look like the row boundary the writer replaces, or that the
-# encoder must escape
+def list_form(doc):
+    """The document with every ``Rows`` value replaced by its list of dicts."""
+    if isinstance(doc, Rows):
+        return list(doc)
+    if isinstance(doc, dict):
+        return {k: list_form(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [list_form(v) for v in doc]
+    return doc
+
+
+# strings that look like a row boundary, or that the encoder must escape
 TRICKY = (
     "},\n    {",
     "},\n      {",
@@ -72,10 +92,15 @@ def test_matches_indented_json_dumps(doc):
         {"é\n\"": [True, 1, False, 0, None]},
         {1: [1], 2: {"b": "\\"}},
         (1, (2, 3), ()),
+        Rows(()),
+        {"witnesses": Rows(())},
+        {"certificate": {"witnesses": Rows(BudgetScan(3, 5, 2))}},
+        {"flag": True, "witnesses": Rows(((0, 1, 5, "inf"), (1, 0, 3, "0")))},
+        [False, Rows(((1, 1, 8, "1"),)), None],
     ],
 )
 def test_matches_indented_json_dumps_examples(doc):
-    assert dumps_canonical(doc) == ref_dumps_canonical(doc)
+    assert dumps_canonical(doc) == ref_dumps_canonical(list_form(doc))
 
 
 @pytest.mark.parametrize(
@@ -93,3 +118,88 @@ def test_non_json_values_raise_type_error(doc):
         ref_dumps_canonical(doc)
     with pytest.raises(TypeError):
         dumps_canonical(doc)
+
+
+# ---------------------------------------------------------------------------
+# Witness rows: one Rows value written by a template per row, whatever its
+# source (the lazy budget scan of a found certificate, or tuples read from
+# the wire), against json.dumps of the list of dicts it reads as
+# ---------------------------------------------------------------------------
+
+
+scans = st.builds(BudgetScan, st.integers(1, 6), st.integers(1, 6), st.integers(-2, 40))
+wire_rows = st.lists(
+    st.tuples(st.integers(), st.integers(), st.integers(), texts), max_size=6
+).map(tuple)
+
+
+@given(source=scans | wire_rows, depth=st.integers(0, 3), sibling=scalars, in_list=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_rows_match_json_dumps_of_their_list_form(source, depth, sibling, in_list):
+    doc = Rows(source)
+    for _ in range(depth):
+        doc = [sibling, doc] if in_list else {"witnesses": doc, "k": sibling}
+    assert dumps_canonical(doc) == ref_dumps_canonical(list_form(doc))
+
+
+@pytest.fixture(scope="module")
+def certificates(lattice, exceptional_set):
+    """(gap-search, tube-params) documents from the search, and the same
+    documents read back from the wire: both row sources at depths 1 and 2."""
+    r, eps = QuadIrrational(0, 1, 2, 1), Fraction(1, 10)
+    found = (
+        gap_certificate_to_json(gap_vector(lattice, r, eps, 50)),
+        tube_params_to_json(tube_parameters(lattice, exceptional_set, r, eps, 1)),
+    )
+    read = (
+        gap_certificate_to_json(gap_certificate_from_json(json.loads(dumps_canonical(found[0])))),
+        tube_params_to_json(tube_params_from_json(json.loads(dumps_canonical(found[1])))),
+    )
+    return found + read
+
+
+def test_certificate_documents_match_json_dumps(certificates):
+    texts = [dumps_canonical(doc) for doc in certificates]
+    for doc, text in zip(certificates, texts):
+        assert text == ref_dumps_canonical(list_form(doc))
+    assert texts[:2] == texts[2:]  # the scan and the wire tuples write alike
+    assert isinstance(certificates[0]["witnesses"], Rows)
+    assert isinstance(certificates[3]["certificate"]["witnesses"], Rows)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        Rows(((1, True, 8, "1"),)),
+        Rows(((1, 1, 8, True),)),
+        {"witnesses": Rows(((1, 1, Fraction(8), "1"),))},
+        {"witnesses": Rows(((1, 1, 8, Fraction(1)),))},
+        {"witnesses": Rows(((1, 1, 8, None),))},
+        {"witnesses": Rows(((1, 1, 8, 1),))},
+        {"q": Fraction(1, 2), "witnesses": Rows(((1, 1, 8, "1"),))},
+        [Rows(BudgetScan(3, 5, 20)), Fraction(1)],
+    ],
+)
+def test_rows_never_coerce_a_value(doc):
+    """A row value that is not exactly an int (a, b, mu) or a str (slope)
+    raises, as does a Fraction next to the rows."""
+    with pytest.raises(TypeError):
+        dumps_canonical(doc)
+
+
+def test_rows_read_as_their_list_of_dicts():
+    source = BudgetScan(3, 5, 11)
+    rows, want = Rows(source), [
+        {"a": a, "b": b, "mu": m, "slope": slope} for a, b, m, slope in source
+    ]
+    assert len(rows) == len(want) == 7
+    assert list(rows) == want and rows == want and want == rows
+    assert rows[0] == want[0] and rows[-1] == want[-1]
+    assert rows[1:] == want[1:] and isinstance(rows[1:], list)
+    assert rows + [want[0]] == want + [want[0]]
+    assert rows == Rows(tuple(source)) and rows != want[1:] and rows != tuple(want)
+    with pytest.raises(TypeError):
+        rows[0] = want[0]
+    with pytest.raises(TypeError):
+        hash(rows)
+    assert Rows(()) == [] and len(Rows(())) == 0
