@@ -18,7 +18,6 @@ Vertices are 0-based internally and 1-based in the JSON wire format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,6 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .serialize import frac_to_str, parse_frac, parse_int
+from .value import Value
 
 Path = tuple[str, ...]  # arrow labels in traversal order (first arrow first)
 RelTerm = tuple[Fraction, Path]
@@ -40,22 +40,15 @@ Relation = tuple[RelTerm, ...]
 C4_NAME = "C(4,lambda)"
 
 
-@dataclass(frozen=True)
-class Arrow:
-    label: str
-    src: int
-    tgt: int
+class Arrow(Value):
+    __slots__ = ("label", "src", "tgt")
 
 
-@dataclass(frozen=True)
-class AlgebraSpec:
-    """A path algebra with relations; immutable after construction."""
+class AlgebraSpec(Value):
+    """A path algebra with relations: a name, the vertex count, a tuple of
+    ``Arrow``s, a tuple of ``Relation``s and the parameter lambda."""
 
-    name: str
-    vertex_count: int
-    arrows: tuple[Arrow, ...]
-    relations: tuple[Relation, ...]
-    lam: Fraction
+    __slots__ = ("name", "vertex_count", "arrows", "relations", "lam")
 
     def arrow_map(self) -> dict[str, Arrow]:
         return {a.label: a for a in self.arrows}
@@ -157,14 +150,16 @@ def _monomial_key(labels: Path, rank: dict[str, int]):
     return (len(labels), tuple(-rank[l] for l in labels))
 
 
-@dataclass(frozen=True)
-class PathBasis:
-    """Normal-form path monomials of the algebra plus its rewriting system."""
+class PathBasis(Value, compare=("spec", "total_dimension")):
+    """Normal-form path monomials of the algebra plus its rewriting system:
+    ``by_pair`` maps (src, tgt) to its paths and ``rules`` holds the oriented
+    relations (path, terms).  Both follow from ``spec``, so neither is
+    compared or hashed."""
 
-    spec: AlgebraSpec
-    by_pair: dict[tuple[int, int], tuple[Path, ...]] = field(compare=False)
-    rules: tuple[tuple[Path, tuple[RelTerm, ...]], ...] = field(compare=False)
-    total_dimension: int = 0
+    __slots__ = ("spec", "by_pair", "rules", "total_dimension")
+
+    def __init__(self, spec, by_pair, rules, total_dimension=0):
+        super().__init__(spec, by_pair, rules, total_dimension)
 
     def paths_between(self, src: int, tgt: int) -> tuple[Path, ...]:
         return self.by_pair.get((src, tgt), ())
@@ -299,7 +294,7 @@ def derive_path_basis(spec: AlgebraSpec) -> PathBasis:
         for pair, paths in by_pair.items()
     }
     total = sum(len(v) for v in ordered.values())
-    return PathBasis(spec=spec, by_pair=ordered, rules=rules, total_dimension=total)
+    return PathBasis(spec, ordered, rules, total)
 
 
 # ---------------------------------------------------------------------------
@@ -307,13 +302,11 @@ def derive_path_basis(spec: AlgebraSpec) -> PathBasis:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EulerData:
+class EulerData(Value):
     """Cartan matrix (entry (i,j) = #normal-form paths j -> i) and the integer
-    matrix E of the bilinear form <x, y> = x^T E y."""
+    matrix E of the bilinear form <x, y> = x^T E y, as tuples of int rows."""
 
-    cartan: tuple[tuple[int, ...], ...]
-    euler: tuple[tuple[int, ...], ...]
+    __slots__ = ("cartan", "euler")
 
     def bilinear(self, x, y) -> int:
         n = len(self.euler)
@@ -393,17 +386,15 @@ def c4_reference_slope_pair(x) -> tuple[int, int]:
     return x[3] + x[4] - x[0] - x[1], x[2] - x[5]
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+class CheckResult(Value):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name, passed, detail=""):
+        super().__init__(name, passed, detail)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    checks: tuple[CheckResult, ...]
+class ValidationReport(Value):
+    __slots__ = ("ok", "checks")  # checks: a tuple of CheckResult
 
     def failures(self) -> list[str]:
         return [c.name for c in self.checks if not c.passed]

@@ -4,7 +4,8 @@ Every subcommand maps to exactly one library operation, reads exact-rational
 literals ("p/q", "sqrt:d", "(p+q*sqrt(d))/s"), and prints one deterministic
 JSON document to stdout.  Domain failures print a machine-readable error
 object and exit nonzero.  Setting TUBELAT_OUTPUT_DIR additionally writes a
-copy of the output to <dir>/<subcommand>.json.
+copy of the output to <dir>/<subcommand>.json.  The module layer (``reps``,
+``pp``) is imported only by the subcommands that read a module or a formula.
 """
 
 from __future__ import annotations
@@ -20,16 +21,7 @@ from .algebra import build_c4, derive_path_basis, spec_from_json, spec_report
 from .errors import BudgetExhaustedError, PreconditionError, SpecFormatError, TubelatError
 from .exceptional import enumerate_exceptional, unit_decompose
 from .lattice import K0Lattice
-from .pp import (
-    PpPair,
-    formula_from_json,
-    free_realisation,
-    pair_open_on,
-    pointed_to_json,
-    solution_space,
-)
 from .quadirr import parse_quad_irrational
-from .reps import ext_dim, hom_dim, module_slope, rep_from_json
 from .search import (
     delta_for,
     gap_certificate_from_json,
@@ -85,9 +77,11 @@ class _Context:
         return parse_int_vector(text, self.spec.vertex_count)
 
     def load_rep(self, path):
+        from .reps import rep_from_json
         return rep_from_json(self.spec, _read_json(path))
 
     def load_formula(self, path):
+        from .pp import formula_from_json
         return formula_from_json(self.spec, _read_json(path))
 
 
@@ -113,6 +107,7 @@ def _cmd_slope(ctx: _Context) -> tuple[object, int]:
     if ctx.args.vec is not None:
         value = ctx.lattice.slope(ctx.vector(ctx.args.vec))
     elif ctx.args.rep is not None:
+        from .reps import module_slope
         value = module_slope(ctx.lattice, ctx.load_rep(ctx.args.rep))
     else:
         raise SpecFormatError("slope needs --vec or a representation file")
@@ -188,14 +183,17 @@ def _cmd_tube_params(ctx: _Context) -> tuple[object, int]:
 
 
 def _cmd_hom(ctx: _Context) -> tuple[object, int]:
+    from .reps import hom_dim
     return hom_dim(ctx.load_rep(ctx.args.m), ctx.load_rep(ctx.args.n)), 0
 
 
 def _cmd_ext(ctx: _Context) -> tuple[object, int]:
+    from .reps import ext_dim
     return ext_dim(ctx.basis, ctx.load_rep(ctx.args.m), ctx.load_rep(ctx.args.n)), 0
 
 
 def _cmd_pp_eval(ctx: _Context) -> tuple[object, int]:
+    from .pp import solution_space
     phi = ctx.load_formula(ctx.args.phi)
     m = ctx.load_rep(ctx.args.m)
     basis_vectors = solution_space(phi, m)
@@ -206,15 +204,17 @@ def _cmd_pp_eval(ctx: _Context) -> tuple[object, int]:
 
 
 def _cmd_pp_free(ctx: _Context) -> tuple[object, int]:
+    from .pp import free_realisation, pointed_to_json
     phi = ctx.load_formula(ctx.args.phi)
     return pointed_to_json(free_realisation(ctx.basis, phi)), 0
 
 
 def _cmd_pp_pair(ctx: _Context) -> tuple[object, int]:
+    from .pp import PpPair, pair_open_on, solution_space
     phi = ctx.load_formula(ctx.args.phi)
     psi = ctx.load_formula(ctx.args.psi)
     m = ctx.load_rep(ctx.args.m)
-    is_open = pair_open_on(PpPair(phi=phi, psi=psi), m)
+    is_open = pair_open_on(PpPair(phi, psi), m)
     return {
         "open": is_open,
         "dim_phi": len(solution_space(phi, m)),

@@ -11,22 +11,21 @@ plus an exceptional element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import floor, isqrt
 
 from .errors import ConsistencyError, PreconditionError, UnsupportedFormError
 from .lattice import DimVector, K0Lattice, vec_scale, vec_sub
+from .value import Value
 
 
-@dataclass(frozen=True)
-class ExceptionalSet:
+class ExceptionalSet(Value):
     """All x with chi(x) = 1 and last two coordinates zero, in lexicographic
-    order, together with the certified coordinate bound."""
+    order (a tuple of ``DimVector``), together with the certified coordinate
+    bound."""
 
-    elements: tuple[DimVector, ...]
-    bound: int
+    __slots__ = ("elements", "bound")
 
     def __iter__(self):
         return iter(self.elements)

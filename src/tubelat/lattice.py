@@ -10,7 +10,6 @@ dim(M) on dimension vectors, coordinates counting composition factors).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -24,6 +23,7 @@ from .errors import (
     UnsupportedFormError,
 )
 from .serialize import parse_frac
+from .value import Value
 
 DimVector = tuple[int, ...]
 
@@ -71,12 +71,10 @@ def slope_text(num: int, den: int) -> str:
     return f"{n}/{d}"
 
 
-@dataclass(frozen=True)
-class Slope:
+class Slope(Value):
     """A reduced rational b/a or the symbol infinity (stored as 1/0)."""
 
-    numerator: int
-    denominator: int
+    __slots__ = ("numerator", "denominator")
 
     @staticmethod
     def from_ratio(num: int, den: int) -> "Slope":
@@ -121,13 +119,10 @@ class Slope:
         return Slope(q.numerator, q.denominator)
 
 
-@dataclass(frozen=True)
-class RadicalBasis:
+class RadicalBasis(Value):
     """The canonical pair of radical vectors and their pairing <h0, hinf>."""
 
-    h0: DimVector
-    hinf: DimVector
-    pairing: int
+    __slots__ = ("h0", "hinf", "pairing")
 
 
 def radical_basis(euler: EulerData) -> RadicalBasis:
@@ -176,20 +171,17 @@ def radical_basis(euler: EulerData) -> RadicalBasis:
     return RadicalBasis(h0=h0, hinf=hinf, pairing=pairing)
 
 
-@dataclass(frozen=True)
-class K0Lattice:
-    """Bundles the Euler form with the radical basis; all methods are pure."""
+class K0Lattice(Value):
+    """Bundles the Euler form (``EulerData``) with the radical basis; all
+    methods are pure."""
 
-    euler: EulerData
-    h0: DimVector
-    hinf: DimVector
-    pairing: int
+    __slots__ = ("euler", "h0", "hinf", "pairing")
 
     @staticmethod
     def for_spec(spec: AlgebraSpec) -> "K0Lattice":
         ed = euler_data(spec, derive_path_basis(spec))
         rad = radical_basis(ed)
-        return K0Lattice(euler=ed, h0=rad.h0, hinf=rad.hinf, pairing=rad.pairing)
+        return K0Lattice(ed, rad.h0, rad.hinf, rad.pairing)
 
     @property
     def rank(self) -> int:

@@ -17,7 +17,6 @@ morphism from the free realisation carries the marked element to n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -35,17 +34,14 @@ from .reps import (
     zero_rep,
 )
 from .serialize import frac_to_str, parse_frac, parse_int
+from .value import Value
 
 AlgElement = tuple[tuple[Fraction, Path], ...]
 
 
-@dataclass(frozen=True)
-class PpFormula:
-    spec: AlgebraSpec
-    free_count: int
-    col_types: tuple[int, ...]
-    row_types: tuple[int, ...]
-    entries: tuple[tuple[AlgElement, ...], ...]  # rows x cols, () means zero
+class PpFormula(Value):
+    # entries: rows x cols of AlgElement, () means zero
+    __slots__ = ("spec", "free_count", "col_types", "row_types", "entries")
 
     @property
     def bound_count(self) -> int:
@@ -241,10 +237,8 @@ def plus(phi: PpFormula, psi: PpFormula) -> PpFormula:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointedModule:
-    module: Representation
-    points: tuple[Element, ...]
+class PointedModule(Value):
+    __slots__ = ("module", "points")  # a Representation, a tuple of Element
 
     @property
     def point(self) -> Element:
@@ -338,10 +332,8 @@ def sum_pointed(pma: PointedModule, pmb: PointedModule) -> PointedModule:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PpPair:
-    phi: PpFormula
-    psi: PpFormula
+class PpPair(Value):
+    __slots__ = ("phi", "psi")
 
 
 def pair_open_on(pair: PpPair, m: Representation) -> bool:

@@ -12,11 +12,11 @@ ordering.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import ParameterDomainError, SpecFormatError
+from .value import Value
 
 
 # Trial division below takes at most sqrt(MAX_RADICAND) = 10**6 steps.
@@ -39,21 +39,19 @@ def squarefree_part(d: int) -> tuple[int, int]:
     return m, d0
 
 
-@dataclass(frozen=True)
-class QuadIrrational:
+class QuadIrrational(Value):
     """The real number (p + q*sqrt(d))/s with q != 0, s > 0, d > 1 squarefree.
 
     The constraints force irrationality, so comparisons with rationals are
-    always strict and decidable by integer arithmetic alone.
+    always strict and decidable by integer arithmetic alone.  The constructor
+    takes any integers p, q, d, s that meet them after normalising: a square
+    factor of d moves into q, a negative s gives its sign to p and q, and
+    the common divisor of p, q and s is cancelled.
     """
 
-    p: int
-    q: int
-    d: int
-    s: int
+    __slots__ = ("p", "q", "d", "s")
 
-    def __post_init__(self):
-        p, q, d, s = self.p, self.q, self.d, self.s
+    def __init__(self, p, q, d, s):
         if s == 0:
             raise ParameterDomainError("denominator s must be nonzero")
         if q == 0:
@@ -65,10 +63,7 @@ class QuadIrrational:
         if s < 0:
             p, q, s = -p, -q, -s
         g = gcd(gcd(abs(p), abs(q)), s)
-        object.__setattr__(self, "p", p // g)
-        object.__setattr__(self, "q", q // g)
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "s", s // g)
+        super().__init__(p // g, q // g, d, s // g)
 
     # -- ordering against exact rationals (integer arithmetic only) --------
 

@@ -15,7 +15,6 @@ presentation 0 -> K -> P0 -> M -> 0, with Hom(P0, N) read off by Yoneda
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
@@ -29,6 +28,7 @@ from .errors import (
 from .lattice import K0Lattice, Slope
 from .linalg import ONE, ZERO
 from .serialize import frac_to_str, parse_frac, parse_int
+from .value import Value
 
 # Dense matrices and coordinates are frozen tuples; they go to ``linalg`` as
 # they are, since it reads any row sequences and returns fresh lists.
@@ -38,11 +38,17 @@ Element = tuple[int, tuple[Fraction, ...]]  # (vertex, coordinates)
 SparseVec = dict[int, Fraction]  # {coordinate: nonzero value}
 
 
-@dataclass(frozen=True, eq=False)
-class Representation:
-    spec: AlgebraSpec
-    dims: tuple[int, ...]
-    columns: dict[str, tuple[Column, ...]] = field(repr=False)
+class Representation(Value):
+    """A module: its ``dims`` per vertex and, per arrow label, the
+    ``Column``s of the arrow's matrix.  Compared by identity, and shown
+    without its matrices."""
+
+    __slots__ = ("spec", "dims", "columns")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __repr__(self) -> str:
+        return f"Representation(spec={self.spec!r}, dims={self.dims!r})"
 
     @property
     def total_dim(self) -> int:
@@ -423,14 +429,11 @@ def top_dims(rep: Representation) -> tuple[int, ...]:
     return tuple(rep.dims[v] - len(rad[v]) for v in range(rep.spec.vertex_count))
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Value):
     """A projective cover P0 ->> M with its kernel subrepresentation; P0 has
     one summand P_v per generator (v, fpos), the unit vector e_fpos of M_v."""
 
-    cover_source: Representation
-    kernel: Representation
-    generators: tuple[tuple[int, int], ...]
+    __slots__ = ("cover_source", "kernel", "generators")
 
 
 def projective_cover_presentation(basis: PathBasis, rep: Representation) -> Presentation:

@@ -28,35 +28,32 @@ defined, so the a = 0 edge of the natural numbers is excluded throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import ceil, floor, gcd, lcm
 
 from .errors import BudgetExhaustedError, PreconditionError, SpecFormatError
 from .exceptional import ExceptionalSet
-from .lattice import DimVector, K0Lattice, Slope, mu, reduced_ratio, slope_text
+from .lattice import K0Lattice, Slope, mu, reduced_ratio, slope_text
 from .quadirr import QuadIrrational, parse_quad_irrational
 from .serialize import Rows, frac_to_str, parse_frac, parse_int
+from .value import Value
 
 MAX_SHRINK_ROUNDS = 64  # window shrinks in tube_parameters before budget-exhausted
 
 
-@dataclass(frozen=True)
-class PerturbedSlopeParams:
+class PerturbedSlopeParams(Value):
     """Offsets making slope(a*h0 + b*hinf + y) = (b + gamma1)/(a + gamma2)."""
 
-    gamma1: Fraction
-    gamma2: Fraction
-    y: DimVector
+    __slots__ = ("gamma1", "gamma2", "y")
 
 
 def perturbed_params(lattice: K0Lattice, y) -> PerturbedSlopeParams:
     y = tuple(y)
     return PerturbedSlopeParams(
-        gamma1=Fraction(lattice.bilinear(lattice.h0, y), lattice.pairing),
-        gamma2=Fraction(-lattice.bilinear(lattice.hinf, y), lattice.pairing),
-        y=y,
+        Fraction(lattice.bilinear(lattice.h0, y), lattice.pairing),
+        Fraction(-lattice.bilinear(lattice.hinf, y), lattice.pairing),
+        y,
     )
 
 
@@ -153,22 +150,15 @@ def strip_pairs_above(r1, r2, gamma1, gamma2) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExceptionRecord:
+class ExceptionRecord(Value):
     """A pair whose perturbed slope sits near r while its raw slope escapes
     the epsilon window; delta is chosen below every such perturbed slope."""
 
-    a: int
-    b: int
-    y: DimVector
-    perturbed: Fraction
+    __slots__ = ("a", "b", "y", "perturbed")
 
 
-@dataclass(frozen=True)
-class DeltaResult:
-    delta: Fraction
-    eps_prime: Fraction
-    exceptions: tuple[ExceptionRecord, ...]
+class DeltaResult(Value):
+    __slots__ = ("delta", "eps_prime", "exceptions")  # exceptions: ExceptionRecords
 
 
 def _check_window(r: QuadIrrational, eps: Fraction) -> Fraction:
@@ -283,14 +273,14 @@ def delta_for(
             if b * f - e * a <= raw < b * f + e * a:
                 continue  # raw slope already inside the eps window
             rho = Fraction(num, den)
-            exceptions.append(ExceptionRecord(a=a, b=b, y=params.y, perturbed=rho))
+            exceptions.append(ExceptionRecord(a, b, params.y, rho))
             (rho_below if cut >= num * f_prime else rho_above).append(rho)
 
     exceptions.sort(key=lambda rec: (rec.a, rec.b, rec.y))
     delta = eps_prime
     for rho in _could_set_delta(r, rho_below, rho_above):
         delta = min(delta, r.distance_lower_bound(rho) / 2)
-    return DeltaResult(delta=delta, eps_prime=eps_prime, exceptions=tuple(exceptions))
+    return DeltaResult(delta, eps_prime, tuple(exceptions))
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +288,7 @@ def delta_for(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GapCertificate:
+class GapCertificate(Value):
     """A certified best-from-below approximation in the radical cone.
 
     ``witnesses`` holds a row (a, b, mu, slope_text(b, a)) for each pair with
@@ -310,15 +299,7 @@ class GapCertificate:
     two compare equal when their rows do.
     """
 
-    r: QuadIrrational
-    epsilon: Fraction
-    k: int
-    a: int
-    b: int
-    mu: int
-    budget: int
-    mu_weights: tuple[int, int]
-    witnesses: BudgetScan | tuple[tuple[int, int, int, str], ...]
+    __slots__ = ("r", "epsilon", "k", "a", "b", "mu", "budget", "mu_weights", "witnesses")
 
     @property
     def slope(self) -> Slope:
@@ -332,24 +313,13 @@ def _budget_pairs(w0: int, w1: int, budget: int):
             yield a, b
 
 
-class BudgetScan:
+class BudgetScan(Value):
     """The rows (a, b, mu, slope_text(b, a)) of ``_budget_pairs(w0, w1,
     budget)``, in its order, built only while iterated.  ``len`` sums
     floor((budget - w0*a)/w1) + 1 over a and drops the origin, building no
-    row.  The view is immutable and equals, and hashes as, the tuple of its
-    rows.  A plain class: a dataclass would cost each import a millisecond."""
+    row.  The view equals, and hashes as, the tuple of its rows."""
 
     __slots__ = ("w0", "w1", "budget")
-
-    def __init__(self, w0: int, w1: int, budget: int):
-        for name, value in zip(self.__slots__, (w0, w1, budget)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of a BudgetScan")
-
-    def __repr__(self) -> str:
-        return f"BudgetScan(w0={self.w0}, w1={self.w1}, budget={self.budget})"
 
     def __iter__(self):
         w0, w1 = self.w0, self.w1
@@ -455,17 +425,17 @@ def validate_gap_certificate(lattice: K0Lattice, cert: GapCertificate) -> list[s
     if cert.budget != cert.mu + cert.k:
         failures.append("budget is not mu + k")
 
-    # the scan is sorted: one pair past the rows settles any claimed budget
-    got = [(a, b) for a, b, _, _ in cert.witnesses]
-    got.sort()
-    if got != list(islice(_budget_pairs(w0, w1, cert.budget), len(got) + 1)):
-        failures.append("witness list is not the full budget scan")
+    # one pass over the rows, which a BudgetScan builds while iterated; their
+    # own failures follow the completeness check's
+    got: list[tuple[int, int]] = []
+    row_failures: list[str] = []
     r, ca, cb = cert.r, cert.a, cert.b
     _, hi = r.bracket()
     hn, hd = hi.numerator, hi.denominator
     for a, b, m, slope in cert.witnesses:
+        got.append((a, b))
         if m != w0 * a + w1 * b:
-            failures.append(f"witness ({a},{b}) has wrong mu {m}")
+            row_failures.append(f"witness ({a},{b}) has wrong mu {m}")
             continue
         if a > 0:  # the wire text of slope_text, from the one reduction
             g = gcd(b, a)
@@ -477,15 +447,19 @@ def validate_gap_certificate(lattice: K0Lattice, cert: GapCertificate) -> list[s
         else:
             text = None  # 0/0 is no slope
         if text is None or slope != text:
-            failures.append(f"witness ({a},{b}) has wrong slope {slope}")
+            row_failures.append(f"witness ({a},{b}) has wrong slope {slope}")
             continue
         # is the reduced slope n/d, d > 0, strictly inside (b/a, r)?
         if d and ca >= 1 and n * ca > cb * d and n * hd < hn * d and r.floor_mul(d) >= n:
-            failures.append(
+            row_failures.append(
                 f"witness ({a},{b}) has slope {slope} strictly inside "
                 "the certified gap"
             )
-    return failures
+    # the scan is sorted: one pair past the rows settles any claimed budget
+    got.sort()
+    if got != list(islice(_budget_pairs(w0, w1, cert.budget), len(got) + 1)):
+        failures.append("witness list is not the full budget scan")
+    return failures + row_failures
 
 
 # ---------------------------------------------------------------------------
@@ -510,14 +484,11 @@ def p_bound(lattice: K0Lattice, exceptional: ExceptionalSet) -> int:
     return -(-best // lattice.pairing)  # the pairing is positive
 
 
-@dataclass(frozen=True)
-class QuasisimpleBounds:
+class QuasisimpleBounds(Value):
     """dim(E) >= lower for quasisimples at slope b/a; when the tube rank
-    equals the pairing, dim(E) also lies within p of ``center``."""
+    equals the pairing, dim(E) also lies within p of ``center`` (else None)."""
 
-    lower: Fraction
-    center: Fraction | None
-    p: int
+    __slots__ = ("lower", "center", "p")
 
 
 def quasisimple_bounds(
@@ -545,21 +516,14 @@ def quasisimple_bounds(
     )
 
 
-@dataclass(frozen=True)
-class TubeParams:
-    """Numeric parameters for a rank-<h0,hinf> tube achieving dimension gap d."""
+class TubeParams(Value):
+    """Numeric parameters for a rank-<h0,hinf> tube achieving dimension gap d,
+    with the ``GapCertificate`` of its slope."""
 
-    a: int
-    b: int
-    rank: int
-    k_used: int
-    p: int
-    d: int
-    lower_bound: Fraction
-    threshold: int
-    r: QuadIrrational
-    epsilon: Fraction
-    certificate: GapCertificate
+    __slots__ = (
+        "a", "b", "rank", "k_used", "p", "d", "lower_bound", "threshold", "r", "epsilon",
+        "certificate",
+    )
 
     @property
     def slope(self) -> Slope:

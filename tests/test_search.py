@@ -1,7 +1,6 @@
 import json
 import random
 import signal
-from dataclasses import replace
 from fractions import Fraction
 from itertools import islice
 from math import ceil, floor, gcd
@@ -46,6 +45,7 @@ from tubelat.search import (
 from tubelat.serialize import dumps_canonical, parse_int
 
 from test_lattice import ref_slope_text
+from test_value import replaced
 
 SQRT2 = QuadIrrational(0, 1, 2, 1)
 GOLDEN_OUT = Path(__file__).resolve().parent / "golden" / "expected"
@@ -950,7 +950,7 @@ def _read_or_message(read, doc):
 def test_witness_reader_matches_slope_parse_reference(row):
     doc = {**GAP_DOC, "witnesses": [row]}
     expected = _read_or_message(
-        lambda d: replace(GAP_CERT, witnesses=(ref_witness_from_json(d["witnesses"][0]),)),
+        lambda d: replaced(GAP_CERT, witnesses=(ref_witness_from_json(d["witnesses"][0]),)),
         doc,
     )
     assert _read_or_message(gap_certificate_from_json, doc) == expected
@@ -1144,12 +1144,12 @@ def mutated_certificates(draw):
             k = draw(st.sampled_from([1, 1, 2, -1]))
             rows.insert(i, row(a * k, b * k))
         elif kind == "pair-a":
-            cert = replace(cert, a=draw(st.integers(-2, 0)))
+            cert = replaced(cert, a=draw(st.integers(-2, 0)))
         else:  # worse-pair: the pair moves down the window, the budget stays
             a, b = draw(st.sampled_from(WORSE[which]))
             mu = w0 * a + w1 * b
-            cert = replace(cert, a=a, b=b, mu=mu, k=cert.budget - mu)
-    return replace(cert, witnesses=tuple(rows))
+            cert = replaced(cert, a=a, b=b, mu=mu, k=cert.budget - mu)
+    return replaced(cert, witnesses=tuple(rows))
 
 
 @given(cert=mutated_certificates())
@@ -1170,12 +1170,42 @@ def test_checker_matches_the_reference_with_rows_inside_the_gap(lattice):
         assert worse
         for a, b in worse:
             mu = w0 * a + w1 * b
-            moved = replace(
+            moved = replaced(
                 cert, a=a, b=b, mu=mu, k=cert.budget - mu, witnesses=cert.witnesses + extra
             )
             got = validate_gap_certificate(lattice, moved)
             assert any("strictly inside" in f for f in got)
             assert got == ref_validate_gap_certificate(lattice, moved)
+
+
+def test_checker_iterates_the_witnesses_once(lattice, monkeypatch):
+    """One pass over the rows, for a scan (which builds them while iterated)
+    and for wire tuples, with the failure list still the reference's."""
+    passes = []
+    scan_iter = BudgetScan.__iter__
+
+    def counted_scan_iter(self):
+        passes.append(self)
+        return scan_iter(self)
+
+    class CountedRows(tuple):
+        def __iter__(self):
+            passes.append(self)
+            return super().__iter__()
+
+    monkeypatch.setattr(BudgetScan, "__iter__", counted_scan_iter)
+    cert = gap_vector(lattice, SQRT2, Fraction(1, 10), 50)
+    assert passes == []
+    assert validate_gap_certificate(lattice, cert) == [] and len(passes) == 1
+    # a dropped row, a wrong mu and a wrong slope
+    rows = list(cert.witnesses)[1:]
+    rows[0] = rows[0][:2] + (rows[0][2] + 1, rows[0][3])
+    rows.append((1, 1, 10, "2"))
+    tampered = replaced(cert, witnesses=CountedRows(rows))
+    want = ref_validate_gap_certificate(lattice, tampered)
+    assert want[0] == "witness list is not the full budget scan" and len(want) == 3
+    passes.clear()
+    assert validate_gap_certificate(lattice, tampered) == want and len(passes) == 1
 
 
 # ---------------------------------------------------------------------------
