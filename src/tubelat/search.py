@@ -29,8 +29,9 @@ defined, so the a = 0 edge of the natural numbers is excluded throughout.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice, repeat
 from math import ceil, floor, gcd, lcm
+from operator import add, floordiv
 
 from .errors import BudgetExhaustedError, PreconditionError, SpecFormatError
 from .exceptional import ExceptionalSet
@@ -294,9 +295,10 @@ class GapCertificate(Value):
     ``witnesses`` holds a row (a, b, mu, slope_text(b, a)) for each pair with
     total dimension at most ``budget``; validity means none of them has slope
     strictly between the returned slope and r.  From ``gap_vector`` it is a
-    lazy ``BudgetScan``; from ``gap_certificate_from_json``, the tuple of the
-    rows as read, which ``validate_gap_certificate`` judges row by row.  The
-    two compare equal when their rows do.
+    lazy ``BudgetScan``, iterated and written one block of equal a at a
+    time; from ``gap_certificate_from_json``, the tuple of the rows as read,
+    which ``validate_gap_certificate`` judges row by row.  The two compare
+    equal when their rows do.
     """
 
     __slots__ = ("r", "epsilon", "k", "a", "b", "mu", "budget", "mu_weights", "witnesses")
@@ -315,16 +317,39 @@ def _budget_pairs(w0: int, w1: int, budget: int):
 
 class BudgetScan(Value):
     """The rows (a, b, mu, slope_text(b, a)) of ``_budget_pairs(w0, w1,
-    budget)``, in its order, built only while iterated.  ``len`` sums
-    floor((budget - w0*a)/w1) + 1 over a and drops the origin, building no
-    row.  The view equals, and hashes as, the tuple of its rows."""
+    budget)``, in its order, built only while iterated, one block per a by
+    ``blocks``.  ``len`` sums floor((budget - w0*a)/w1) + 1 over a and drops
+    the origin, building no row.  The view equals, and hashes as, the tuple
+    of its rows."""
 
     __slots__ = ("w0", "w1", "budget")
 
+    def blocks(self, spell=str, close=""):
+        """Per a with rows: (a, bs, mus, nums, tails), where bs and mus are
+        the ranges of b and mu and row i's slope text is nums[i] + tails[i]
+        less the trailing ``close``.  Every integer of the text is spelt by
+        ``spell``; none exceeds the budget.  For a >= 1, b/a reduces by
+        g = gcd(b, a) to (b//g)/(a//g): one pass of ``gcd`` and one of
+        ``floordiv`` over the block, and one tail per distinct g."""
+        w0, w1, budget = self.w0, self.w1, self.budget
+        for a in range(budget // w0 + 1):
+            top = (budget - w0 * a) // w1 + 1
+            bs = range(0 if a else 1, top)
+            if not bs:
+                continue  # only a = 0, when budget < w1
+            mus = range(w0 * a + w1 * bs.start, w0 * a + w1 * top, w1)
+            if not a:
+                yield a, bs, mus, repeat("inf", len(bs)), repeat(close, len(bs))
+                continue
+            gs = list(map(gcd, bs, repeat(a)))
+            tails = {g: ("" if g == a else "/" + spell(a // g)) + close for g in set(gs)}
+            yield a, bs, mus, map(spell, map(floordiv, bs, gs)), map(tails.__getitem__, gs)
+
     def __iter__(self):
-        w0, w1 = self.w0, self.w1
-        for a, b in _budget_pairs(w0, w1, self.budget):
-            yield a, b, w0 * a + w1 * b, slope_text(b, a)
+        return chain.from_iterable(
+            zip(repeat(a), bs, mus, map(add, nums, tails))
+            for a, bs, mus, nums, tails in self.blocks()
+        )
 
     def __len__(self) -> int:
         w0, w1, budget = self.w0, self.w1, self.budget

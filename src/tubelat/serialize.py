@@ -13,8 +13,10 @@ one depth, so a container whose values are all scalars (str, int, bool,
 None) is given to C whole.  The witness rows of a gap certificate travel as
 one ``Rows`` value, whatever their source: the lazy budget scan of a
 certificate that ``search.gap_vector`` built, or the tuples of one read from
-the wire.  It reads as the list of row dicts, and it is written by one
-``%``-template per row, at the depth where it stands, with no dict built.
+the wire.  It reads as the list of row dicts, and it is written one block
+of rows with equal a at a time, at the depth where it stands, with no dict
+built: each block's pieces are put in place by C iterators, so no Python
+frame runs per row, and one ``"".join`` writes them all.
 Everything else is written by a short recursion with sorted keys.
 """
 
@@ -23,7 +25,9 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain, groupby, repeat
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 from .errors import SpecFormatError
 
@@ -99,12 +103,14 @@ def _key(key) -> str:
 
 class Rows:
     """Read-only witness rows for a document.  ``source`` holds one tuple
-    (a, b, mu, slope) per row, three ints and a str; the rows read as the
-    list of dicts with those keys (``len``, iteration, indexing, slicing,
-    ``+`` and ``==`` with a list), and iterating builds each dict afresh."""
+    (a, b, mu, slope) per row, three ints and a str, or is a budget scan,
+    which gives its rows by ``blocks``; the rows read as the list of dicts
+    with those keys (``len``, iteration, indexing, slicing, ``+`` and ``==``
+    with a list), and iterating builds each dict afresh.  The writer takes
+    the rows a block of equal a at a time."""
 
     __slots__ = ("_source",)
-    KEYS = ("a", "b", "mu", "slope")  # sorted, as the template writes them
+    KEYS = ("a", "b", "mu", "slope")  # sorted, as the writer writes them
 
     def __init__(self, source):
         self._source = source
@@ -127,22 +133,56 @@ class Rows:
     __hash__ = None  # unhashable, like the list it reads as
 
 
+def _wire_blocks(source, close: str):
+    """The rows of an iterable of (a, b, mu, slope) tuples as blocks in the
+    form of ``BudgetScan.blocks``: one per run of rows with equal a, in
+    order, with each slope spelt whole as json spells it.  A value that is
+    not exactly an int (a, b, mu) or a str (slope) raises TypeError, where
+    ``int.__repr__`` would spell True as 1."""
+    for a, run in groupby(source, itemgetter(0)):
+        run = tuple(run)
+        as_, bs, mus, slopes = zip(*run, strict=True)  # ValueError unless four values a row
+        if set(map(type, chain(as_, bs, mus))) != {int} or set(map(type, slopes)) != {str}:
+            bad = next(row for row in run if list(map(type, row)) != [int, int, int, str])
+            raise TypeError(f"witness row {bad!r} is not three ints and a str")
+        yield a, bs, mus, map(encode_basestring_ascii, slopes), repeat(close, len(run))
+
+
 def _write_rows(rows: Rows, depth: int) -> str:
-    """``rows`` as json spells the list of its dicts at ``depth``.  A value
-    that is not exactly an int (a, b, mu) or a str (slope) raises TypeError,
-    where ``%s`` would write a bool or a ``Fraction`` as Python spells it."""
+    """``rows`` as json spells the list of its dicts at ``depth``, one block
+    of rows with equal a at a time.  Each row is seven pieces: the opening
+    up to the b key (a included, so one per block), b, the mu key, mu, the
+    slope key, and the slope text as a head and a tail that closes the row.
+    A block's pieces are a list of the constants repeated, with each column
+    put in by one slice assignment, so no Python frame runs per row; the
+    text is one ``"".join`` of every block's pieces.  A budget scan spells
+    every integer from one list of ``str(i)`` for i up to its budget, and
+    its slope texts need no escape, so their quotes go in the slope key and
+    the tail."""
     inner = _INDENT * (depth + 1)
     deep = inner + _INDENT
-    fields = ",\n".join(deep + encode_basestring_ascii(k) + ": %s" for k in Rows.KEYS)
-    template = inner + "{\n" + fields + "\n" + inner + "}"
-    lines = []
-    for a, b, m, slope in rows._source:
-        if type(a) is not int or type(b) is not int or type(m) is not int or type(slope) is not str:
-            raise TypeError(f"witness row {(a, b, m, slope)!r} is not three ints and a str")
-        lines.append(template % (a, b, m, encode_basestring_ascii(slope)))
-    if not lines:
+    opening = ",\n" + inner + "{\n" + deep + '"a": '  # with the separator of rows
+    b_key, mu_key, slope_key = (",\n" + deep + f'"{k}": ' for k in Rows.KEYS[1:])
+    close = "\n" + inner + "}"
+    source = rows._source
+    if hasattr(source, "blocks"):  # a budget scan
+        spell = list(map(str, range(source.budget + 1))).__getitem__
+        blocks, slope_key = source.blocks(spell, '"' + close), slope_key + '"'
+    else:
+        spell, blocks = int.__repr__, _wire_blocks(source, close)
+    pieces = []
+    for a, bs, mus, nums, tails in blocks:
+        block = [opening + spell(a) + b_key, None, mu_key, None, slope_key, None, None] * len(bs)
+        block[1::7] = map(spell, bs)
+        block[3::7] = map(spell, mus)
+        block[5::7] = nums
+        block[6::7] = tails
+        pieces += block
+    if not pieces:
         return "[]"
-    return "[\n" + ",\n".join(lines) + "\n" + _INDENT * depth + "]"
+    pieces[0] = "[" + pieces[0][1:]  # the first row's "," opens the list
+    pieces.append("\n" + _INDENT * depth + "]")
+    return "".join(pieces)
 
 
 def _write(obj, depth: int) -> str:

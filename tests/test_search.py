@@ -567,7 +567,8 @@ def ref_witness_rows(w0, w1, budget):
     )
 
 
-@given(w0=st.integers(1, 7), w1=st.integers(1, 7), budget=st.integers(-3, 90))
+@given(w0=st.integers(1, 7), w1=st.integers(1, 7), budget=st.integers(-3, 90) | st.integers(91, 300))
+@example(w0=6, w1=4, budget=300)
 @example(w0=3, w1=5, budget=0)
 @example(w0=3, w1=5, budget=2)
 @example(w0=4, w1=4, budget=3)
@@ -618,6 +619,7 @@ def test_gap_vector_and_tube_parameters_build_no_witness_row(
         raise AssertionError("a witness row was built")
 
     monkeypatch.setattr(search, "_budget_pairs", no_rows)
+    monkeypatch.setattr(BudgetScan, "blocks", no_rows)
     cert = gap_vector(lattice, SQRT2, Fraction(1, 10), 500)
     tp = tube_parameters(lattice, exceptional_set, SQRT2, Fraction(1, 10), 10)
     assert isinstance(cert.witnesses, BudgetScan) and isinstance(tp.certificate.witnesses, BudgetScan)

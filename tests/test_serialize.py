@@ -2,9 +2,11 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tubelat import lattice as lattice_module
+from tubelat import search
 from tubelat.quadirr import QuadIrrational
 from tubelat.search import (
     BudgetScan,
@@ -121,19 +123,35 @@ def test_non_json_values_raise_type_error(doc):
 
 
 # ---------------------------------------------------------------------------
-# Witness rows: one Rows value written by a template per row, whatever its
-# source (the lazy budget scan of a found certificate, or tuples read from
-# the wire), against json.dumps of the list of dicts it reads as
+# Witness rows: one Rows value written a block of rows with equal a at a
+# time, whatever its source (the lazy budget scan of a found certificate, or
+# tuples read from the wire), against json.dumps of the list of dicts it
+# reads as
 # ---------------------------------------------------------------------------
 
 
-scans = st.builds(BudgetScan, st.integers(1, 6), st.integers(1, 6), st.integers(-2, 40))
-wire_rows = st.lists(
+# the C(4, lambda) weights (6, 4) up to budget 300 give blocks with three or
+# more reduced denominators (a = 4 has 4, 2 and 1 from b = 1, 2, 4)
+scans = st.builds(BudgetScan, st.integers(1, 6), st.integers(1, 6), st.integers(-2, 40)) | st.builds(
+    BudgetScan, st.just(6), st.just(4), st.integers(0, 300)
+)
+# runs of rows sharing an a, the runs in any order and an a coming back
+# after another, so that no block of wire rows is reordered or merged
+runs = st.lists(
+    st.tuples(
+        st.integers(-2, 3) | st.integers(),
+        st.lists(st.tuples(st.integers(), st.integers(), texts), min_size=1, max_size=4),
+    ),
+    max_size=5,
+).map(lambda runs: tuple((a, b, m, slope) for a, rest in runs for b, m, slope in rest))
+wire_rows = runs | st.lists(
     st.tuples(st.integers(), st.integers(), st.integers(), texts), max_size=6
 ).map(tuple)
 
 
 @given(source=scans | wire_rows, depth=st.integers(0, 3), sibling=scalars, in_list=st.booleans())
+@example(source=BudgetScan(6, 4, 300), depth=1, sibling=0, in_list=False)
+@example(source=((1, 0, 6, "0"), (2, 1, 16, "1/2"), (1, 1, 10, "1")), depth=0, sibling=0, in_list=False)
 @settings(max_examples=300, deadline=None)
 def test_rows_match_json_dumps_of_their_list_form(source, depth, sibling, in_list):
     doc = Rows(source)
@@ -167,6 +185,28 @@ def test_certificate_documents_match_json_dumps(certificates):
     assert isinstance(certificates[3]["certificate"]["witnesses"], Rows)
 
 
+def test_writing_a_found_certificate_builds_no_slope_text(lattice, monkeypatch):
+    """The rows of a scan are written by blocks: of the 14 839 rows at
+    k = 500, none goes through ``slope_text``, whose one call spells the
+    certificate's own slope."""
+    calls = []
+    slope_text = lattice_module.slope_text
+
+    def counted(num, den):
+        calls.append((num, den))
+        return slope_text(num, den)
+
+    monkeypatch.setattr(search, "slope_text", counted)
+    monkeypatch.setattr(lattice_module, "slope_text", counted)
+    cert = gap_vector(lattice, QuadIrrational(0, 1, 2, 1), Fraction(1, 10), 500)
+    doc = gap_certificate_to_json(cert)
+    text = dumps_canonical(doc)
+    assert calls == [(cert.b, cert.a)]
+    monkeypatch.undo()
+    assert len(doc["witnesses"]) == 14839
+    assert text == ref_dumps_canonical(list_form(doc))
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -185,6 +225,22 @@ def test_rows_never_coerce_a_value(doc):
     raises, as does a Fraction next to the rows."""
     with pytest.raises(TypeError):
         dumps_canonical(doc)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        ((1, 1, 8, "1", 0),),
+        ((1, 1, 8),),
+        ((1, 1, 8, "1"), (1, 2, 12, "2", 0)),
+        ((1, 1, 8, "1"), (1, 2, 12)),
+    ],
+)
+def test_rows_of_other_lengths_raise(source):
+    """A wire row of more or fewer than four values raises, also when its
+    block holds rows of four."""
+    with pytest.raises(ValueError):
+        dumps_canonical(Rows(source))
 
 
 def test_rows_read_as_their_list_of_dicts():
