@@ -18,7 +18,8 @@ integer comparisons:
   total dimension mu whose slope in (r - eps, r) is the best slope below r
   of all pairs within dimension mu + k, and certifies it by every pair
   within that budget, one row (a, b, mu, slope text) per pair, made only
-  when the certificate is read or written;
+  when the certificate is written; a certificate read back is that budget
+  scan again, checked a block of equal a at a time;
 * ``tube_parameters`` turns a requested dimension gap d into a choice of k,
   a certified gap vector and the resulting dimension bounds.
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from math import ceil, floor, gcd, lcm
-from operator import add, floordiv
+from operator import add, floordiv, itemgetter
 
 from .errors import BudgetExhaustedError, PreconditionError, SpecFormatError
 from .exceptional import ExceptionalSet
@@ -296,8 +297,11 @@ class GapCertificate(Value):
     total dimension at most ``budget``; validity means none of them has slope
     strictly between the returned slope and r.  From ``gap_vector`` it is a
     lazy ``BudgetScan``, iterated and written one block of equal a at a
-    time; from ``gap_certificate_from_json``, the tuple of the rows as read,
-    which ``validate_gap_certificate`` judges row by row.  The two compare
+    time.  From ``gap_certificate_from_json`` it is the ``BudgetScan`` of the
+    document's own weights and budget when the wire rows are exactly that
+    scan's rows, and otherwise the tuple of the rows as read.
+    ``validate_gap_certificate`` checks the scan of the lattice's weights a
+    block at a time and anything else row by row.  The two forms compare
     equal when their rows do.
     """
 
@@ -320,7 +324,8 @@ class BudgetScan(Value):
     budget)``, in its order, built only while iterated, one block per a by
     ``blocks``.  ``len`` sums floor((budget - w0*a)/w1) + 1 over a and drops
     the origin, building no row.  The view equals, and hashes as, the tuple
-    of its rows."""
+    of its rows.  ``gap_vector`` makes one, and so does the reader when the
+    wire rows of a document are exactly one."""
 
     __slots__ = ("w0", "w1", "budget")
 
@@ -425,14 +430,41 @@ def gap_vector(
     )
 
 
+def _scan_rows_inside_the_gap(scan: BudgetScan, r: QuadIrrational, ca: int, cb: int) -> list[str]:
+    """The failures of the rows of ``scan`` with slope strictly inside
+    (cb/ca, r), in row order, one ``floor_mul`` per a and no row built.  For
+    a >= 1 and ca >= 1, cb/ca < b/a reads b >= cb*a//ca + 1, and b/a < r
+    (r is irrational) reads b <= floor(a*r); the block of a holds b from 0
+    to (budget - w0*a)//w1, and rows with a = 0 have no finite slope."""
+    if ca < 1:
+        return []
+    w0, w1, budget = scan.w0, scan.w1, scan.budget
+    failures = []
+    for a in range(1, budget // w0 + 1):
+        lo, last = max(0, cb * a // ca + 1), (budget - w0 * a) // w1
+        if lo <= last:
+            failures += (
+                f"witness ({a},{b}) has slope {slope_text(b, a)} strictly inside "
+                "the certified gap"
+                for b in range(lo, min(last, r.floor_mul(a)) + 1)
+            )
+    return failures
+
+
 def validate_gap_certificate(lattice: K0Lattice, cert: GapCertificate) -> list[str]:
     """Re-derive everything the certificate claims; returns failure messages.
 
-    Each row's (b, a) is reduced once to n/d, which gives both its slope
-    text and the test "n/d strictly inside (cert.b/cert.a, r)".  That test
-    needs ``floor_mul(d)`` only below one rational upper end hi > r of
-    ``r.bracket()``, taken once per call: n/d >= hi > r already means
-    ``floor_mul(d) < n``, so the integer test n * hi.denominator <
+    Witnesses that are the ``BudgetScan`` of the lattice's weights and
+    ``cert.budget`` are complete, with right mu and slope texts, by
+    construction; only their rows inside the gap remain, found a block of
+    equal a at a time (``_scan_rows_inside_the_gap``).  Any other witnesses
+    are checked row by row, and the messages are the same either way.
+
+    In the row loop each row's (b, a) is reduced once to n/d, which gives
+    both its slope text and the test "n/d strictly inside (cert.b/cert.a,
+    r)".  That test needs ``floor_mul(d)`` only below one rational upper end
+    hi > r of ``r.bracket()``, taken once per call: n/d >= hi > r already
+    means ``floor_mul(d) < n``, so the integer test n * hi.denominator <
     hi.numerator * d settles every row far above r without an ``isqrt``.
     """
     failures: list[str] = []
@@ -449,15 +481,18 @@ def validate_gap_certificate(lattice: K0Lattice, cert: GapCertificate) -> list[s
         failures.append("stored mu does not match the pair")
     if cert.budget != cert.mu + cert.k:
         failures.append("budget is not mu + k")
+    r, ca, cb = cert.r, cert.a, cert.b
+    rows = cert.witnesses
+    if type(rows) is BudgetScan and (rows.w0, rows.w1, rows.budget) == (w0, w1, cert.budget):
+        return failures + _scan_rows_inside_the_gap(rows, r, ca, cb)
 
     # one pass over the rows, which a BudgetScan builds while iterated; their
     # own failures follow the completeness check's
     got: list[tuple[int, int]] = []
     row_failures: list[str] = []
-    r, ca, cb = cert.r, cert.a, cert.b
     _, hi = r.bracket()
     hn, hd = hi.numerator, hi.denominator
-    for a, b, m, slope in cert.witnesses:
+    for a, b, m, slope in rows:
         got.append((a, b))
         if m != w0 * a + w1 * b:
             row_failures.append(f"witness ({a},{b}) has wrong mu {m}")
@@ -658,17 +693,91 @@ def _witness_from_json(w) -> tuple[int, int, int, str]:
     return a, b, m, slope
 
 
+def _claimed_scan(rows, weights, budget) -> BudgetScan | None:
+    """The ``BudgetScan`` of a document's ``mu_weights`` and ``budget`` if it
+    has as many rows as ``rows``, a list; None otherwise.  The number of
+    rows bounds the budget // w0 + 1 terms of ``len`` before it runs, so
+    the cost is linear in the rows whatever budget is claimed."""
+    if type(rows) is not list or type(weights) is not list or len(weights) != 2:
+        return None
+    w0, w1 = weights
+    if not (type(w0) is type(w1) is type(budget) is int and w0 >= 1 and w1 >= 1):
+        return None
+    if budget // w0 > len(rows):
+        return None
+    scan = BudgetScan(w0, w1, budget)
+    return scan if len(scan) == len(rows) else None
+
+
+_COLUMNS = tuple(map(itemgetter, Rows.KEYS))
+
+
+def _witnesses_from_json(rows, weights, budget) -> BudgetScan | tuple:
+    """The witnesses of a document: the scan of its weights and budget if
+    ``rows`` are exactly that scan's rows, each a dict whose a, b and mu are
+    exactly ints and whose slope is exactly the str the writer spells;
+    otherwise the tuple that ``_witness_from_json`` reads row by row.
+
+    The rows are matched a block of equal a at a time, each column pulled
+    out and compared by C iterators, with a Python step per block, not per
+    row.  Once a block differs, only the rows from it on are read one by
+    one: the blocks before it are scan rows, which that read keeps as they
+    are.  Once the lengths agree, no integer of a slope text exceeds the
+    number of rows."""
+    scan = _claimed_scan(rows, weights, budget)
+    matched, end = [], 0  # the leading blocks that match, as row tuples
+    if scan is not None:
+        w0, w1 = weights
+        spell = list(map(str, range(max(budget // w0, budget // w1) + 1))).__getitem__
+        for a, bs, mus, nums, tails in scan.blocks(spell, "\n"):
+            block = rows[end : end + len(bs)]
+            if set(map(type, block)) != {dict}:
+                break
+            try:
+                columns = [list(map(get, block)) for get in _COLUMNS]
+            except KeyError:
+                break
+            a_col, b_col, mu_col, slopes = columns
+            # True == 1 and 1.0 == 1, but neither is the writer's 1
+            if set(map(type, chain(a_col, b_col, mu_col))) != {int}:
+                break
+            if set(map(type, slopes)) != {str}:
+                break
+            if a_col != [a] * len(bs) or b_col != list(bs) or mu_col != list(mus):
+                break
+            # no slope text holds a newline, so the joined texts are equal
+            # only when each row's is
+            texts = [None, None] * len(bs)
+            texts[0::2], texts[1::2] = nums, tails
+            if "\n".join(slopes) + "\n" != "".join(texts):
+                break
+            matched.append(zip(*columns))
+            end += len(bs)
+        else:
+            return scan
+    rest = (_witness_from_json(w) for w in islice(rows, end, None))
+    return tuple(chain(chain.from_iterable(matched), rest))
+
+
 def gap_certificate_from_json(data: dict) -> GapCertificate:
     """Read a ``gap-vector`` document; malformed input is a SpecFormatError.
 
-    A witness slope already in the reduced text of b/a is kept as it is; any
-    other spelling goes through ``Slope.parse`` and is stored normalised, so
-    ``validate_gap_certificate`` judges the value, not the spelling.
+    Witness rows that are exactly the budget scan of the document's own
+    ``mu_weights`` and ``budget``, as the writer spells it, are kept as that
+    ``BudgetScan`` (``_witnesses_from_json``), with no row tuple built.
+    Other rows are read one by one: a witness slope already in the reduced
+    text of b/a is kept as it is, and any other spelling goes through
+    ``Slope.parse`` and is stored normalised, so ``validate_gap_certificate``
+    judges the value, not the spelling.  Either way the certificate equals
+    the one the row-by-row read gives, and malformed rows raise the same
+    error, the first bad row's.
     """
     try:
         if data.get("kind") != "gap-vector":
             raise SpecFormatError(f"not a gap-vector certificate: {data.get('kind')!r}")
-        witnesses = tuple(_witness_from_json(w) for w in data["witnesses"])
+        witnesses = _witnesses_from_json(
+            data["witnesses"], data.get("mu_weights"), data.get("budget")
+        )
         return GapCertificate(
             r=parse_quad_irrational(data["r"]),
             epsilon=parse_frac(data["epsilon"]),

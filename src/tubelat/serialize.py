@@ -11,13 +11,13 @@ which spends most of the time of a large certificate.  A ``JSONEncoder``
 without ``indent`` runs in C, and its item separator can carry the indent of
 one depth, so a container whose values are all scalars (str, int, bool,
 None) is given to C whole.  The witness rows of a gap certificate travel as
-one ``Rows`` value, whatever their source: the lazy budget scan of a
-certificate that ``search.gap_vector`` built, or the tuples of one read from
-the wire.  It reads as the list of row dicts, and it is written one block
-of rows with equal a at a time, at the depth where it stands, with no dict
-built: each block's pieces are put in place by C iterators, so no Python
-frame runs per row, and one ``"".join`` writes them all.
-Everything else is written by a short recursion with sorted keys.
+one ``Rows`` value, whatever their source: a lazy budget scan, or the tuples
+of rows read from the wire that are not one.  It reads as the list of row
+dicts, and it is written one block of rows with equal a at a time, at the
+depth where it stands, with no dict built: each block's pieces are put in
+place by C iterators, so no Python frame runs per row.  Everything else is
+written by a short recursion with sorted keys.  All of them append their
+pieces to one list, and one ``"".join`` writes the whole document.
 """
 
 from __future__ import annotations
@@ -148,17 +148,17 @@ def _wire_blocks(source, close: str):
         yield a, bs, mus, map(encode_basestring_ascii, slopes), repeat(close, len(run))
 
 
-def _write_rows(rows: Rows, depth: int) -> str:
-    """``rows`` as json spells the list of its dicts at ``depth``, one block
-    of rows with equal a at a time.  Each row is seven pieces: the opening
-    up to the b key (a included, so one per block), b, the mu key, mu, the
-    slope key, and the slope text as a head and a tail that closes the row.
-    A block's pieces are a list of the constants repeated, with each column
-    put in by one slice assignment, so no Python frame runs per row; the
-    text is one ``"".join`` of every block's pieces.  A budget scan spells
-    every integer from one list of ``str(i)`` for i up to its budget, and
-    its slope texts need no escape, so their quotes go in the slope key and
-    the tail."""
+def _write_rows(rows: Rows, depth: int, out: list) -> None:
+    """Append to ``out`` the pieces of ``rows`` as json spells the list of
+    its dicts at ``depth``, one block of rows with equal a at a time.  Each
+    row is seven pieces: the opening up to the b key (a included, so one per
+    block), b, the mu key, mu, the slope key, and the slope text as a head
+    and a tail that closes the row.  A block's pieces are a list of the
+    constants repeated, with each column put in by one slice assignment, so
+    no Python frame runs per row.  A budget scan spells every integer from
+    one list of ``str(i)`` for i up to its budget, unless it has too few
+    rows to use them, and its slope texts need no escape, so their quotes go
+    in the slope key and the tail."""
     inner = _INDENT * (depth + 1)
     deep = inner + _INDENT
     opening = ",\n" + inner + "{\n" + deep + '"a": '  # with the separator of rows
@@ -166,51 +166,65 @@ def _write_rows(rows: Rows, depth: int) -> str:
     close = "\n" + inner + "}"
     source = rows._source
     if hasattr(source, "blocks"):  # a budget scan
-        spell = list(map(str, range(source.budget + 1))).__getitem__
+        # a read scan may claim sparse weights: its budget can dwarf its rows
+        dense = source.budget < 3 * len(source)
+        spell = list(map(str, range(source.budget + 1))).__getitem__ if dense else str
         blocks, slope_key = source.blocks(spell, '"' + close), slope_key + '"'
     else:
         spell, blocks = int.__repr__, _wire_blocks(source, close)
-    pieces = []
+    start = len(out)
     for a, bs, mus, nums, tails in blocks:
         block = [opening + spell(a) + b_key, None, mu_key, None, slope_key, None, None] * len(bs)
         block[1::7] = map(spell, bs)
         block[3::7] = map(spell, mus)
         block[5::7] = nums
         block[6::7] = tails
-        pieces += block
-    if not pieces:
-        return "[]"
-    pieces[0] = "[" + pieces[0][1:]  # the first row's "," opens the list
-    pieces.append("\n" + _INDENT * depth + "]")
-    return "".join(pieces)
+        out += block
+    if len(out) == start:
+        out.append("[]")
+        return
+    out[start] = "[" + out[start][1:]  # the first row's "," opens the list
+    out.append("\n" + _INDENT * depth + "]")
 
 
-def _write(obj, depth: int) -> str:
+def _write(obj, depth: int, out: list) -> None:
+    """Append to ``out`` the pieces of ``obj`` as json spells it at ``depth``."""
     leaf = _LEAVES.get(type(obj))
     if leaf is not None:
-        return leaf(obj)
+        out.append(leaf(obj))
+        return
     if type(obj) is Rows:
-        return _write_rows(obj, depth)
+        _write_rows(obj, depth, out)
+        return
     if not isinstance(obj, (dict, list, tuple)) or not obj:
-        return _encoder(0).encode(obj)
+        out.append(_encoder(0).encode(obj))
+        return
     is_dict = isinstance(obj, dict)
     pad = _INDENT * depth
     inner = pad + _INDENT
     if set(map(type, obj.values() if is_dict else obj)) <= _SCALARS:
         text = _encoder(depth + 1).encode(obj)
-        return text[0] + "\n" + inner + text[1:-1] + "\n" + pad + text[-1]
-    if is_dict:
-        items = sorted(obj.items())
-        body = ",\n".join(inner + _key(k) + ": " + _write(v, depth + 1) for k, v in items)
-        return "{\n" + body + "\n" + pad + "}"
-    body = ",\n".join(inner + _write(v, depth + 1) for v in obj)
-    return "[\n" + body + "\n" + pad + "]"
+        out.append(text[0] + "\n" + inner + text[1:-1] + "\n" + pad + text[-1])
+        return
+    sep = ("{" if is_dict else "[") + "\n" + inner
+    for item in sorted(obj.items()) if is_dict else obj:
+        if is_dict:
+            key, item = item
+            sep += _key(key) + ": "
+        out.append(sep)
+        _write(item, depth + 1, out)
+        sep = ",\n" + inner
+    out.append("\n" + pad + ("}" if is_dict else "]"))
 
 
 def dumps_canonical(obj) -> str:
     """Deterministic JSON used for every CLI output and stored certificate.
 
     The bytes are those of ``json.dumps(obj, sort_keys=True, indent=2,
-    ensure_ascii=True) + "\\n"``; the module docstring says how.
+    ensure_ascii=True) + "\\n"``; the module docstring says how.  Every
+    piece goes into one list, joined once.
     """
-    return _write(obj, 0) + "\n"
+    out: list[str] = []
+    _write(obj, 0, out)
+    out.append("\n")
+    return "".join(out)

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import islice
 from math import ceil, floor, gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -1165,24 +1166,28 @@ def test_checker_matches_the_reference_on_mutated_certificates(lattice, cert):
 
 def test_checker_matches_the_reference_with_rows_inside_the_gap(lattice):
     """Each worse pair, with every near row added: rows strictly inside
-    (b/a, r), some just below r, some in (r, hi), at hi and above it."""
+    (b/a, r), some just below r, some in (r, hi), at hi and above it.  The
+    base certificates are read as scans, so the rows are checked one by one
+    with the near rows added, and a block at a time without them."""
     for cert, worse, near in zip(BASE_CERTS, WORSE, NEAR):
+        assert type(cert.witnesses) is BudgetScan
         w0, w1 = cert.mu_weights
         extra = tuple((a, b, w0 * a + w1 * b, ref_slope_text(b, a)) for a, b in near)
         assert worse
         for a, b in worse:
             mu = w0 * a + w1 * b
-            moved = replaced(
-                cert, a=a, b=b, mu=mu, k=cert.budget - mu, witnesses=cert.witnesses + extra
-            )
-            got = validate_gap_certificate(lattice, moved)
-            assert any("strictly inside" in f for f in got)
-            assert got == ref_validate_gap_certificate(lattice, moved)
+            moved = replaced(cert, a=a, b=b, mu=mu, k=cert.budget - mu)
+            for witnesses in (tuple(cert.witnesses) + extra, cert.witnesses):
+                moved = replaced(moved, witnesses=witnesses)
+                got = validate_gap_certificate(lattice, moved)
+                assert any("strictly inside" in f for f in got)
+                assert got == ref_validate_gap_certificate(lattice, moved)
 
 
 def test_checker_iterates_the_witnesses_once(lattice, monkeypatch):
-    """One pass over the rows, for a scan (which builds them while iterated)
-    and for wire tuples, with the failure list still the reference's."""
+    """No pass over the rows of the lattice's own scan, and one pass for
+    wire tuples and for a scan of other weights or budget (which builds its
+    rows while iterated), with the failure list still the reference's."""
     passes = []
     scan_iter = BudgetScan.__iter__
 
@@ -1198,7 +1203,18 @@ def test_checker_iterates_the_witnesses_once(lattice, monkeypatch):
     monkeypatch.setattr(BudgetScan, "__iter__", counted_scan_iter)
     cert = gap_vector(lattice, SQRT2, Fraction(1, 10), 50)
     assert passes == []
-    assert validate_gap_certificate(lattice, cert) == [] and len(passes) == 1
+    assert validate_gap_certificate(lattice, cert) == [] and passes == []
+    # the scan of swapped weights (a wrong mu on nearly every row), and the
+    # lattice's scan under a budget that is not the certificate's
+    w0, w1, budget = lattice.mu_h0, lattice.mu_hinf, cert.budget
+    for other, failure in (
+        (replaced(cert, witnesses=BudgetScan(w1, w0, budget)), "witness (0,1) has wrong mu 6"),
+        (replaced(cert, budget=budget + 2), "witness list is not the full budget scan"),
+    ):
+        want = ref_validate_gap_certificate(lattice, other)
+        assert failure in want
+        passes.clear()
+        assert validate_gap_certificate(lattice, other) == want and len(passes) == 1
     # a dropped row, a wrong mu and a wrong slope
     rows = list(cert.witnesses)[1:]
     rows[0] = rows[0][:2] + (rows[0][2] + 1, rows[0][3])
@@ -1208,6 +1224,221 @@ def test_checker_iterates_the_witnesses_once(lattice, monkeypatch):
     assert want[0] == "witness list is not the full budget scan" and len(want) == 3
     passes.clear()
     assert validate_gap_certificate(lattice, tampered) == want and len(passes) == 1
+
+
+# ---------------------------------------------------------------------------
+# Reading a witness list that is the budget scan: the per-row read above
+# (``_witness_from_json`` on every row) kept as the reference
+# ---------------------------------------------------------------------------
+
+
+def ref_witnesses_from_json(rows, weights, budget):
+    return tuple(search._witness_from_json(w) for w in rows)
+
+
+def ref_gap_certificate_from_json(doc):
+    """The reader with every witness row read one by one."""
+    with mock.patch.object(search, "_witnesses_from_json", ref_witnesses_from_json):
+        return gap_certificate_from_json(doc)
+
+
+def is_wire_scan(doc) -> bool:
+    """Are the wire rows exactly those of the scan of the document's own
+    weights and budget, as the writer spells them?"""
+    weights, budget, rows = doc.get("mu_weights"), doc.get("budget"), doc.get("witnesses")
+    if type(weights) is not list or len(weights) != 2 or type(rows) is not list:
+        return False
+    if any(type(x) is not int or x < 1 for x in weights) or type(budget) is not int:
+        return False
+    if not all(type(w) is dict and {"a", "b", "mu", "slope"} <= w.keys() for w in rows):
+        return False
+    wire = [(w["a"], w["b"], w["mu"], w["slope"]) for w in rows]
+    if any(list(map(type, row)) != [int, int, int, str] for row in wire):
+        return False
+    w0, w1 = weights
+    pairs = islice(_budget_pairs(w0, w1, budget), len(rows) + 1)
+    return wire == [(a, b, w0 * a + w1 * b, ref_slope_text(b, a)) for a, b in pairs]
+
+
+KEYS = ("a", "b", "mu", "slope")
+BASE_DOCS = [json.loads(dumps_canonical(gap_certificate_to_json(cert))) for cert in BASE_CERTS]
+WIRE_MUTATIONS = [
+    "none", "true", "float", "respell", "extra-key", "swap", "repeat", "drop",
+    "swap-weights", "reweigh", "budget", "list-row", "weights-bool",
+]
+
+
+@st.composite
+def wire_documents(draw):
+    """Wire documents: a base certificate or one of ``mutated_certificates``
+    as rows of dicts, then up to three wire-level mutations."""
+    which = draw(st.integers(0, len(BASE_DOCS) - 1))
+    doc = dict(BASE_DOCS[which])
+    if draw(st.booleans()):
+        cert = draw(mutated_certificates())
+        doc = {
+            **doc, "a": cert.a, "b": cert.b, "mu": cert.mu, "k": cert.k, "budget": cert.budget,
+            "mu_weights": list(cert.mu_weights), "r": str(cert.r),
+        }
+        rows = [dict(zip(KEYS, row)) for row in cert.witnesses]
+    else:
+        rows = [dict(w) for w in doc["witnesses"]]
+    for kind in draw(st.lists(st.sampled_from(WIRE_MUTATIONS), max_size=3)):
+        i = draw(st.integers(0, len(rows) - 1)) if rows else 0
+        if kind == "none" or not rows and kind not in ("swap-weights", "budget", "reweigh"):
+            continue
+        if kind in ("true", "float"):
+            key = draw(st.sampled_from(["a", "b", "mu"]))
+            if type(rows[i]) is dict and type(rows[i].get(key)) is int:
+                rows[i] = {**rows[i], key: True if kind == "true" else float(rows[i][key])}
+        elif kind == "respell":
+            w = rows[i]
+            if type(w) is dict and type(w.get("a")) is int and w["a"] > 0:
+                text = draw(st.sampled_from([f"{2 * w['b']}/{2 * w['a']}", f" {w['slope']}"]))
+                rows[i] = {**w, "slope": text}
+        elif kind == "extra-key":
+            if type(rows[i]) is dict:
+                rows[i] = {**rows[i], "note": draw(st.sampled_from([1, "x", None]))}
+        elif kind == "swap":
+            j = draw(st.integers(0, len(rows) - 1))
+            rows[i], rows[j] = rows[j], rows[i]
+        elif kind == "repeat":
+            rows.insert(i, rows[i])
+        elif kind == "drop":
+            del rows[i]
+        elif kind == "swap-weights":
+            doc["mu_weights"] = doc["mu_weights"][::-1]
+        elif kind == "reweigh":  # the exact scan of other weights, which it claims
+            w0, w1 = draw(st.sampled_from([(4, 6), (1, 1), (5, 4), (6, 5)]))
+            doc["mu_weights"] = [w0, w1]
+            rows = [dict(zip(KEYS, row)) for row in BudgetScan(w0, w1, doc["budget"])]
+        elif kind == "budget":
+            doc["budget"] += draw(st.sampled_from([-1, 1]))
+        elif kind == "list-row":
+            if type(rows[i]) is dict:
+                rows[i] = [rows[i].get(key) for key in KEYS]
+        else:  # weights-bool
+            doc["mu_weights"] = [True if w == 1 else w for w in doc["mu_weights"]]
+    return {**doc, "witnesses": rows}
+
+
+@given(doc=wire_documents())
+@settings(max_examples=500, deadline=None)
+@example(doc={**BASE_DOCS[0], "mu_weights": [1, 1], "witnesses": [
+    dict(zip(KEYS, row)) for row in BudgetScan(1, 1, BASE_DOCS[0]["budget"])
+]})
+def test_reader_and_checker_match_the_per_row_reference(lattice, doc):
+    """The certificate, or the error's text, is the per-row read's; it holds
+    a scan exactly when the wire rows are the scan of the document's own
+    weights and budget; and the failure list is the reference checker's."""
+    got = _read_or_message(gap_certificate_from_json, doc)
+    assert got == _read_or_message(ref_gap_certificate_from_json, doc)
+    if isinstance(got, str):
+        return
+    assert (type(got.witnesses) is BudgetScan) == is_wire_scan(doc)
+    assert validate_gap_certificate(lattice, got) == ref_validate_gap_certificate(lattice, got)
+
+
+def test_wire_mutations_reach_both_readers():
+    """Pins the generator: the base documents and a reweighed one are read
+    as scans; each wire mutation that changes a row's value, spelling, type
+    or place is read row by row; an extra key changes nothing."""
+    doc = BASE_DOCS[0]
+    rows = doc["witnesses"]
+    assert all(type(gap_certificate_from_json(d).witnesses) is BudgetScan for d in BASE_DOCS)
+    assert rows[0] == {"a": 0, "b": 1, "mu": 4, "slope": "inf"}
+    for edited in (
+        {**rows[0], "b": True},
+        {**rows[0], "mu": 4.0},
+        {**rows[0], "slope": " inf"},
+        list(rows[0].values()),
+    ):
+        bad = {**doc, "witnesses": [edited] + rows[1:]}
+        read = _read_or_message(gap_certificate_from_json, bad)
+        assert isinstance(read, str) or type(read.witnesses) is tuple
+    for bad in (
+        {**doc, "witnesses": rows[1:]},
+        {**doc, "witnesses": rows + rows[-1:]},
+        {**doc, "witnesses": rows[1:2] + rows[:1] + rows[2:]},
+        {**doc, "budget": doc["budget"] + 2},
+        {**doc, "mu_weights": doc["mu_weights"][::-1]},
+    ):
+        assert type(gap_certificate_from_json(bad).witnesses) is tuple
+    extra = {**doc, "witnesses": [{**w, "note": 1} for w in rows]}
+    assert type(gap_certificate_from_json(extra).witnesses) is BudgetScan
+
+
+def test_rows_before_the_first_differing_block_are_read_once(monkeypatch):
+    """A tampered row sends only its block of equal a, and the blocks after
+    it, through the per-row read; the certificate is the per-row read's."""
+    doc = BASE_DOCS[0]
+    rows = doc["witnesses"]
+    last_block = sum(w["a"] == rows[-1]["a"] for w in rows)
+    assert 0 < last_block < len(rows) / 10
+    for i, read_from in ((0, 0), (len(rows) - 1, len(rows) - last_block)):
+        tampered = {**rows[i], "mu": rows[i]["mu"] + 1}
+        bad = {**doc, "witnesses": [*rows[:i], tampered, *rows[i + 1 :]]}
+        want = ref_gap_certificate_from_json(bad)
+        calls = []
+        read = search._witness_from_json
+        monkeypatch.setattr(search, "_witness_from_json", lambda w: calls.append(w) or read(w))
+        got = gap_certificate_from_json(bad)
+        monkeypatch.undo()
+        assert got == want and type(got.witnesses) is tuple
+        assert calls == bad["witnesses"][read_from:]
+
+
+def _within_a_second(run):
+    def stop(signum, frame):
+        raise TimeoutError("ran for more than a second")
+
+    previous = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        return run()
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+def test_a_read_scan_of_sparse_weights_is_checked_and_written_within_a_second(lattice):
+    """A document may claim weights so large that its budget dwarfs its
+    rows: it is read as a scan, checked row by row against the lattice, and
+    written again, all without a step per unit of budget."""
+    big = 10**30
+    doc = {**GAP_DOC, "mu_weights": [big, big], "budget": big, "witnesses": [
+        {"a": 0, "b": 1, "mu": big, "slope": "inf"},
+        {"a": 1, "b": 0, "mu": big, "slope": "0"},
+    ]}
+    cert = _within_a_second(lambda: gap_certificate_from_json(doc))
+    assert cert.witnesses == BudgetScan(big, big, big) and len(cert.witnesses) == 2
+    got = _within_a_second(lambda: validate_gap_certificate(lattice, cert))
+    assert got == ref_validate_gap_certificate(lattice, cert) and got
+    text = _within_a_second(lambda: dumps_canonical(gap_certificate_to_json(cert)))
+    assert text == dumps_canonical(doc)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@pytest.mark.parametrize(
+    "header, scan",
+    [({"b": -(10**40)}, True), ({"a": 10**40}, True), ({"budget": 10**40}, False)],
+    ids=["b-minus-10**40", "a-10**40", "budget-10**40-five-rows"],
+)
+def test_hostile_headers_are_checked_within_a_second(lattice, header, scan):
+    """The golden sqrt2 certificate's full scan with a hostile pair, where
+    the block check clamps each a's range of b at 0, and five of its rows
+    under a claimed budget of 10**40, which is not read as a scan: each
+    failure list is the per-row reference's."""
+    doc = {**GAP_DOC, **header}
+    if not scan:
+        doc["witnesses"] = GAP_DOC["witnesses"][:5]
+    cert = _within_a_second(lambda: gap_certificate_from_json(doc))
+    assert (type(cert.witnesses) is BudgetScan) == scan
+    got = _within_a_second(lambda: validate_gap_certificate(lattice, cert))
+    rows = tuple(search._witness_from_json(w) for w in doc["witnesses"])
+    assert got == ref_validate_gap_certificate(lattice, replaced(cert, witnesses=rows))
+    assert got
 
 
 # ---------------------------------------------------------------------------
