@@ -695,15 +695,17 @@ def _witness_from_json(w) -> tuple[int, int, int, str]:
 
 def _claimed_scan(rows, weights, budget) -> BudgetScan | None:
     """The ``BudgetScan`` of a document's ``mu_weights`` and ``budget`` if it
-    has as many rows as ``rows``, a list; None otherwise.  The number of
-    rows bounds the budget // w0 + 1 terms of ``len`` before it runs, so
-    the cost is linear in the rows whatever budget is claimed."""
+    has as many rows as ``rows``, a list; None otherwise.  A budget above
+    the number of rows is refused before ``len`` runs, so its budget // w0
+    + 1 terms and each block's budget // w1 + 1 rows are bounded by the
+    rows, whatever budget is claimed.  Only a tiny scan of weights above 1
+    has more budget than rows, and it is read row by row."""
     if type(rows) is not list or type(weights) is not list or len(weights) != 2:
         return None
     w0, w1 = weights
     if not (type(w0) is type(w1) is type(budget) is int and w0 >= 1 and w1 >= 1):
         return None
-    if budget // w0 > len(rows):
+    if budget > len(rows):
         return None
     scan = BudgetScan(w0, w1, budget)
     return scan if len(scan) == len(rows) else None
@@ -722,13 +724,13 @@ def _witnesses_from_json(rows, weights, budget) -> BudgetScan | tuple:
     out and compared by C iterators, with a Python step per block, not per
     row.  Once a block differs, only the rows from it on are read one by
     one: the blocks before it are scan rows, which that read keeps as they
-    are.  Once the lengths agree, no integer of a slope text exceeds the
-    number of rows."""
+    are.  Every integer the scan spells is at most its budget, which
+    ``_claimed_scan`` bounds by the number of rows."""
     scan = _claimed_scan(rows, weights, budget)
     matched, end = [], 0  # the leading blocks that match, as row tuples
     if scan is not None:
         w0, w1 = weights
-        spell = list(map(str, range(max(budget // w0, budget // w1) + 1))).__getitem__
+        spell = list(map(str, range(budget + 1))).__getitem__
         for a, bs, mus, nums, tails in scan.blocks(spell, "\n"):
             block = rows[end : end + len(bs)]
             if set(map(type, block)) != {dict}:

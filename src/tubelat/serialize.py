@@ -156,9 +156,8 @@ def _write_rows(rows: Rows, depth: int, out: list) -> None:
     and a tail that closes the row.  A block's pieces are a list of the
     constants repeated, with each column put in by one slice assignment, so
     no Python frame runs per row.  A budget scan spells every integer from
-    one list of ``str(i)`` for i up to its budget, unless it has too few
-    rows to use them, and its slope texts need no escape, so their quotes go
-    in the slope key and the tail."""
+    one list of ``str(i)`` for i up to its budget, and its slope texts need
+    no escape, so their quotes go in the slope key and the tail."""
     inner = _INDENT * (depth + 1)
     deep = inner + _INDENT
     opening = ",\n" + inner + "{\n" + deep + '"a": '  # with the separator of rows
@@ -166,9 +165,7 @@ def _write_rows(rows: Rows, depth: int, out: list) -> None:
     close = "\n" + inner + "}"
     source = rows._source
     if hasattr(source, "blocks"):  # a budget scan
-        # a read scan may claim sparse weights: its budget can dwarf its rows
-        dense = source.budget < 3 * len(source)
-        spell = list(map(str, range(source.budget + 1))).__getitem__ if dense else str
+        spell = list(map(str, range(source.budget + 1))).__getitem__
         blocks, slope_key = source.blocks(spell, '"' + close), slope_key + '"'
     else:
         spell, blocks = int.__repr__, _wire_blocks(source, close)

@@ -436,6 +436,18 @@ def test_certify_boundary_fuzz(tmp_path, name, field):
         assert (code == 0) == (out.get("valid") is True), (field, value)
 
 
+def test_certify_answers_a_budget_that_dwarfs_the_rows(tmp_path):
+    """The golden certificate's rows under weights (10**30, 1) and a budget
+    of 10**20, a scan of 10**20 rows at a = 0 alone: certify reads the rows
+    one by one and answers with a verdict, the weights' mismatch included."""
+    doc = {**FUZZ_DOCS["gap-search-sqrt2"], "mu_weights": [10**30, 1], "budget": 10**20}
+    doc_file = tmp_path / "doc.json"
+    doc_file.write_text(json.dumps(doc))
+    code, verdict = invoke_json("certify", str(doc_file))
+    assert code == 1 and verdict["valid"] is False
+    assert any("weights" in failure for failure in verdict["failures"])
+
+
 def test_user_algebra_file(tmp_path, spec):
     from tubelat.algebra import spec_to_json
 

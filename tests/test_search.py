@@ -1244,11 +1244,14 @@ def ref_gap_certificate_from_json(doc):
 
 def is_wire_scan(doc) -> bool:
     """Are the wire rows exactly those of the scan of the document's own
-    weights and budget, as the writer spells them?"""
+    weights and budget, as the writer spells them, with a budget of at most
+    the number of rows?"""
     weights, budget, rows = doc.get("mu_weights"), doc.get("budget"), doc.get("witnesses")
     if type(weights) is not list or len(weights) != 2 or type(rows) is not list:
         return False
     if any(type(x) is not int or x < 1 for x in weights) or type(budget) is not int:
+        return False
+    if budget > len(rows):
         return False
     if not all(type(w) is dict and {"a", "b", "mu", "slope"} <= w.keys() for w in rows):
         return False
@@ -1402,17 +1405,25 @@ def _within_a_second(run):
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
-def test_a_read_scan_of_sparse_weights_is_checked_and_written_within_a_second(lattice):
-    """A document may claim weights so large that its budget dwarfs its
-    rows: it is read as a scan, checked row by row against the lattice, and
-    written again, all without a step per unit of budget."""
-    big = 10**30
-    doc = {**GAP_DOC, "mu_weights": [big, big], "budget": big, "witnesses": [
-        {"a": 0, "b": 1, "mu": big, "slope": "inf"},
-        {"a": 1, "b": 0, "mu": big, "slope": "0"},
-    ]}
+@pytest.mark.parametrize(
+    "weights, budget, rows",
+    [((10**30, 10**30), 10**30, 2), ((10**30, 1), 10**20, None)],
+    ids=["two-rows-of-weights-10**30", "sqrt2-rows-w0-10**30-budget-10**20"],
+)
+def test_a_budget_above_the_rows_is_read_row_by_row_within_a_second(
+    lattice, weights, budget, rows
+):
+    """A document whose claimed budget exceeds its row count, here by far
+    through weights of 10**30 (a = 0 alone would be 10**20 rows), is read
+    row by row, never sized as a scan; the certificate, its failure list
+    and its text are the per-row reference's."""
+    w0, w1 = weights
+    doc = {**GAP_DOC, "mu_weights": [w0, w1], "budget": budget}
+    if rows is not None:
+        doc["witnesses"] = [dict(zip(KEYS, row)) for row in BudgetScan(w0, w1, budget)]
+        assert len(doc["witnesses"]) == rows
     cert = _within_a_second(lambda: gap_certificate_from_json(doc))
-    assert cert.witnesses == BudgetScan(big, big, big) and len(cert.witnesses) == 2
+    assert type(cert.witnesses) is tuple and cert == ref_gap_certificate_from_json(doc)
     got = _within_a_second(lambda: validate_gap_certificate(lattice, cert))
     assert got == ref_validate_gap_certificate(lattice, cert) and got
     text = _within_a_second(lambda: dumps_canonical(gap_certificate_to_json(cert)))
