@@ -6,6 +6,9 @@ JSON document to stdout.  Domain failures print a machine-readable error
 object and exit nonzero.  Setting TUBELAT_OUTPUT_DIR additionally writes a
 copy of the output to <dir>/<subcommand>.json.  The module layer (``reps``,
 ``pp``) is imported only by the subcommands that read a module or a formula.
+``certify`` reads its file as text: a canonical document is read by writing
+it again (``certificate_from_canonical_text``), and any other by
+``json.loads``, row by row.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from .exceptional import enumerate_exceptional, unit_decompose
 from .lattice import K0Lattice
 from .quadirr import parse_quad_irrational
 from .search import (
+    GapCertificate,
+    certificate_from_canonical_text,
     delta_for,
     gap_certificate_from_json,
     gap_certificate_to_json,
@@ -37,13 +42,22 @@ from .search import (
 from .serialize import dumps_canonical, frac_to_str, parse_frac, parse_int_vector
 
 
-def _read_json(path):
-    """The JSON document in a file; nesting too deep to decode is malformed."""
+def _read_text(path) -> str:
     with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError as exc:
-            raise json.JSONDecodeError("nesting too deep", "", 0) from exc
+        return fh.read()
+
+
+def _parse_json(text):
+    """The JSON document in ``text``; nesting too deep to decode, or an
+    integer literal longer than the interpreter converts, is malformed."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except RecursionError as exc:
+        raise json.JSONDecodeError("nesting too deep", "", 0) from exc
+    except ValueError as exc:  # the int-to-str digit limit
+        raise json.JSONDecodeError("integer literal too long", "", 0) from exc
 
 
 class _Context:
@@ -55,7 +69,7 @@ class _Context:
     @cached_property
     def spec(self):
         if self.args.algebra:
-            return spec_from_json(_read_json(self.args.algebra))
+            return spec_from_json(_parse_json(_read_text(self.args.algebra)))
         return build_c4(parse_frac(self.args.lam))
 
     @cached_property
@@ -78,11 +92,11 @@ class _Context:
 
     def load_rep(self, path):
         from .reps import rep_from_json
-        return rep_from_json(self.spec, _read_json(path))
+        return rep_from_json(self.spec, _parse_json(_read_text(path)))
 
     def load_formula(self, path):
         from .pp import formula_from_json
-        return formula_from_json(self.spec, _read_json(path))
+        return formula_from_json(self.spec, _parse_json(_read_text(path)))
 
 
 def _cmd_validate_algebra(ctx: _Context) -> tuple[object, int]:
@@ -223,16 +237,21 @@ def _cmd_pp_pair(ctx: _Context) -> tuple[object, int]:
 
 
 def _cmd_certify(ctx: _Context) -> tuple[object, int]:
-    data = _read_json(ctx.args.certificate)
-    kind = data.get("kind") if isinstance(data, dict) else None
-    if kind == "gap-vector":
-        cert = gap_certificate_from_json(data)
-        failures = validate_gap_certificate(ctx.lattice, cert)
-    elif kind == "tube-params":
-        tp = tube_params_from_json(data)
-        failures = validate_tube_params(ctx.lattice, ctx.exceptional, tp)
+    text = _read_text(ctx.args.certificate)
+    value = certificate_from_canonical_text(text)
+    if value is None:  # not canonical: read by json.loads, row by row
+        data = _parse_json(text)
+        kind = data.get("kind") if isinstance(data, dict) else None
+        if kind == "gap-vector":
+            value = gap_certificate_from_json(data)
+        elif kind == "tube-params":
+            value = tube_params_from_json(data)
+        else:
+            raise SpecFormatError(f"unknown certificate kind {kind!r}")
+    if isinstance(value, GapCertificate):
+        kind, failures = "gap-vector", validate_gap_certificate(ctx.lattice, value)
     else:
-        raise SpecFormatError(f"unknown certificate kind {kind!r}")
+        kind, failures = "tube-params", validate_tube_params(ctx.lattice, ctx.exceptional, value)
     doc = {"kind": kind, "valid": not failures, "failures": failures}
     return doc, 0 if not failures else 1
 

@@ -18,8 +18,10 @@ integer comparisons:
   total dimension mu whose slope in (r - eps, r) is the best slope below r
   of all pairs within dimension mu + k, and certifies it by every pair
   within that budget, one row (a, b, mu, slope text) per pair, made only
-  when the certificate is written; a certificate read back is that budget
-  scan again, checked a block of equal a at a time;
+  when the certificate is written; ``certificate_from_canonical_text``
+  reads a canonical document back as that budget scan by writing it again
+  from its header and comparing the bytes, and the scan is checked a block
+  of equal a at a time;
 * ``tube_parameters`` turns a requested dimension gap d into a choice of k,
   a certified gap vector and the resulting dimension bounds.
 
@@ -29,16 +31,17 @@ defined, so the a = 0 edge of the natural numbers is excluded throughout.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from math import ceil, floor, gcd, lcm
-from operator import add, floordiv, itemgetter
+from operator import add, floordiv
 
-from .errors import BudgetExhaustedError, PreconditionError, SpecFormatError
+from .errors import BudgetExhaustedError, PreconditionError, SpecFormatError, TubelatError
 from .exceptional import ExceptionalSet
 from .lattice import K0Lattice, Slope, mu, reduced_ratio, slope_text
 from .quadirr import QuadIrrational, parse_quad_irrational
-from .serialize import Rows, frac_to_str, parse_frac, parse_int
+from .serialize import Rows, dumps_canonical, frac_to_str, parse_frac, parse_int
 from .value import Value
 
 MAX_SHRINK_ROUNDS = 64  # window shrinks in tube_parameters before budget-exhausted
@@ -297,9 +300,9 @@ class GapCertificate(Value):
     total dimension at most ``budget``; validity means none of them has slope
     strictly between the returned slope and r.  From ``gap_vector`` it is a
     lazy ``BudgetScan``, iterated and written one block of equal a at a
-    time.  From ``gap_certificate_from_json`` it is the ``BudgetScan`` of the
-    document's own weights and budget when the wire rows are exactly that
-    scan's rows, and otherwise the tuple of the rows as read.
+    time.  From ``certificate_from_canonical_text`` it is the ``BudgetScan``
+    of the document's own weights and budget, and from
+    ``gap_certificate_from_json`` the tuple of the rows as read.
     ``validate_gap_certificate`` checks the scan of the lattice's weights a
     block at a time and anything else row by row.  The two forms compare
     equal when their rows do.
@@ -324,8 +327,8 @@ class BudgetScan(Value):
     budget)``, in its order, built only while iterated, one block per a by
     ``blocks``.  ``len`` sums floor((budget - w0*a)/w1) + 1 over a and drops
     the origin, building no row.  The view equals, and hashes as, the tuple
-    of its rows.  ``gap_vector`` makes one, and so does the reader when the
-    wire rows of a document are exactly one."""
+    of its rows.  ``gap_vector`` makes one, and so does
+    ``certificate_from_canonical_text`` from a document's header."""
 
     __slots__ = ("w0", "w1", "budget")
 
@@ -693,93 +696,22 @@ def _witness_from_json(w) -> tuple[int, int, int, str]:
     return a, b, m, slope
 
 
-def _claimed_scan(rows, weights, budget) -> BudgetScan | None:
-    """The ``BudgetScan`` of a document's ``mu_weights`` and ``budget`` if it
-    has as many rows as ``rows``, a list; None otherwise.  A budget above
-    the number of rows is refused before ``len`` runs, so its budget // w0
-    + 1 terms and each block's budget // w1 + 1 rows are bounded by the
-    rows, whatever budget is claimed.  Only a tiny scan of weights above 1
-    has more budget than rows, and it is read row by row."""
-    if type(rows) is not list or type(weights) is not list or len(weights) != 2:
-        return None
-    w0, w1 = weights
-    if not (type(w0) is type(w1) is type(budget) is int and w0 >= 1 and w1 >= 1):
-        return None
-    if budget > len(rows):
-        return None
-    scan = BudgetScan(w0, w1, budget)
-    return scan if len(scan) == len(rows) else None
-
-
-_COLUMNS = tuple(map(itemgetter, Rows.KEYS))
-
-
-def _witnesses_from_json(rows, weights, budget) -> BudgetScan | tuple:
-    """The witnesses of a document: the scan of its weights and budget if
-    ``rows`` are exactly that scan's rows, each a dict whose a, b and mu are
-    exactly ints and whose slope is exactly the str the writer spells;
-    otherwise the tuple that ``_witness_from_json`` reads row by row.
-
-    The rows are matched a block of equal a at a time, each column pulled
-    out and compared by C iterators, with a Python step per block, not per
-    row.  Once a block differs, only the rows from it on are read one by
-    one: the blocks before it are scan rows, which that read keeps as they
-    are.  Every integer the scan spells is at most its budget, which
-    ``_claimed_scan`` bounds by the number of rows."""
-    scan = _claimed_scan(rows, weights, budget)
-    matched, end = [], 0  # the leading blocks that match, as row tuples
-    if scan is not None:
-        w0, w1 = weights
-        spell = list(map(str, range(budget + 1))).__getitem__
-        for a, bs, mus, nums, tails in scan.blocks(spell, "\n"):
-            block = rows[end : end + len(bs)]
-            if set(map(type, block)) != {dict}:
-                break
-            try:
-                columns = [list(map(get, block)) for get in _COLUMNS]
-            except KeyError:
-                break
-            a_col, b_col, mu_col, slopes = columns
-            # True == 1 and 1.0 == 1, but neither is the writer's 1
-            if set(map(type, chain(a_col, b_col, mu_col))) != {int}:
-                break
-            if set(map(type, slopes)) != {str}:
-                break
-            if a_col != [a] * len(bs) or b_col != list(bs) or mu_col != list(mus):
-                break
-            # no slope text holds a newline, so the joined texts are equal
-            # only when each row's is
-            texts = [None, None] * len(bs)
-            texts[0::2], texts[1::2] = nums, tails
-            if "\n".join(slopes) + "\n" != "".join(texts):
-                break
-            matched.append(zip(*columns))
-            end += len(bs)
-        else:
-            return scan
-    rest = (_witness_from_json(w) for w in islice(rows, end, None))
-    return tuple(chain(chain.from_iterable(matched), rest))
-
-
 def gap_certificate_from_json(data: dict) -> GapCertificate:
     """Read a ``gap-vector`` document; malformed input is a SpecFormatError.
 
-    Witness rows that are exactly the budget scan of the document's own
-    ``mu_weights`` and ``budget``, as the writer spells it, are kept as that
-    ``BudgetScan`` (``_witnesses_from_json``), with no row tuple built.
-    Other rows are read one by one: a witness slope already in the reduced
-    text of b/a is kept as it is, and any other spelling goes through
-    ``Slope.parse`` and is stored normalised, so ``validate_gap_certificate``
-    judges the value, not the spelling.  Either way the certificate equals
-    the one the row-by-row read gives, and malformed rows raise the same
-    error, the first bad row's.
+    The witness rows are read one by one: a witness slope already in the
+    reduced text of b/a is kept as it is, and any other spelling goes
+    through ``Slope.parse`` and is stored normalised, so
+    ``validate_gap_certificate`` judges the value, not the spelling.  A
+    malformed row raises the first bad row's error.  A ``BudgetScan`` in
+    place of the rows, which ``certificate_from_canonical_text`` puts there,
+    is kept as it is.
     """
     try:
         if data.get("kind") != "gap-vector":
             raise SpecFormatError(f"not a gap-vector certificate: {data.get('kind')!r}")
-        witnesses = _witnesses_from_json(
-            data["witnesses"], data.get("mu_weights"), data.get("budget")
-        )
+        rows = data["witnesses"]
+        witnesses = rows if type(rows) is BudgetScan else tuple(map(_witness_from_json, rows))
         return GapCertificate(
             r=parse_quad_irrational(data["r"]),
             epsilon=parse_frac(data["epsilon"]),
@@ -832,3 +764,46 @@ def tube_params_from_json(data: dict) -> TubeParams:
         )
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise SpecFormatError(f"malformed tube-params document: {exc}") from exc
+
+
+# the fewest bytes of one canonical witness row and its separator, at depth
+# 1; deeper rows are longer
+_ROW_BYTES = 75
+_WITNESSES = '"witnesses": ['
+
+
+def certificate_from_canonical_text(text: str) -> GapCertificate | TubeParams | None:
+    """The certificate whose canonical document is ``text``, with the budget
+    scan of its own weights and budget as witnesses; None otherwise.
+
+    The first ``"witnesses": [`` array is cut out up to the "]" at its
+    line's indent, ``json.loads`` reads the header left, and the value is
+    written again with its scan: equal bytes mean that ``json.loads(text)``
+    is exactly its document, so a wrong cut can only fail the comparison.
+    Before it is written the scan is bounded by the text: the weights are
+    ints >= 1, 0 <= budget <= len(text), and there are at most
+    len(text) // _ROW_BYTES rows.  Any error on the way gives None.
+    """
+    try:
+        start = text.index(_WITNESSES)
+        pad = text[text.rfind("\n", 0, start) + 1 : start]
+        end = text.index("\n" + pad + "]", start)
+        data = json.loads(text[: start + len(_WITNESSES)] + text[end + len(pad) + 1 :])
+        gap = data["certificate"] if data["kind"] == "tube-params" else data
+        w0, w1 = gap["mu_weights"]
+        budget, most = gap["budget"], len(text) // _ROW_BYTES
+        if not (type(w0) is type(w1) is type(budget) is int and min(w0, w1) >= 1):
+            return None
+        gap["witnesses"] = scan = BudgetScan(w0, w1, budget)
+        # each a >= 1 has the row b = 0, so budget // w0 <= most bounds len's sum
+        if not 0 <= budget <= len(text) or budget // w0 > most or len(scan) > most:
+            return None
+        if gap is data:
+            value = gap_certificate_from_json(data)
+            again = dumps_canonical(gap_certificate_to_json(value))
+        else:
+            value = tube_params_from_json(data)
+            again = dumps_canonical(tube_params_to_json(value))
+    except (TubelatError, ArithmeticError, LookupError, RecursionError, TypeError, ValueError):
+        return None
+    return value if again == text else None

@@ -12,9 +12,9 @@ without ``indent`` runs in C, and its item separator can carry the indent of
 one depth, so a container whose values are all scalars (str, int, bool,
 None) is given to C whole.  The witness rows of a gap certificate travel as
 one ``Rows`` value, whatever their source: a lazy budget scan, or the tuples
-of rows read from the wire that are not one.  It reads as the list of row
-dicts, and it is written one block of rows with equal a at a time, at the
-depth where it stands, with no dict built: each block's pieces are put in
+of rows read from the wire.  It reads as the list of row dicts, and it is
+written one block of rows with equal a at a time, at the depth where it
+stands, with no dict built: each block's pieces are put in
 place by C iterators, so no Python frame runs per row.  Everything else is
 written by a short recursion with sorted keys.  All of them append their
 pieces to one list, and one ``"".join`` writes the whole document.
@@ -67,7 +67,7 @@ def parse_int_vector(text, length: int | None = None) -> tuple[int, ...]:
     if isinstance(text, str):
         try:
             data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError: also the int digit limit
             raise SpecFormatError(f"malformed vector {text!r}") from exc
     else:
         data = text

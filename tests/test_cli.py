@@ -394,6 +394,35 @@ def test_deeply_nested_json_is_a_named_error(tmp_path, argv, error):
     assert code == 1 and doc["error"] == error
 
 
+DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1  # one past the limit
+
+
+@pytest.mark.skipif(DIGITS == 1, reason="no int-to-str digit limit")
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["certify", "{cert}"], "malformed-json"),
+        (["hom", "{rep}", "{rep}"], "malformed-json"),
+        (["slope", "--vec", "[{long},0,0,0,0,0]"], "spec-format"),
+    ],
+    ids=["certify", "rep", "vec"],
+)
+def test_integer_literals_past_the_digit_limit_are_named_errors(tmp_path, argv, error):
+    """An integer literal longer than the interpreter converts to an int is
+    one named error, not a ValueError traceback: in the canonical
+    certificate's header (which the byte path gives up on as well), in a
+    rep file and in a vector."""
+    long = "1" * DIGITS
+    golden = (GOLDEN_OUT / "gap-search-sqrt2.out").read_text(encoding="utf-8")
+    assert '\n  "mu": 58,\n' in golden
+    cert = tmp_path / "cert.json"
+    cert.write_text(golden.replace('\n  "mu": 58,\n', f'\n  "mu": {long},\n'))
+    rep = tmp_path / "rep.json"
+    rep.write_text(f'{{"dims": [{long}, 0, 0, 0, 0, 0], "arrows": {{}}}}')
+    code, text = invoke(*[a.format(cert=cert, rep=rep, long=long) for a in argv])
+    assert code == 1 and json.loads(text)["error"] == error
+
+
 def test_rep_breaking_a_relation_is_a_validation_error(tmp_path):
     # a11.a12.beta - a21.a22.beta acts as 1 - 0 on this module
     bad = tmp_path / "bad.json"

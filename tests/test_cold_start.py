@@ -3,9 +3,11 @@
 ``import tubelat.cli`` loads neither ``dataclasses`` (which pulls in
 ``inspect``, ``ast``, ``dis`` and ``tokenize``) nor the module layer
 (``tubelat.reps``, ``tubelat.pp``); subcommands that read no module or
-formula never load the module layer either.
+formula never load the module layer either, and ``certify`` of a canonical
+document loads nothing that its ``json.loads`` read does not.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -64,3 +66,23 @@ def test_module_subcommands_load_the_module_layer(tmp_path):
         "assert out.getvalue() == '1\\n', out.getvalue()",
     )
     assert "tubelat.reps" in loaded
+
+
+def test_certify_of_a_canonical_document_loads_no_more_than_the_json_read(tmp_path):
+    """The byte path, which writes the document again, loads no module that
+    the json.loads read of the same certificate does not."""
+    golden = SRC.parent / "tests" / "golden" / "expected" / "gap-search-sqrt2.out"
+    compact = tmp_path / "compact.json"
+    compact.write_text(json.dumps(json.loads(golden.read_text(encoding="utf-8"))))
+    loaded = {}
+    for path, canonical in ((golden, True), (compact, False)):
+        loaded[canonical] = modules_after(
+            "import io",
+            "from tubelat.cli import run",
+            "from tubelat.search import certificate_from_canonical_text",
+            "out = io.StringIO()",
+            f"assert run(['certify', {str(path)!r}], out) == 0, out.getvalue()",
+            f"text = open({str(path)!r}, encoding='utf-8').read()",
+            f"assert (certificate_from_canonical_text(text) is not None) is {canonical}",
+        )
+    assert not MODULE_LAYER & loaded[True] and loaded[True] <= loaded[False]

@@ -1,6 +1,9 @@
+import io
 import json
 import random
+import re
 import signal
+from contextlib import ExitStack
 from fractions import Fraction
 from itertools import islice
 from math import ceil, floor, gcd
@@ -11,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tubelat import search
+from tubelat import cli, search
 from tubelat.errors import BudgetExhaustedError, PreconditionError, SpecFormatError
 from tubelat.exceptional import ExceptionalSet
 from tubelat.lattice import K0Lattice, Slope, reduced_ratio, slope_text, vec_add
@@ -27,6 +30,7 @@ from tubelat.search import (
     _check_window,
     _could_set_delta,
     _in_window_below,
+    certificate_from_canonical_text,
     delta_for,
     gap_certificate_from_json,
     gap_certificate_to_json,
@@ -1048,10 +1052,9 @@ def ref_validate_gap_certificate(lattice: K0Lattice, cert: GapCertificate) -> li
     return failures
 
 
+# read as the budget scans they are
 BASE_CERTS = [
-    gap_certificate_from_json(
-        json.loads((GOLDEN_OUT / f"{name}.out").read_text(encoding="utf-8"))
-    )
+    certificate_from_canonical_text((GOLDEN_OUT / f"{name}.out").read_text(encoding="utf-8"))
     for name in (
         "gap-search-sqrt2",
         "gap-search-golden",
@@ -1227,168 +1230,113 @@ def test_checker_iterates_the_witnesses_once(lattice, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Reading a witness list that is the budget scan: the per-row read above
-# (``_witness_from_json`` on every row) kept as the reference
+# Reading a canonical document by writing it again: certify with the byte
+# path switched off, which reads every file by json.loads, row by row, kept
+# as the reference
 # ---------------------------------------------------------------------------
 
 
-def ref_witnesses_from_json(rows, weights, budget):
-    return tuple(search._witness_from_json(w) for w in rows)
-
-
-def ref_gap_certificate_from_json(doc):
-    """The reader with every witness row read one by one."""
-    with mock.patch.object(search, "_witnesses_from_json", ref_witnesses_from_json):
-        return gap_certificate_from_json(doc)
-
-
-def is_wire_scan(doc) -> bool:
-    """Are the wire rows exactly those of the scan of the document's own
-    weights and budget, as the writer spells them, with a budget of at most
-    the number of rows?"""
-    weights, budget, rows = doc.get("mu_weights"), doc.get("budget"), doc.get("witnesses")
-    if type(weights) is not list or len(weights) != 2 or type(rows) is not list:
-        return False
-    if any(type(x) is not int or x < 1 for x in weights) or type(budget) is not int:
-        return False
-    if budget > len(rows):
-        return False
-    if not all(type(w) is dict and {"a", "b", "mu", "slope"} <= w.keys() for w in rows):
-        return False
-    wire = [(w["a"], w["b"], w["mu"], w["slope"]) for w in rows]
-    if any(list(map(type, row)) != [int, int, int, str] for row in wire):
-        return False
-    w0, w1 = weights
-    pairs = islice(_budget_pairs(w0, w1, budget), len(rows) + 1)
-    return wire == [(a, b, w0 * a + w1 * b, ref_slope_text(b, a)) for a, b in pairs]
+def certify(text: str, byte_path: bool = True, lam: str = "2") -> tuple[int, str]:
+    """certify's exit code and output on a file that holds ``text``."""
+    out = io.StringIO()
+    with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(cli, "_read_text", lambda path: text))
+        if not byte_path:
+            stack.enter_context(
+                mock.patch.object(cli, "certificate_from_canonical_text", lambda text: None)
+            )
+        code = cli.run(["--lambda", lam, "certify", "doc.json"], out)
+    return code, out.getvalue()
 
 
 KEYS = ("a", "b", "mu", "slope")
-BASE_DOCS = [json.loads(dumps_canonical(gap_certificate_to_json(cert))) for cert in BASE_CERTS]
-WIRE_MUTATIONS = [
-    "none", "true", "float", "respell", "extra-key", "swap", "repeat", "drop",
-    "swap-weights", "reweigh", "budget", "list-row", "weights-bool",
+# the golden gap-vector and tube-params documents, and the sqrt2 certificate
+# as the scan of the swapped weights, which the checker reads row by row
+CANONICAL_TEXTS = [
+    *((GOLDEN_OUT / f"{name}.out").read_text(encoding="utf-8") for name in (
+        "gap-search-sqrt2", "gap-search-golden", "gap-search-sqrt7-over-2",
+        "gap-search-negative-q", "tube-params-eps-1-10", "tube-params-eps-1",
+    )),
+    dumps_canonical(gap_certificate_to_json(replaced(
+        BASE_CERTS[0], mu_weights=(4, 6), witnesses=BudgetScan(4, 6, BASE_CERTS[0].budget)
+    ))),
 ]
+BYTE_EDITS = ["digit", "space", "swap-keys", "swap-rows", "newline", "respell"]
+ROW = re.compile(r"\{[^{}]*\}")  # a witness row: the only objects with none inside
+KEY_LINE = re.compile(r'^ *"\w+": [^\[{\n]*,$', re.M)  # a member before the last, no container
+SLOPE = re.compile(r'(?<="slope": ")(?:inf|\d+(?:/\d+)?)(?=")')  # as the writer spells it
+
+
+def swapped(text: str, first: tuple[int, int], second: tuple[int, int]) -> str:
+    (s1, e1), (s2, e2) = sorted((first, second))
+    return text[:s1] + text[s2:e2] + text[e1:s2] + text[s1:e1] + text[e2:]
 
 
 @st.composite
-def wire_documents(draw):
-    """Wire documents: a base certificate or one of ``mutated_certificates``
-    as rows of dicts, then up to three wire-level mutations."""
-    which = draw(st.integers(0, len(BASE_DOCS) - 1))
-    doc = dict(BASE_DOCS[which])
-    if draw(st.booleans()):
-        cert = draw(mutated_certificates())
-        doc = {
-            **doc, "a": cert.a, "b": cert.b, "mu": cert.mu, "k": cert.k, "budget": cert.budget,
-            "mu_weights": list(cert.mu_weights), "r": str(cert.r),
-        }
-        rows = [dict(zip(KEYS, row)) for row in cert.witnesses]
-    else:
-        rows = [dict(w) for w in doc["witnesses"]]
-    for kind in draw(st.lists(st.sampled_from(WIRE_MUTATIONS), max_size=3)):
-        i = draw(st.integers(0, len(rows) - 1)) if rows else 0
-        if kind == "none" or not rows and kind not in ("swap-weights", "budget", "reweigh"):
-            continue
-        if kind in ("true", "float"):
-            key = draw(st.sampled_from(["a", "b", "mu"]))
-            if type(rows[i]) is dict and type(rows[i].get(key)) is int:
-                rows[i] = {**rows[i], key: True if kind == "true" else float(rows[i][key])}
-        elif kind == "respell":
-            w = rows[i]
-            if type(w) is dict and type(w.get("a")) is int and w["a"] > 0:
-                text = draw(st.sampled_from([f"{2 * w['b']}/{2 * w['a']}", f" {w['slope']}"]))
-                rows[i] = {**w, "slope": text}
-        elif kind == "extra-key":
-            if type(rows[i]) is dict:
-                rows[i] = {**rows[i], "note": draw(st.sampled_from([1, "x", None]))}
-        elif kind == "swap":
-            j = draw(st.integers(0, len(rows) - 1))
-            rows[i], rows[j] = rows[j], rows[i]
-        elif kind == "repeat":
-            rows.insert(i, rows[i])
-        elif kind == "drop":
-            del rows[i]
-        elif kind == "swap-weights":
-            doc["mu_weights"] = doc["mu_weights"][::-1]
-        elif kind == "reweigh":  # the exact scan of other weights, which it claims
-            w0, w1 = draw(st.sampled_from([(4, 6), (1, 1), (5, 4), (6, 5)]))
-            doc["mu_weights"] = [w0, w1]
-            rows = [dict(zip(KEYS, row)) for row in BudgetScan(w0, w1, doc["budget"])]
-        elif kind == "budget":
-            doc["budget"] += draw(st.sampled_from([-1, 1]))
-        elif kind == "list-row":
-            if type(rows[i]) is dict:
-                rows[i] = [rows[i].get(key) for key in KEYS]
-        else:  # weights-bool
-            doc["mu_weights"] = [True if w == 1 else w for w in doc["mu_weights"]]
-    return {**doc, "witnesses": rows}
+def edited_texts(draw):
+    """A canonical document with up to two edits of its bytes: a digit, an
+    added space, two members or two rows swapped, the trailing newline
+    dropped, a slope spelt another way."""
+    text = draw(st.sampled_from(CANONICAL_TEXTS))
+    for kind in draw(st.lists(st.sampled_from(BYTE_EDITS), max_size=2)):
+        if kind == "digit":  # anywhere, or in the members before the rows
+            end = draw(st.sampled_from([len(text), text.find('"witnesses"')]))
+            i = draw(st.sampled_from([m.start() for m in re.finditer(r"\d", text[:end])]))
+            text = text[:i] + draw(st.sampled_from("0123456789".replace(text[i], ""))) + text[i + 1 :]
+        elif kind == "space":
+            i = draw(st.integers(0, len(text)))
+            text = text[:i] + " " + text[i:]
+        elif kind == "newline":
+            text = text[:-1]
+        elif kind == "respell" and SLOPE.search(text):
+            m = draw(st.sampled_from(list(SLOPE.finditer(text))))
+            n, _, d = m.group().partition("/")
+            other = ["oo", " inf"] if n == "inf" else [f"{2 * int(n)}/{2 * int(d or 1)}", f" {n}"]
+            text = text[: m.start()] + draw(st.sampled_from(other)) + text[m.end() :]
+        elif kind != "respell":
+            spans = [m.span() for m in (KEY_LINE if kind == "swap-keys" else ROW).finditer(text)]
+            first, second = draw(st.lists(st.sampled_from(spans), min_size=2, max_size=2, unique=True))
+            text = swapped(text, first, second)
+    return text
 
 
-@given(doc=wire_documents())
-@settings(max_examples=500, deadline=None)
-@example(doc={**BASE_DOCS[0], "mu_weights": [1, 1], "witnesses": [
-    dict(zip(KEYS, row)) for row in BudgetScan(1, 1, BASE_DOCS[0]["budget"])
-]})
-def test_reader_and_checker_match_the_per_row_reference(lattice, doc):
-    """The certificate, or the error's text, is the per-row read's; it holds
-    a scan exactly when the wire rows are the scan of the document's own
-    weights and budget; and the failure list is the reference checker's."""
-    got = _read_or_message(gap_certificate_from_json, doc)
-    assert got == _read_or_message(ref_gap_certificate_from_json, doc)
-    if isinstance(got, str):
-        return
-    assert (type(got.witnesses) is BudgetScan) == is_wire_scan(doc)
-    assert validate_gap_certificate(lattice, got) == ref_validate_gap_certificate(lattice, got)
+@given(text=edited_texts(), lam=st.sampled_from(["2", "5/3"]))
+@example(text=CANONICAL_TEXTS[0], lam="2")
+@settings(max_examples=300, deadline=None)
+def test_reader_and_checker_match_the_per_row_reference(text, lam):
+    """certify answers each edit of a canonical document, byte for byte and
+    with its exit code, as the json.loads read does; and a value that the
+    byte path reads equals the json.loads read of the same text."""
+    assert certify(text, lam=lam) == certify(text, byte_path=False, lam=lam)
+    value = certificate_from_canonical_text(text)
+    if value is not None:
+        data = json.loads(text)
+        read = gap_certificate_from_json if data["kind"] == "gap-vector" else tube_params_from_json
+        assert value == read(data)
 
 
 def test_wire_mutations_reach_both_readers():
-    """Pins the generator: the base documents and a reweighed one are read
-    as scans; each wire mutation that changes a row's value, spelling, type
-    or place is read row by row; an extra key changes nothing."""
-    doc = BASE_DOCS[0]
-    rows = doc["witnesses"]
-    assert all(type(gap_certificate_from_json(d).witnesses) is BudgetScan for d in BASE_DOCS)
-    assert rows[0] == {"a": 0, "b": 1, "mu": 4, "slope": "inf"}
+    """Pins the generator: each canonical text is read by the byte path as
+    its scan, and each kind of byte edit sends a text to the json.loads
+    read; a digit of the header is read as it stands, since the writer
+    spells it again."""
+    for text in CANONICAL_TEXTS:
+        value = certificate_from_canonical_text(text)
+        gap = value if type(value) is GapCertificate else value.certificate
+        assert type(gap.witnesses) is BudgetScan
+    text = CANONICAL_TEXTS[0]
+    assert '"a": 5,\n  "b": 7,' in text and '"mu": 4,' in text and '"slope": "inf"' in text
+    rows = [m.span() for m in ROW.finditer(text)]
     for edited in (
-        {**rows[0], "b": True},
-        {**rows[0], "mu": 4.0},
-        {**rows[0], "slope": " inf"},
-        list(rows[0].values()),
+        text.replace('"mu": 4,', '"mu": 5,', 1),
+        text.replace('"mu": 4,', '"mu":  4,', 1),
+        text.replace('"a": 5,\n  "b": 7,', '"b": 7,\n  "a": 5,'),
+        swapped(text, rows[0], rows[1]),
+        text[:-1],
+        text.replace('"slope": "inf"', '"slope": "oo"', 1),
     ):
-        bad = {**doc, "witnesses": [edited] + rows[1:]}
-        read = _read_or_message(gap_certificate_from_json, bad)
-        assert isinstance(read, str) or type(read.witnesses) is tuple
-    for bad in (
-        {**doc, "witnesses": rows[1:]},
-        {**doc, "witnesses": rows + rows[-1:]},
-        {**doc, "witnesses": rows[1:2] + rows[:1] + rows[2:]},
-        {**doc, "budget": doc["budget"] + 2},
-        {**doc, "mu_weights": doc["mu_weights"][::-1]},
-    ):
-        assert type(gap_certificate_from_json(bad).witnesses) is tuple
-    extra = {**doc, "witnesses": [{**w, "note": 1} for w in rows]}
-    assert type(gap_certificate_from_json(extra).witnesses) is BudgetScan
-
-
-def test_rows_before_the_first_differing_block_are_read_once(monkeypatch):
-    """A tampered row sends only its block of equal a, and the blocks after
-    it, through the per-row read; the certificate is the per-row read's."""
-    doc = BASE_DOCS[0]
-    rows = doc["witnesses"]
-    last_block = sum(w["a"] == rows[-1]["a"] for w in rows)
-    assert 0 < last_block < len(rows) / 10
-    for i, read_from in ((0, 0), (len(rows) - 1, len(rows) - last_block)):
-        tampered = {**rows[i], "mu": rows[i]["mu"] + 1}
-        bad = {**doc, "witnesses": [*rows[:i], tampered, *rows[i + 1 :]]}
-        want = ref_gap_certificate_from_json(bad)
-        calls = []
-        read = search._witness_from_json
-        monkeypatch.setattr(search, "_witness_from_json", lambda w: calls.append(w) or read(w))
-        got = gap_certificate_from_json(bad)
-        monkeypatch.undo()
-        assert got == want and type(got.witnesses) is tuple
-        assert calls == bad["witnesses"][read_from:]
+        assert edited != text and certificate_from_canonical_text(edited) is None
+    assert certificate_from_canonical_text(text.replace('"k": 50,', '"k": 51,')).k == 51
 
 
 def _within_a_second(run):
@@ -1413,43 +1361,62 @@ def _within_a_second(run):
 def test_a_budget_above_the_rows_is_read_row_by_row_within_a_second(
     lattice, weights, budget, rows
 ):
-    """A document whose claimed budget exceeds its row count, here by far
-    through weights of 10**30 (a = 0 alone would be 10**20 rows), is read
-    row by row, never sized as a scan; the certificate, its failure list
-    and its text are the per-row reference's."""
+    """A canonical document whose claimed budget exceeds its length, here by
+    far through weights of 10**30 (a = 0 alone would be 10**20 rows), is
+    never sized as a scan: the byte path gives up on its header, and the
+    rows are read, checked and written as the per-row reference does."""
     w0, w1 = weights
     doc = {**GAP_DOC, "mu_weights": [w0, w1], "budget": budget}
     if rows is not None:
         doc["witnesses"] = [dict(zip(KEYS, row)) for row in BudgetScan(w0, w1, budget)]
         assert len(doc["witnesses"]) == rows
+    text = dumps_canonical(doc)
+    assert _within_a_second(lambda: certificate_from_canonical_text(text)) is None
+    code, out = _within_a_second(lambda: certify(text))
+    assert (code, out) == certify(text, byte_path=False) and code == 1
     cert = _within_a_second(lambda: gap_certificate_from_json(doc))
-    assert type(cert.witnesses) is tuple and cert == ref_gap_certificate_from_json(doc)
+    assert cert.witnesses == tuple(map(ref_witness_from_json, doc["witnesses"]))
     got = _within_a_second(lambda: validate_gap_certificate(lattice, cert))
-    assert got == ref_validate_gap_certificate(lattice, cert) and got
-    text = _within_a_second(lambda: dumps_canonical(gap_certificate_to_json(cert)))
-    assert text == dumps_canonical(doc)
+    assert got == ref_validate_gap_certificate(lattice, cert) == json.loads(out)["failures"]
+    assert _within_a_second(lambda: dumps_canonical(gap_certificate_to_json(cert))) == text
+
+
+def _weights_1_1_budget_near_the_length() -> dict:
+    doc = {**GAP_DOC, "mu_weights": [1, 1], "budget": 0}
+    return {**doc, "budget": len(dumps_canonical(doc))}
+
+
+HOSTILE = {
+    "b-minus-10**40": lambda: gap_certificate_to_json(replaced(BASE_CERTS[0], b=-(10**40))),
+    "a-10**40": lambda: gap_certificate_to_json(replaced(BASE_CERTS[0], a=10**40)),
+    "budget-10**40-five-rows": lambda: {
+        **GAP_DOC, "budget": 10**40, "witnesses": GAP_DOC["witnesses"][:5]
+    },
+    "weights-1-1-budget-near-the-length": _weights_1_1_budget_near_the_length,
+}
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
-@pytest.mark.parametrize(
-    "header, scan",
-    [({"b": -(10**40)}, True), ({"a": 10**40}, True), ({"budget": 10**40}, False)],
-    ids=["b-minus-10**40", "a-10**40", "budget-10**40-five-rows"],
-)
-def test_hostile_headers_are_checked_within_a_second(lattice, header, scan):
-    """The golden sqrt2 certificate's full scan with a hostile pair, where
-    the block check clamps each a's range of b at 0, and five of its rows
-    under a claimed budget of 10**40, which is not read as a scan: each
-    failure list is the per-row reference's."""
-    doc = {**GAP_DOC, **header}
+@pytest.mark.parametrize("name", HOSTILE)
+def test_hostile_headers_are_checked_within_a_second(name, monkeypatch):
+    """The golden sqrt2 certificate's scan under a hostile pair, which the
+    byte path reads and the block check clamps at b = 0 for each a; five
+    of its rows under a claimed budget of 10**40; and its rows under weights
+    (1, 1) and a budget within the document's length, a scan of about
+    len(text)**2 / 2 rows.  The byte path refuses the last two before any
+    row is written, and certify answers as the json.loads read does."""
+    text = dumps_canonical(HOSTILE[name]())
+    want = certify(text, byte_path=False)
+    scan = name in ("b-minus-10**40", "a-10**40")
     if not scan:
-        doc["witnesses"] = GAP_DOC["witnesses"][:5]
-    cert = _within_a_second(lambda: gap_certificate_from_json(doc))
-    assert (type(cert.witnesses) is BudgetScan) == scan
-    got = _within_a_second(lambda: validate_gap_certificate(lattice, cert))
-    rows = tuple(search._witness_from_json(w) for w in doc["witnesses"])
-    assert got == ref_validate_gap_certificate(lattice, replaced(cert, witnesses=rows))
-    assert got
+        def no_rows(*args):
+            raise AssertionError("a row of the claimed scan was built")
+
+        monkeypatch.setattr(BudgetScan, "blocks", no_rows)
+    value = _within_a_second(lambda: certificate_from_canonical_text(text))
+    assert (value is not None) == scan
+    assert not scan or type(value.witnesses) is BudgetScan
+    assert _within_a_second(lambda: certify(text)) == want and want[0] == 1
 
 
 # ---------------------------------------------------------------------------
