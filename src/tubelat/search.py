@@ -35,7 +35,6 @@ import json
 from fractions import Fraction
 from itertools import chain, islice, repeat
 from math import ceil, floor, gcd, lcm
-from operator import add, floordiv
 
 from .errors import BudgetExhaustedError, PreconditionError, SpecFormatError, TubelatError
 from .exceptional import ExceptionalSet
@@ -299,13 +298,12 @@ class GapCertificate(Value):
     ``witnesses`` holds a row (a, b, mu, slope_text(b, a)) for each pair with
     total dimension at most ``budget``; validity means none of them has slope
     strictly between the returned slope and r.  From ``gap_vector`` it is a
-    lazy ``BudgetScan``, iterated and written one block of equal a at a
-    time.  From ``certificate_from_canonical_text`` it is the ``BudgetScan``
-    of the document's own weights and budget, and from
-    ``gap_certificate_from_json`` the tuple of the rows as read.
+    lazy ``BudgetScan``, and from ``certificate_from_canonical_text`` the
+    ``BudgetScan`` of the document's own weights and budget; from
+    ``gap_certificate_from_json`` it is the tuple of the rows as read.
     ``validate_gap_certificate`` checks the scan of the lattice's weights a
-    block at a time and anything else row by row.  The two forms compare
-    equal when their rows do.
+    block of equal a at a time and anything else row by row.  The two forms
+    compare equal when their rows do.
     """
 
     __slots__ = ("r", "epsilon", "k", "a", "b", "mu", "budget", "mu_weights", "witnesses")
@@ -315,53 +313,32 @@ class GapCertificate(Value):
         return Slope.from_ratio(self.b, self.a)
 
 
-def _budget_pairs(w0: int, w1: int, budget: int):
-    """All (a, b) in N^2 minus the origin with w0*a + w1*b <= budget, sorted."""
-    for a in range(0, budget // w0 + 1):
-        for b in range(0 if a else 1, (budget - w0 * a) // w1 + 1):
-            yield a, b
-
-
 class BudgetScan(Value):
-    """The rows (a, b, mu, slope_text(b, a)) of ``_budget_pairs(w0, w1,
-    budget)``, in its order, built only while iterated, one block per a by
-    ``blocks``.  ``len`` sums floor((budget - w0*a)/w1) + 1 over a and drops
-    the origin, building no row.  The view equals, and hashes as, the tuple
-    of its rows.  ``gap_vector`` makes one, and so does
-    ``certificate_from_canonical_text`` from a document's header."""
+    """The budget scan: a row (a, b, mu, slope_text(b, a)) for every (a, b)
+    in N^2 minus the origin with mu = w0*a + w1*b <= budget, sorted.
+    ``blocks`` is its one definition, read by iteration, by ``len`` (which
+    sums its ranges), by both checks of ``validate_gap_certificate`` and by
+    the writer, ``serialize._write_rows``; only iteration builds rows.  The
+    view equals, and hashes as, the tuple of its rows.  ``gap_vector`` makes
+    one, and so does ``certificate_from_canonical_text`` from a document's
+    header."""
 
     __slots__ = ("w0", "w1", "budget")
 
-    def blocks(self, spell=str, close=""):
-        """Per a with rows: (a, bs, mus, nums, tails), where bs and mus are
-        the ranges of b and mu and row i's slope text is nums[i] + tails[i]
-        less the trailing ``close``.  Every integer of the text is spelt by
-        ``spell``; none exceeds the budget.  For a >= 1, b/a reduces by
-        g = gcd(b, a) to (b//g)/(a//g): one pass of ``gcd`` and one of
-        ``floordiv`` over the block, and one tail per distinct g."""
+    def blocks(self):
+        """(a, range of b) for each a with rows, in row order."""
         w0, w1, budget = self.w0, self.w1, self.budget
         for a in range(budget // w0 + 1):
-            top = (budget - w0 * a) // w1 + 1
-            bs = range(0 if a else 1, top)
-            if not bs:
-                continue  # only a = 0, when budget < w1
-            mus = range(w0 * a + w1 * bs.start, w0 * a + w1 * top, w1)
-            if not a:
-                yield a, bs, mus, repeat("inf", len(bs)), repeat(close, len(bs))
-                continue
-            gs = list(map(gcd, bs, repeat(a)))
-            tails = {g: ("" if g == a else "/" + spell(a // g)) + close for g in set(gs)}
-            yield a, bs, mus, map(spell, map(floordiv, bs, gs)), map(tails.__getitem__, gs)
+            bs = range(0 if a else 1, (budget - w0 * a) // w1 + 1)
+            if bs:  # empty only for a = 0, when budget < w1
+                yield a, bs
 
     def __iter__(self):
-        return chain.from_iterable(
-            zip(repeat(a), bs, mus, map(add, nums, tails))
-            for a, bs, mus, nums, tails in self.blocks()
-        )
+        w0, w1 = self.w0, self.w1
+        return ((a, b, w0 * a + w1 * b, slope_text(b, a)) for a, bs in self.blocks() for b in bs)
 
     def __len__(self) -> int:
-        w0, w1, budget = self.w0, self.w1, self.budget
-        return max(0, sum((budget - w0 * a) // w1 + 1 for a in range(budget // w0 + 1)) - 1)
+        return sum(len(bs) for _, bs in self.blocks())
 
     def __eq__(self, other):
         if not isinstance(other, (tuple, BudgetScan)):
@@ -435,21 +412,20 @@ def gap_vector(
 
 def _scan_rows_inside_the_gap(scan: BudgetScan, r: QuadIrrational, ca: int, cb: int) -> list[str]:
     """The failures of the rows of ``scan`` with slope strictly inside
-    (cb/ca, r), in row order, one ``floor_mul`` per a and no row built.  For
-    a >= 1 and ca >= 1, cb/ca < b/a reads b >= cb*a//ca + 1, and b/a < r
-    (r is irrational) reads b <= floor(a*r); the block of a holds b from 0
-    to (budget - w0*a)//w1, and rows with a = 0 have no finite slope."""
+    (cb/ca, r), in row order, one ``floor_mul`` per block and no row built.
+    For a >= 1 and ca >= 1, cb/ca < b/a reads b >= cb*a//ca + 1, and b/a < r
+    (r is irrational) reads b <= floor(a*r); rows with a = 0 have no finite
+    slope."""
     if ca < 1:
         return []
-    w0, w1, budget = scan.w0, scan.w1, scan.budget
     failures = []
-    for a in range(1, budget // w0 + 1):
-        lo, last = max(0, cb * a // ca + 1), (budget - w0 * a) // w1
-        if lo <= last:
+    for a, bs in scan.blocks():
+        lo = max(0, cb * a // ca + 1)
+        if a and lo < bs.stop:
             failures += (
                 f"witness ({a},{b}) has slope {slope_text(b, a)} strictly inside "
                 "the certified gap"
-                for b in range(lo, min(last, r.floor_mul(a)) + 1)
+                for b in range(lo, min(bs.stop, r.floor_mul(a) + 1))
             )
     return failures
 
@@ -520,7 +496,8 @@ def validate_gap_certificate(lattice: K0Lattice, cert: GapCertificate) -> list[s
             )
     # the scan is sorted: one pair past the rows settles any claimed budget
     got.sort()
-    if got != list(islice(_budget_pairs(w0, w1, cert.budget), len(got) + 1)):
+    blocks = BudgetScan(w0, w1, cert.budget).blocks()
+    if got != list(islice(chain.from_iterable(zip(repeat(a), bs) for a, bs in blocks), len(got) + 1)):
         failures.append("witness list is not the full budget scan")
     return failures + row_failures
 
@@ -657,7 +634,14 @@ def validate_tube_params(
     expected_lower = Fraction(lattice.mu_of_pair(tp.a, tp.b), lattice.pairing) - p
     if tp.lower_bound != expected_lower:
         failures.append("lower bound arithmetic is wrong")
-    failures.extend(validate_gap_certificate(lattice, tp.certificate))
+    cert = tp.certificate
+    if (cert.a, cert.b) != (tp.a, tp.b):
+        failures.append(f"certificate pair ({cert.a},{cert.b}) is not the pair ({tp.a},{tp.b})")
+    if cert.k != tp.k_used:
+        failures.append(f"certificate k = {cert.k} is not k_used = {tp.k_used}")
+    if cert.r != tp.r:
+        failures.append(f"certificate r = {cert.r} is not r = {tp.r}")
+    failures.extend(validate_gap_certificate(lattice, cert))
     return failures
 
 
@@ -712,6 +696,7 @@ def gap_certificate_from_json(data: dict) -> GapCertificate:
             raise SpecFormatError(f"not a gap-vector certificate: {data.get('kind')!r}")
         rows = data["witnesses"]
         witnesses = rows if type(rows) is BudgetScan else tuple(map(_witness_from_json, rows))
+        w0, w1 = data["mu_weights"]  # exactly two
         return GapCertificate(
             r=parse_quad_irrational(data["r"]),
             epsilon=parse_frac(data["epsilon"]),
@@ -720,7 +705,7 @@ def gap_certificate_from_json(data: dict) -> GapCertificate:
             b=parse_int(data["b"]),
             mu=parse_int(data["mu"]),
             budget=parse_int(data["budget"]),
-            mu_weights=(parse_int(data["mu_weights"][0]), parse_int(data["mu_weights"][1])),
+            mu_weights=(parse_int(w0), parse_int(w1)),
             witnesses=witnesses,
         )
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:

@@ -11,13 +11,14 @@ which spends most of the time of a large certificate.  A ``JSONEncoder``
 without ``indent`` runs in C, and its item separator can carry the indent of
 one depth, so a container whose values are all scalars (str, int, bool,
 None) is given to C whole.  The witness rows of a gap certificate travel as
-one ``Rows`` value, whatever their source: a lazy budget scan, or the tuples
-of rows read from the wire.  It reads as the list of row dicts, and it is
-written one block of rows with equal a at a time, at the depth where it
-stands, with no dict built: each block's pieces are put in
-place by C iterators, so no Python frame runs per row.  Everything else is
-written by a short recursion with sorted keys.  All of them append their
-pieces to one list, and one ``"".join`` writes the whole document.
+one ``Rows`` value, which reads as the list of row dicts.  When its source
+is a budget scan, ``_write_rows`` writes it one block of rows with equal a
+at a time, at the depth where it stands, with no dict built: the scan says
+which rows there are, and each block's pieces are put in place by C
+iterators, so no Python frame runs per row.  Rows read from the wire are
+written as the list of dicts they read as.  Everything else is written by a
+short recursion with sorted keys.  All of them append their pieces to one
+list, and one ``"".join`` writes the whole document.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, groupby, repeat
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
+from math import gcd
+from operator import floordiv
 
 from .errors import SpecFormatError
 
@@ -103,11 +105,11 @@ def _key(key) -> str:
 
 class Rows:
     """Read-only witness rows for a document.  ``source`` holds one tuple
-    (a, b, mu, slope) per row, three ints and a str, or is a budget scan,
-    which gives its rows by ``blocks``; the rows read as the list of dicts
-    with those keys (``len``, iteration, indexing, slicing, ``+`` and ``==``
-    with a list), and iterating builds each dict afresh.  The writer takes
-    the rows a block of equal a at a time."""
+    (a, b, mu, slope) per row, or is a budget scan; the rows read as the
+    list of dicts with those keys (``len``, iteration, indexing, slicing,
+    ``+`` and ``==`` with a list), and iterating builds each dict afresh.
+    A row of another length raises ValueError.  A budget scan is written a
+    block of equal a at a time, and wire tuples as their list of dicts."""
 
     __slots__ = ("_source",)
     KEYS = ("a", "b", "mu", "slope")  # sorted, as the writer writes them
@@ -119,7 +121,7 @@ class Rows:
         return len(self._source)
 
     def __iter__(self):
-        return (dict(zip(self.KEYS, row)) for row in self._source)
+        return (dict(zip(self.KEYS, row, strict=True)) for row in self._source)
 
     def __getitem__(self, index):
         return list(self)[index]
@@ -133,49 +135,36 @@ class Rows:
     __hash__ = None  # unhashable, like the list it reads as
 
 
-def _wire_blocks(source, close: str):
-    """The rows of an iterable of (a, b, mu, slope) tuples as blocks in the
-    form of ``BudgetScan.blocks``: one per run of rows with equal a, in
-    order, with each slope spelt whole as json spells it.  A value that is
-    not exactly an int (a, b, mu) or a str (slope) raises TypeError, where
-    ``int.__repr__`` would spell True as 1."""
-    for a, run in groupby(source, itemgetter(0)):
-        run = tuple(run)
-        as_, bs, mus, slopes = zip(*run, strict=True)  # ValueError unless four values a row
-        if set(map(type, chain(as_, bs, mus))) != {int} or set(map(type, slopes)) != {str}:
-            bad = next(row for row in run if list(map(type, row)) != [int, int, int, str])
-            raise TypeError(f"witness row {bad!r} is not three ints and a str")
-        yield a, bs, mus, map(encode_basestring_ascii, slopes), repeat(close, len(run))
-
-
-def _write_rows(rows: Rows, depth: int, out: list) -> None:
-    """Append to ``out`` the pieces of ``rows`` as json spells the list of
-    its dicts at ``depth``, one block of rows with equal a at a time.  Each
-    row is seven pieces: the opening up to the b key (a included, so one per
-    block), b, the mu key, mu, the slope key, and the slope text as a head
-    and a tail that closes the row.  A block's pieces are a list of the
-    constants repeated, with each column put in by one slice assignment, so
-    no Python frame runs per row.  A budget scan spells every integer from
-    one list of ``str(i)`` for i up to its budget, and its slope texts need
-    no escape, so their quotes go in the slope key and the tail."""
+def _write_rows(scan, depth: int, out: list) -> None:
+    """Append to ``out`` the pieces of the rows of the budget scan ``scan``
+    as json spells the list of their dicts at ``depth``, a block of
+    ``scan.blocks()`` at a time.  Each row is seven pieces: the opening up
+    to the b key (a included), b, the mu key, mu, the slope key and opening
+    quote, and the slope text as a head and a tail that closes the row.  A
+    block is a list of the constants repeated, each column put in by one
+    slice assignment, so no Python frame runs per row: b and mu are ranges,
+    and for a >= 1, b/a reduces by g = gcd(b, a) to (b//g)/(a//g), one pass
+    of ``gcd`` and one of ``floordiv``, with one tail per distinct g.  Every
+    integer is spelt from one list of ``str(i)`` up to the budget."""
     inner = _INDENT * (depth + 1)
     deep = inner + _INDENT
     opening = ",\n" + inner + "{\n" + deep + '"a": '  # with the separator of rows
     b_key, mu_key, slope_key = (",\n" + deep + f'"{k}": ' for k in Rows.KEYS[1:])
-    close = "\n" + inner + "}"
-    source = rows._source
-    if hasattr(source, "blocks"):  # a budget scan
-        spell = list(map(str, range(source.budget + 1))).__getitem__
-        blocks, slope_key = source.blocks(spell, '"' + close), slope_key + '"'
-    else:
-        spell, blocks = int.__repr__, _wire_blocks(source, close)
+    slope_key += '"'
+    close = '"\n' + inner + "}"
+    spell = list(map(str, range(scan.budget + 1))).__getitem__
+    w0, w1 = scan.w0, scan.w1
     start = len(out)
-    for a, bs, mus, nums, tails in blocks:
-        block = [opening + spell(a) + b_key, None, mu_key, None, slope_key, None, None] * len(bs)
+    for a, bs in scan.blocks():
+        # the slope of a = 0 is "inf"; other blocks spell theirs over it
+        block = [opening + spell(a) + b_key, None, mu_key, None, slope_key, "inf", close] * len(bs)
         block[1::7] = map(spell, bs)
-        block[3::7] = map(spell, mus)
-        block[5::7] = nums
-        block[6::7] = tails
+        block[3::7] = map(spell, range(w0 * a + w1 * bs.start, w0 * a + w1 * bs.stop, w1))
+        if a:
+            gs = list(map(gcd, bs, repeat(a)))
+            tails = {g: ("" if g == a else "/" + spell(a // g)) + close for g in set(gs)}
+            block[5::7] = map(spell, map(floordiv, bs, gs))
+            block[6::7] = map(tails.__getitem__, gs)
         out += block
     if len(out) == start:
         out.append("[]")
@@ -191,8 +180,10 @@ def _write(obj, depth: int, out: list) -> None:
         out.append(leaf(obj))
         return
     if type(obj) is Rows:
-        _write_rows(obj, depth, out)
-        return
+        if hasattr(obj._source, "blocks"):  # a budget scan
+            _write_rows(obj._source, depth, out)
+            return
+        obj = list(obj)  # wire tuples: the list of dicts they read as
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         out.append(_encoder(0).encode(obj))
         return

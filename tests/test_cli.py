@@ -209,6 +209,7 @@ def test_certify_round_trip(tmp_path):
         ("gap", ("k",), 5.9),
         ("gap", ("a",), True),
         ("gap", ("mu_weights",), []),
+        ("gap", ("mu_weights",), [6, 4, 99]),
         ("gap", ("r",), 5),
         ("tube", ("certificate",), []),
         ("rep", ("dims", 0), 1.9),
@@ -220,6 +221,7 @@ def test_certify_round_trip(tmp_path):
         "k-float",
         "a-bool",
         "mu-weights-empty",
+        "mu-weights-three",
         "r-number",
         "certificate-list",
         "dims-float",
@@ -255,6 +257,31 @@ def test_certify_rejects_mutation(tmp_path):
     bad_file.write_text(json.dumps(doc))
     code, verdict = invoke_json("certify", str(bad_file))
     assert code == 1 and verdict["valid"] is False and verdict["failures"]
+
+
+@pytest.mark.parametrize(
+    "edit, failure",
+    [
+        (
+            {"a": 8, "b": 11, "slope": "11/8", "lower_bound": "42"},
+            "certificate pair (5,7) is not the pair (8,11)",
+        ),
+        ({"d": 100, "k_used": 216}, "certificate k = 18 is not k_used = 216"),
+        (
+            {"r": "(0+1*sqrt(201))/10"},
+            "certificate r = (0+1*sqrt(2))/1 is not r = (0+1*sqrt(201))/10",
+        ),
+    ],
+    ids=["pair", "k", "r"],
+)
+def test_certify_checks_a_tube_against_its_certificate(tmp_path, edit, failure):
+    """Outer fields consistent among themselves but not with the valid
+    certificate inside: the certificate is for another pair, gap or r."""
+    _, text = invoke("tube-params", "--r", "sqrt:2", "--eps", "1/10", "--d", "1")
+    doc_file = tmp_path / "tube.json"
+    doc_file.write_text(json.dumps({**json.loads(text), **edit}))
+    code, verdict = invoke_json("certify", str(doc_file))
+    assert code == 1 and verdict["valid"] is False and verdict["failures"] == [failure]
 
 
 def test_certify_unknown_kind(tmp_path):

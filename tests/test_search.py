@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tubelat import cli, search
+from tubelat import cli, search, serialize
 from tubelat.errors import BudgetExhaustedError, PreconditionError, SpecFormatError
 from tubelat.exceptional import ExceptionalSet
 from tubelat.lattice import K0Lattice, Slope, reduced_ratio, slope_text, vec_add
@@ -25,7 +25,6 @@ from tubelat.search import (
     ExceptionRecord,
     GapCertificate,
     _a_ceiling,
-    _budget_pairs,
     _check_strip_args,
     _check_window,
     _could_set_delta,
@@ -563,12 +562,19 @@ def test_in_window_below_is_false_for_a_zero():
         assert not _in_window_below(SQRT2, Fraction(10**40), b, 0)
 
 
+def ref_budget_pairs(w0, w1, budget):
+    """All (a, b) in N^2 minus the origin with w0*a + w1*b <= budget, sorted."""
+    for a in range(0, budget // w0 + 1):
+        for b in range(0 if a else 1, (budget - w0 * a) // w1 + 1):
+            yield a, b
+
+
 def ref_witness_rows(w0, w1, budget):
     """The witness rows as ``gap_vector`` built them before ``BudgetScan``:
     one tuple (a, b, mu, slope text) per pair of the budget scan."""
     return tuple(
         (a2, b2, w0 * a2 + w1 * b2, slope_text(b2, a2))
-        for a2, b2 in _budget_pairs(w0, w1, budget)
+        for a2, b2 in ref_budget_pairs(w0, w1, budget)
     )
 
 
@@ -618,17 +624,17 @@ def test_budget_scan_is_immutable():
 def test_gap_vector_and_tube_parameters_build_no_witness_row(
     lattice, exceptional_set, monkeypatch
 ):
-    """Rows come only from iterating the scan: with the pair scan broken,
+    """Rows come only from iterating or writing the scan: with both broken,
     both searches still answer, and the rows appear once they are read."""
     def no_rows(*args):
         raise AssertionError("a witness row was built")
 
-    monkeypatch.setattr(search, "_budget_pairs", no_rows)
-    monkeypatch.setattr(BudgetScan, "blocks", no_rows)
+    monkeypatch.setattr(BudgetScan, "__iter__", no_rows)
+    monkeypatch.setattr(serialize, "_write_rows", no_rows)
     cert = gap_vector(lattice, SQRT2, Fraction(1, 10), 500)
     tp = tube_parameters(lattice, exceptional_set, SQRT2, Fraction(1, 10), 10)
     assert isinstance(cert.witnesses, BudgetScan) and isinstance(tp.certificate.witnesses, BudgetScan)
-    assert len(cert.witnesses) == 14839  # a closed form, no row built
+    assert len(cert.witnesses) == 14839  # the lengths of its ranges, no row built
     assert gap_certificate_to_json(cert)["budget"] == cert.budget
     monkeypatch.undo()
     w0, w1 = cert.mu_weights
@@ -1033,7 +1039,7 @@ def ref_validate_gap_certificate(lattice: K0Lattice, cert: GapCertificate) -> li
 
     # the scan is sorted: one pair past the rows settles any claimed budget
     got = sorted((a, b) for a, b, _, _ in cert.witnesses)
-    if got != list(islice(_budget_pairs(w0, w1, cert.budget), len(got) + 1)):
+    if got != list(islice(ref_budget_pairs(w0, w1, cert.budget), len(got) + 1)):
         failures.append("witness list is not the full budget scan")
     for a, b, m, slope in cert.witnesses:
         if m != w0 * a + w1 * b:
@@ -1412,7 +1418,8 @@ def test_hostile_headers_are_checked_within_a_second(name, monkeypatch):
         def no_rows(*args):
             raise AssertionError("a row of the claimed scan was built")
 
-        monkeypatch.setattr(BudgetScan, "blocks", no_rows)
+        monkeypatch.setattr(BudgetScan, "__iter__", no_rows)
+        monkeypatch.setattr(serialize, "_write_rows", no_rows)
     value = _within_a_second(lambda: certificate_from_canonical_text(text))
     assert (value is not None) == scan
     assert not scan or type(value.witnesses) is BudgetScan

@@ -99,6 +99,11 @@ def test_matches_indented_json_dumps(doc):
         {"certificate": {"witnesses": Rows(BudgetScan(3, 5, 2))}},
         {"flag": True, "witnesses": Rows(((0, 1, 5, "inf"), (1, 0, 3, "0")))},
         [False, Rows(((1, 1, 8, "1"),)), None],
+        # a wire tuple is written as the dict it reads as, values and all
+        Rows(((1, True, 8, "1"),)),
+        Rows(((1, 1, 8, True),)),
+        {"witnesses": Rows(((1, 1, 8, None),))},
+        {"witnesses": Rows(((1, 1, 8, 1),))},
     ],
 )
 def test_matches_indented_json_dumps_examples(doc):
@@ -123,10 +128,10 @@ def test_non_json_values_raise_type_error(doc):
 
 
 # ---------------------------------------------------------------------------
-# Witness rows: one Rows value written a block of rows with equal a at a
-# time, whatever its source (the lazy budget scan of a found certificate, or
-# tuples read from the wire), against json.dumps of the list of dicts it
-# reads as
+# Witness rows: one Rows value, against json.dumps of the list of dicts it
+# reads as, whatever its source: the budget scan of a found certificate,
+# written a block of rows with equal a at a time, or tuples read from the
+# wire, written as that list
 # ---------------------------------------------------------------------------
 
 
@@ -210,19 +215,15 @@ def test_writing_a_found_certificate_builds_no_slope_text(lattice, monkeypatch):
 @pytest.mark.parametrize(
     "doc",
     [
-        Rows(((1, True, 8, "1"),)),
-        Rows(((1, 1, 8, True),)),
         {"witnesses": Rows(((1, 1, Fraction(8), "1"),))},
         {"witnesses": Rows(((1, 1, 8, Fraction(1)),))},
-        {"witnesses": Rows(((1, 1, 8, None),))},
-        {"witnesses": Rows(((1, 1, 8, 1),))},
         {"q": Fraction(1, 2), "witnesses": Rows(((1, 1, 8, "1"),))},
         [Rows(BudgetScan(3, 5, 20)), Fraction(1)],
     ],
 )
 def test_rows_never_coerce_a_value(doc):
-    """A row value that is not exactly an int (a, b, mu) or a str (slope)
-    raises, as does a Fraction next to the rows."""
+    """A row value that json cannot spell raises, as json.dumps does, and
+    so does a Fraction next to the rows."""
     with pytest.raises(TypeError):
         dumps_canonical(doc)
 
