@@ -215,8 +215,12 @@ def test_writing_a_found_certificate_builds_no_slope_text(lattice, monkeypatch):
 @pytest.mark.parametrize(
     "doc",
     [
+        Rows(((Fraction(1), 1, 8, "1"),)),
+        Rows(((1, 1, 8, b"1"),)),
         {"witnesses": Rows(((1, 1, Fraction(8), "1"),))},
         {"witnesses": Rows(((1, 1, 8, Fraction(1)),))},
+        {"witnesses": Rows(((1, 1, 8, {1}),))},
+        {"witnesses": Rows(((1, 1j, 8, "1"),))},
         {"q": Fraction(1, 2), "witnesses": Rows(((1, 1, 8, "1"),))},
         [Rows(BudgetScan(3, 5, 20)), Fraction(1)],
     ],
