@@ -8,7 +8,9 @@ copy of the output to <dir>/<subcommand>.json.  The module layer (``reps``,
 ``pp``) is imported only by the subcommands that read a module or a formula.
 ``certify`` reads its file as text: a canonical document is read by writing
 it again (``certificate_from_canonical_text``), and any other by
-``json.loads``, row by row.
+``json.loads``, row by row.  Each subcommand is declared once, by ``_command``
+on its handler, with its arguments; the parser and the dispatch read that
+one table.
 """
 
 from __future__ import annotations
@@ -28,13 +30,12 @@ from .quadirr import parse_quad_irrational
 from .search import (
     GapCertificate,
     certificate_from_canonical_text,
+    certificate_from_json,
     delta_for,
-    gap_certificate_from_json,
     gap_certificate_to_json,
     gap_vector,
     p_bound,
     tube_parameters,
-    tube_params_from_json,
     tube_params_to_json,
     validate_gap_certificate,
     validate_tube_params,
@@ -99,6 +100,34 @@ class _Context:
         return formula_from_json(self.spec, _parse_json(_read_text(path)))
 
 
+_COMMANDS: dict = {}  # name -> (handler, arguments), in the order of --help
+
+
+def _arg(*names, **options):
+    """One argument of a subcommand, as ``add_argument`` takes it."""
+    return names, options
+
+
+def _command(name: str, *arguments):
+    """Declare the subcommand ``name``: the decorated handler and its
+    ``_arg`` arguments, which the parser and the dispatch both read."""
+
+    def register(handler):
+        _COMMANDS[name] = handler, arguments
+        return handler
+
+    return register
+
+
+_WINDOW = (_arg("--r", required=True), _arg("--eps", required=True))
+
+
+def _window(ctx: _Context):
+    """The irrational r and the window eps of the slope searches."""
+    return parse_quad_irrational(ctx.args.r), parse_frac(ctx.args.eps)
+
+
+@_command("validate-algebra")
 def _cmd_validate_algebra(ctx: _Context) -> tuple[object, int]:
     report = spec_report(ctx.spec)
     doc = {
@@ -111,12 +140,16 @@ def _cmd_validate_algebra(ctx: _Context) -> tuple[object, int]:
     return doc, 0 if report.ok else 1
 
 
+@_command("euler", _arg("--x", required=True, help='vector: "h0", "hinf" or "[...]"'),
+          _arg("--y", required=True))
 def _cmd_euler(ctx: _Context) -> tuple[object, int]:
     x = ctx.vector(ctx.args.x)
     y = ctx.vector(ctx.args.y)
     return ctx.lattice.bilinear(x, y), 0
 
 
+@_command("slope", _arg("--vec", default=None),
+          _arg("rep", nargs="?", default=None, help="representation JSON file"))
 def _cmd_slope(ctx: _Context) -> tuple[object, int]:
     if ctx.args.vec is not None:
         value = ctx.lattice.slope(ctx.vector(ctx.args.vec))
@@ -128,6 +161,7 @@ def _cmd_slope(ctx: _Context) -> tuple[object, int]:
     return str(value), 0
 
 
+@_command("omega")
 def _cmd_omega(ctx: _Context) -> tuple[object, int]:
     ex = ctx.exceptional
     return {
@@ -137,6 +171,7 @@ def _cmd_omega(ctx: _Context) -> tuple[object, int]:
     }, 0
 
 
+@_command("decompose", _arg("--vec", required=True))
 def _cmd_decompose(ctx: _Context) -> tuple[object, int]:
     x = ctx.vector(ctx.args.vec)
     chi = ctx.lattice.quadratic(x)
@@ -149,23 +184,15 @@ def _cmd_decompose(ctx: _Context) -> tuple[object, int]:
     raise PreconditionError(f"chi({tuple(x)}) = {chi}; need 0 or 1 to decompose")
 
 
+@_command("gap-search", *_WINDOW, _arg("--k", required=True, type=int))
 def _cmd_gap_search(ctx: _Context) -> tuple[object, int]:
-    cert = gap_vector(
-        ctx.lattice,
-        parse_quad_irrational(ctx.args.r),
-        parse_frac(ctx.args.eps),
-        ctx.args.k,
-    )
+    cert = gap_vector(ctx.lattice, *_window(ctx), ctx.args.k)
     return gap_certificate_to_json(cert), 0
 
 
+@_command("delta", *_WINDOW)
 def _cmd_delta(ctx: _Context) -> tuple[object, int]:
-    result = delta_for(
-        ctx.lattice,
-        ctx.exceptional,
-        parse_quad_irrational(ctx.args.r),
-        parse_frac(ctx.args.eps),
-    )
+    result = delta_for(ctx.lattice, ctx.exceptional, *_window(ctx))
     return {
         "delta": frac_to_str(result.delta),
         "eps_prime": frac_to_str(result.eps_prime),
@@ -181,31 +208,30 @@ def _cmd_delta(ctx: _Context) -> tuple[object, int]:
     }, 0
 
 
+@_command("p-bound")
 def _cmd_p_bound(ctx: _Context) -> tuple[object, int]:
     return {"p": p_bound(ctx.lattice, ctx.exceptional)}, 0
 
 
+@_command("tube-params", *_WINDOW, _arg("--d", required=True, type=int))
 def _cmd_tube_params(ctx: _Context) -> tuple[object, int]:
-    tp = tube_parameters(
-        ctx.lattice,
-        ctx.exceptional,
-        parse_quad_irrational(ctx.args.r),
-        parse_frac(ctx.args.eps),
-        ctx.args.d,
-    )
+    tp = tube_parameters(ctx.lattice, ctx.exceptional, *_window(ctx), ctx.args.d)
     return tube_params_to_json(tp), 0
 
 
+@_command("hom", _arg("m"), _arg("n"))
 def _cmd_hom(ctx: _Context) -> tuple[object, int]:
     from .reps import hom_dim
     return hom_dim(ctx.load_rep(ctx.args.m), ctx.load_rep(ctx.args.n)), 0
 
 
+@_command("ext", _arg("m"), _arg("n"))
 def _cmd_ext(ctx: _Context) -> tuple[object, int]:
     from .reps import ext_dim
     return ext_dim(ctx.basis, ctx.load_rep(ctx.args.m), ctx.load_rep(ctx.args.n)), 0
 
 
+@_command("pp-eval", _arg("phi"), _arg("m"))
 def _cmd_pp_eval(ctx: _Context) -> tuple[object, int]:
     from .pp import solution_space
     phi = ctx.load_formula(ctx.args.phi)
@@ -217,12 +243,14 @@ def _cmd_pp_eval(ctx: _Context) -> tuple[object, int]:
     }, 0
 
 
+@_command("pp-free", _arg("phi"))
 def _cmd_pp_free(ctx: _Context) -> tuple[object, int]:
     from .pp import free_realisation, pointed_to_json
     phi = ctx.load_formula(ctx.args.phi)
     return pointed_to_json(free_realisation(ctx.basis, phi)), 0
 
 
+@_command("pp-pair", _arg("phi"), _arg("psi"), _arg("m"))
 def _cmd_pp_pair(ctx: _Context) -> tuple[object, int]:
     from .pp import PpPair, pair_open_on, solution_space
     phi = ctx.load_formula(ctx.args.phi)
@@ -236,43 +264,19 @@ def _cmd_pp_pair(ctx: _Context) -> tuple[object, int]:
     }, 0
 
 
+@_command("certify", _arg("certificate"))
 def _cmd_certify(ctx: _Context) -> tuple[object, int]:
     text = _read_text(ctx.args.certificate)
-    value = certificate_from_canonical_text(text)
+    value, stored = certificate_from_canonical_text(text), []
     if value is None:  # not canonical: read by json.loads, row by row
-        data = _parse_json(text)
-        kind = data.get("kind") if isinstance(data, dict) else None
-        if kind == "gap-vector":
-            value = gap_certificate_from_json(data)
-        elif kind == "tube-params":
-            value = tube_params_from_json(data)
-        else:
-            raise SpecFormatError(f"unknown certificate kind {kind!r}")
+        value, stored = certificate_from_json(_parse_json(text))
     if isinstance(value, GapCertificate):
-        kind, failures = "gap-vector", validate_gap_certificate(ctx.lattice, value)
+        failures = validate_gap_certificate(ctx.lattice, value)
     else:
-        kind, failures = "tube-params", validate_tube_params(ctx.lattice, ctx.exceptional, value)
-    doc = {"kind": kind, "valid": not failures, "failures": failures}
+        failures = validate_tube_params(ctx.lattice, ctx.exceptional, value)
+    failures += stored  # the stored slopes, which only a json.loads read can get wrong
+    doc = {"kind": value.kind, "valid": not failures, "failures": failures}
     return doc, 0 if not failures else 1
-
-
-_COMMANDS = {
-    "validate-algebra": _cmd_validate_algebra,
-    "euler": _cmd_euler,
-    "slope": _cmd_slope,
-    "omega": _cmd_omega,
-    "decompose": _cmd_decompose,
-    "gap-search": _cmd_gap_search,
-    "delta": _cmd_delta,
-    "p-bound": _cmd_p_bound,
-    "tube-params": _cmd_tube_params,
-    "hom": _cmd_hom,
-    "ext": _cmd_ext,
-    "pp-eval": _cmd_pp_eval,
-    "pp-free": _cmd_pp_free,
-    "pp-pair": _cmd_pp_pair,
-    "certify": _cmd_certify,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -304,46 +308,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--version", action="store_true", help='print {"version": ...} and exit'
     )
     sub = parser.add_subparsers(dest="command")
-
-    sub.add_parser("validate-algebra")
-    p = sub.add_parser("euler")
-    p.add_argument("--x", required=True, help='vector: "h0", "hinf" or "[...]"')
-    p.add_argument("--y", required=True)
-    p = sub.add_parser("slope")
-    p.add_argument("--vec", default=None)
-    p.add_argument("rep", nargs="?", default=None, help="representation JSON file")
-    sub.add_parser("omega")
-    p = sub.add_parser("decompose")
-    p.add_argument("--vec", required=True)
-    p = sub.add_parser("gap-search")
-    p.add_argument("--r", required=True)
-    p.add_argument("--eps", required=True)
-    p.add_argument("--k", required=True, type=int)
-    p = sub.add_parser("delta")
-    p.add_argument("--r", required=True)
-    p.add_argument("--eps", required=True)
-    sub.add_parser("p-bound")
-    p = sub.add_parser("tube-params")
-    p.add_argument("--r", required=True)
-    p.add_argument("--eps", required=True)
-    p.add_argument("--d", required=True, type=int)
-    p = sub.add_parser("hom")
-    p.add_argument("m")
-    p.add_argument("n")
-    p = sub.add_parser("ext")
-    p.add_argument("m")
-    p.add_argument("n")
-    p = sub.add_parser("pp-eval")
-    p.add_argument("phi")
-    p.add_argument("m")
-    p = sub.add_parser("pp-free")
-    p.add_argument("phi")
-    p = sub.add_parser("pp-pair")
-    p.add_argument("phi")
-    p.add_argument("psi")
-    p.add_argument("m")
-    p = sub.add_parser("certify")
-    p.add_argument("certificate")
+    for name, (_, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        for names, options in arguments:
+            p.add_argument(*names, **options)
     return parser
 
 
@@ -365,7 +333,7 @@ def _save_copy(command: str, text: str) -> None:
 
 def _answer(args) -> tuple[str, int]:
     try:
-        doc, code = _COMMANDS[args.command](_Context(args))
+        doc, code = _COMMANDS[args.command][0](_Context(args))
     except (TubelatError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         doc, code = _error_doc(exc), 1
     return dumps_canonical(doc), code

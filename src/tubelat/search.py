@@ -307,6 +307,7 @@ class GapCertificate(Value):
     """
 
     __slots__ = ("r", "epsilon", "k", "a", "b", "mu", "budget", "mu_weights", "witnesses")
+    kind = "gap-vector"  # the wire name of the document
 
     @property
     def slope(self) -> Slope:
@@ -564,6 +565,7 @@ class TubeParams(Value):
         "a", "b", "rank", "k_used", "p", "d", "lower_bound", "threshold", "r", "epsilon",
         "certificate",
     )
+    kind = "tube-params"
 
     @property
     def slope(self) -> Slope:
@@ -625,11 +627,15 @@ def validate_tube_params(
     if tp.k_used < lattice.pairing * (tp.d + 2 * p):
         failures.append("k_used does not achieve the requested gap")
     threshold = lattice.pairing * max_hinf_pairing(lattice, exceptional)
+    if tp.threshold != threshold:
+        failures.append(f"stored threshold = {tp.threshold}, recomputed {threshold}")
     if tp.b <= threshold:
         failures.append(f"b = {tp.b} does not clear the threshold {threshold}")
     if gcd(tp.a, tp.b) != 1:
         failures.append("slope coefficients are not coprime")
-    if not _in_window_below(tp.r, tp.epsilon, tp.b, tp.a):
+    if not (tp.a or tp.b):
+        failures.append("pair (0,0) has no slope")
+    elif not _in_window_below(tp.r, tp.epsilon, tp.b, tp.a):
         failures.append(f"slope {slope_text(tp.b, tp.a)} is not in (r - eps, r)")
     expected_lower = Fraction(lattice.mu_of_pair(tp.a, tp.b), lattice.pairing) - p
     if tp.lower_bound != expected_lower:
@@ -652,7 +658,7 @@ def validate_tube_params(
 
 def gap_certificate_to_json(cert: GapCertificate) -> dict:
     return {
-        "kind": "gap-vector",
+        "kind": cert.kind,
         "r": str(cert.r),
         "epsilon": frac_to_str(cert.epsilon),
         "k": cert.k,
@@ -692,7 +698,7 @@ def gap_certificate_from_json(data: dict) -> GapCertificate:
     is kept as it is.
     """
     try:
-        if data.get("kind") != "gap-vector":
+        if data.get("kind") != GapCertificate.kind:
             raise SpecFormatError(f"not a gap-vector certificate: {data.get('kind')!r}")
         rows = data["witnesses"]
         witnesses = rows if type(rows) is BudgetScan else tuple(map(_witness_from_json, rows))
@@ -714,7 +720,7 @@ def gap_certificate_from_json(data: dict) -> GapCertificate:
 
 def tube_params_to_json(tp: TubeParams) -> dict:
     return {
-        "kind": "tube-params",
+        "kind": tp.kind,
         "a": tp.a,
         "b": tp.b,
         "slope": str(tp.slope),
@@ -732,7 +738,7 @@ def tube_params_to_json(tp: TubeParams) -> dict:
 
 def tube_params_from_json(data: dict) -> TubeParams:
     try:
-        if data.get("kind") != "tube-params":
+        if data.get("kind") != TubeParams.kind:
             raise SpecFormatError(f"not a tube-params document: {data.get('kind')!r}")
         return TubeParams(
             a=parse_int(data["a"]),
@@ -749,6 +755,36 @@ def tube_params_from_json(data: dict) -> TubeParams:
         )
     except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
         raise SpecFormatError(f"malformed tube-params document: {exc}") from exc
+
+
+def _stored_slope_failures(where: str, data: dict, cert) -> list[str]:
+    """A failure if the ``slope`` text of ``data`` is not the slope of the
+    pair of ``cert``, compared by value; a text that is no slope is
+    malformed."""
+    stored, a, b = Slope.parse(data.get("slope")), cert.a, cert.b
+    if not (a or b):
+        return [f"{where}stored slope {stored} is given for (0,0), which has no slope"]
+    if stored != Slope.from_ratio(b, a):
+        return [f"{where}stored slope {stored} is not the slope {slope_text(b, a)} of ({a},{b})"]
+    return []
+
+
+def certificate_from_json(data) -> tuple[GapCertificate | TubeParams, list[str]]:
+    """The certificate of a ``gap-vector`` or ``tube-params`` document, and
+    a failure for each stored ``slope`` that is not the slope of its own
+    pair: the readers drop the stored slopes, which a certificate derives
+    from its pair.  The top slope comes before that of a tube's certificate.
+    """
+    kind = data.get("kind") if isinstance(data, dict) else None
+    if kind == GapCertificate.kind:
+        value = gap_certificate_from_json(data)
+        slopes = [("", data, value)]
+    elif kind == TubeParams.kind:
+        value = tube_params_from_json(data)
+        slopes = [("", data, value), ("certificate ", data["certificate"], value.certificate)]
+    else:
+        raise SpecFormatError(f"unknown certificate kind {kind!r}")
+    return value, [f for slope in slopes for f in _stored_slope_failures(*slope)]
 
 
 # the fewest bytes of one canonical witness row and its separator, at depth
@@ -774,7 +810,7 @@ def certificate_from_canonical_text(text: str) -> GapCertificate | TubeParams | 
         pad = text[text.rfind("\n", 0, start) + 1 : start]
         end = text.index("\n" + pad + "]", start)
         data = json.loads(text[: start + len(_WITNESSES)] + text[end + len(pad) + 1 :])
-        gap = data["certificate"] if data["kind"] == "tube-params" else data
+        gap = data["certificate"] if "certificate" in data else data
         w0, w1 = gap["mu_weights"]
         budget, most = gap["budget"], len(text) // _ROW_BYTES
         if not (type(w0) is type(w1) is type(budget) is int and min(w0, w1) >= 1):
@@ -783,12 +819,10 @@ def certificate_from_canonical_text(text: str) -> GapCertificate | TubeParams | 
         # each a >= 1 has the row b = 0, so budget // w0 <= most bounds len's sum
         if not 0 <= budget <= len(text) or budget // w0 > most or len(scan) > most:
             return None
-        if gap is data:
-            value = gap_certificate_from_json(data)
-            again = dumps_canonical(gap_certificate_to_json(value))
-        else:
-            value = tube_params_from_json(data)
-            again = dumps_canonical(tube_params_to_json(value))
+        # a document that its writer spells again has the slopes of its pairs
+        value, _ = certificate_from_json(data)
+        write = tube_params_to_json if type(value) is TubeParams else gap_certificate_to_json
+        again = dumps_canonical(write(value))
     except (TubelatError, ArithmeticError, LookupError, RecursionError, TypeError, ValueError):
         return None
     return value if again == text else None

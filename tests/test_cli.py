@@ -271,17 +271,62 @@ def test_certify_rejects_mutation(tmp_path):
             {"r": "(0+1*sqrt(201))/10"},
             "certificate r = (0+1*sqrt(2))/1 is not r = (0+1*sqrt(201))/10",
         ),
+        ({"threshold": 999}, "stored threshold = 999, recomputed 4"),
     ],
-    ids=["pair", "k", "r"],
+    ids=["pair", "k", "r", "threshold"],
 )
 def test_certify_checks_a_tube_against_its_certificate(tmp_path, edit, failure):
     """Outer fields consistent among themselves but not with the valid
-    certificate inside: the certificate is for another pair, gap or r."""
+    certificate inside: the certificate is for another pair, gap or r; or
+    a stored threshold that is not the recomputed one."""
     _, text = invoke("tube-params", "--r", "sqrt:2", "--eps", "1/10", "--d", "1")
     doc_file = tmp_path / "tube.json"
     doc_file.write_text(json.dumps({**json.loads(text), **edit}))
     code, verdict = invoke_json("certify", str(doc_file))
     assert code == 1 and verdict["valid"] is False and verdict["failures"] == [failure]
+
+
+GAP_K5 = ("gap-search", "--r", "sqrt:2", "--eps", "1/10", "--k", "5")
+TUBE_D1 = ("tube-params", "--r", "sqrt:2", "--eps", "1/10", "--d", "1")
+
+
+def certify_edited(tmp_path, argv, edit, where=()):
+    """certify's exit code and verdict on the output of ``argv`` with
+    ``edit`` applied at the path ``where`` (the top level if empty)."""
+    doc = json.loads(invoke(*argv)[1])
+    target = doc
+    for key in where:
+        target = target[key]
+    target.update(edit)
+    doc_file = tmp_path / "doc.json"
+    doc_file.write_text(json.dumps(doc))
+    return invoke_json("certify", str(doc_file))
+
+
+@pytest.mark.parametrize(
+    "argv, where, pair",
+    [(GAP_K5, (), (3, 4)), (TUBE_D1, (), (5, 7)), (TUBE_D1, ("certificate",), (5, 7))],
+    ids=["gap", "tube", "tube-certificate"],
+)
+def test_certify_checks_each_stored_slope(tmp_path, argv, where, pair):
+    (a, b), prefix = pair, "certificate " if where else ""
+    code, verdict = certify_edited(tmp_path, argv, {"slope": "99"}, where)
+    assert code == 1 and verdict["valid"] is False
+    assert verdict["failures"] == [f"{prefix}stored slope 99 is not the slope {b}/{a} of ({a},{b})"]
+    # compared by value: other spellings of the slope pass
+    for text in (f"{2 * b}/{2 * a}", f" {b}/{a}"):
+        code, verdict = certify_edited(tmp_path, argv, {"slope": text}, where)
+        assert code == 0 and verdict["valid"] is True, text
+    code, doc = certify_edited(tmp_path, argv, {"slope": "7/0/5"}, where)
+    assert code == 1 and doc["error"] == "spec-format"
+
+
+@pytest.mark.parametrize("where", [(), ("certificate",)], ids=["tube", "tube-certificate"])
+def test_certify_answers_a_pair_with_no_slope(tmp_path, where):
+    code, verdict = certify_edited(tmp_path, TUBE_D1, {"a": 0, "b": 0}, where)
+    prefix = "certificate " if where else ""
+    assert code == 1 and verdict["valid"] is False
+    assert verdict["failures"][-1] == f"{prefix}stored slope 7/5 is given for (0,0), which has no slope"
 
 
 def test_certify_unknown_kind(tmp_path):
@@ -329,10 +374,11 @@ def test_output_dir_that_is_a_file_is_one_io_error(tmp_path, monkeypatch):
 
 
 def test_out_of_memory_is_one_budget_error(monkeypatch):
-    def exhaust(ctx):
+    def exhaust(*args):
         raise MemoryError
 
-    monkeypatch.setitem(cli._COMMANDS, "delta", exhaust)
+    # the search itself runs out, under the subcommand's own handler
+    monkeypatch.setattr(cli, "delta_for", exhaust)
     code, text = invoke("delta", "--r", "sqrt:2", "--eps", "1/10")
     doc = json.loads(text)  # exactly one document
     assert code == 1 and doc["error"] == "budget-exhausted"
@@ -384,6 +430,51 @@ def test_help_still_prints_usage_and_exits_0(capsys):
         run(["gap-search", "--help"], stdout=io.StringIO())
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: tubelat gap-search")
+
+
+# per subcommand, in the order of --help: a call that lacks its required
+# arguments (or, for one that takes none, has one too many), the message of
+# its spec-format document, and the first line of its --help
+USAGE = {
+    "validate-algebra": (["extra"], "unrecognized arguments: extra", "[-h]"),
+    "euler": ([], "the following arguments are required: --x, --y", "[-h] --x X --y Y"),
+    "slope": (["rep.json", "extra"], "unrecognized arguments: extra", "[-h] [--vec VEC] [rep]"),
+    "omega": (["extra"], "unrecognized arguments: extra", "[-h]"),
+    "decompose": ([], "the following arguments are required: --vec", "[-h] --vec VEC"),
+    "gap-search": (
+        [], "the following arguments are required: --r, --eps, --k", "[-h] --r R --eps EPS --k K"
+    ),
+    "delta": ([], "the following arguments are required: --r, --eps", "[-h] --r R --eps EPS"),
+    "p-bound": (["extra"], "unrecognized arguments: extra", "[-h]"),
+    "tube-params": (
+        [], "the following arguments are required: --r, --eps, --d", "[-h] --r R --eps EPS --d D"
+    ),
+    "hom": ([], "the following arguments are required: m, n", "[-h] m n"),
+    "ext": ([], "the following arguments are required: m, n", "[-h] m n"),
+    "pp-eval": ([], "the following arguments are required: phi, m", "[-h] phi m"),
+    "pp-free": ([], "the following arguments are required: phi", "[-h] phi"),
+    "pp-pair": ([], "the following arguments are required: phi, psi, m", "[-h] phi psi m"),
+    "certify": ([], "the following arguments are required: certificate", "[-h] certificate"),
+}
+
+
+@pytest.mark.parametrize("name", USAGE)
+def test_each_subcommand_keeps_its_usage_error_and_help(name, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv, message, usage = USAGE[name]
+    assert invoke(name, *argv) == (1, dumps_canonical({"error": "spec-format", "message": message}))
+    with pytest.raises(SystemExit) as exc:
+        run([name, "--help"], stdout=io.StringIO())
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[0] == f"usage: tubelat {name} {usage}" and err == ""
+
+
+def test_subcommands_are_listed_in_order(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit):
+        run(["--help"], stdout=io.StringIO())
+    assert "{" + ",".join(USAGE) + "}" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
