@@ -18,7 +18,9 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
+from contextlib import suppress
 from functools import cached_property
 
 from . import __version__
@@ -184,7 +186,16 @@ def _cmd_decompose(ctx: _Context) -> tuple[object, int]:
     raise PreconditionError(f"chi({tuple(x)}) = {chi}; need 0 or 1 to decompose")
 
 
-@_command("gap-search", *_WINDOW, _arg("--k", required=True, type=int))
+def _int(text: str) -> int:
+    """An integer option value, read by ``parse_frac`` with no "/"; any other
+    text is the usage error that ``type=int`` gives."""
+    if "/" not in text:
+        with suppress(SpecFormatError):
+            return int(parse_frac(text))
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
+@_command("gap-search", *_WINDOW, _arg("--k", required=True, type=_int))
 def _cmd_gap_search(ctx: _Context) -> tuple[object, int]:
     cert = gap_vector(ctx.lattice, *_window(ctx), ctx.args.k)
     return gap_certificate_to_json(cert), 0
@@ -213,7 +224,7 @@ def _cmd_p_bound(ctx: _Context) -> tuple[object, int]:
     return {"p": p_bound(ctx.lattice, ctx.exceptional)}, 0
 
 
-@_command("tube-params", *_WINDOW, _arg("--d", required=True, type=int))
+@_command("tube-params", *_WINDOW, _arg("--d", required=True, type=_int))
 def _cmd_tube_params(ctx: _Context) -> tuple[object, int]:
     tp = tube_parameters(ctx.lattice, ctx.exceptional, *_window(ctx), ctx.args.d)
     return tube_params_to_json(tp), 0
@@ -281,7 +292,13 @@ def _cmd_certify(ctx: _Context) -> tuple[object, int]:
 
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ``SpecFormatError``, so that they end in the one
-    error document; subparsers are made of the same class."""
+    error document; subparsers are made of the same class.  A negative p/q
+    is a value, as argparse already takes -3 and -.5 to be."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        pattern = self._negative_number_matcher.pattern + r"|^-[0-9]+/[0-9]+$"
+        self._negative_number_matcher = re.compile(pattern)
 
     def error(self, message):
         raise SpecFormatError(message)

@@ -3,9 +3,9 @@
 Contract: a matrix argument is any sequence of row sequences of
 ``Fraction`` (lists, tuples, or a mix) and a vector any sequence of
 ``Fraction``.  ``rank``, ``nullspace``, ``solve`` and ``column_space_basis``
-also take a matrix whose rows are all ``{column: value}`` maps, the sparse
-form in which the module layer builds its systems; a column missing from a
-map holds zero.
+also take rows that are ``{column: value}`` maps, the sparse form in which
+the module layer builds its systems, alone or mixed with dense rows; a
+column missing from a map holds zero.
 Either row form reaches the elimination through one adaptor, ``_map_rows``.
 No function mutates its arguments, and every matrix or vector returned is a
 fresh list, so callers pass stored tuple matrices as they are and never copy
@@ -21,7 +21,8 @@ only the rows that hold the pivot column, so a system costs its nonzeros
 rather than its size.  ``nullspace`` and ``solve`` read its pivot rows as
 maps, ``rank`` only counts the pivots of its elimination (skipping the
 conversion of the reduced rows to ``Fraction``s), and ``rref`` is its dense
-front end, which writes the reduced rows back out densely.
+front end, which writes the reduced rows back out densely; its callers are
+``inverse`` (for ``algebra.euler_data``) and the benchmark's timing probe.
 A reduced row echelon form is unique for its row space and column order, so
 the reduced rows, the pivot list and every basis derived from them
 (``nullspace``, ``column_space_basis``, ``solve``, ``inverse``) depend on

@@ -140,11 +140,11 @@ class QuadIrrational(Value):
         return f"({self.p}{self.q:+d}*sqrt({self.d}))/{self.s}"
 
 
-_SQRT_COLON = re.compile(r"^sqrt:(\d+)$")
-_SQRT_CALL = re.compile(r"^sqrt\((\d+)\)$")
-_SQRT_OVER = re.compile(r"^sqrt\((\d+)\)/(\d+)$")
+_SQRT_COLON = re.compile(r"^sqrt:([0-9]+)$")
+_SQRT_CALL = re.compile(r"^sqrt\(([0-9]+)\)$")
+_SQRT_OVER = re.compile(r"^sqrt\(([0-9]+)\)/([0-9]+)$")
 _GENERAL = re.compile(
-    r"^\(\s*(-?\d+)\s*([+-])\s*(?:(\d+)\s*\*\s*)?sqrt\((\d+)\)\s*\)\s*(?:/\s*(\d+))?$"
+    r"^\(\s*(-?[0-9]+)\s*([+-])\s*(?:([0-9]+)\s*\*\s*)?sqrt\(([0-9]+)\)\s*\)\s*(?:/\s*([0-9]+))?$"
 )
 
 

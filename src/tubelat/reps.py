@@ -4,13 +4,14 @@ A representation assigns a rational vector space to every vertex and a
 matrix to every arrow, stored once by columns: per source coordinate, its
 nonzero ``(row, value)`` pairs in ascending row order, so equal matrices
 have equal columns.  ``make_representation`` takes dense input and
-``matrix`` is the one dense view.  An element at vertex u is pushed along an
-arrow u -> v by the arrow's matrix (covariant convention, pinned empirically
-by the law hom(P_i, M) = dim(M)_i), and a combination of paths by ``act``.
-Hom spaces are kernels of the intertwiner system, built as map rows that
-``linalg`` adapts like dense ones; Ext comes from a projective-cover
-presentation 0 -> K -> P0 -> M -> 0, with Hom(P0, N) read off by Yoneda
-(Hom(P_v, N) = N_v).  All linear algebra is exact.
+``matrix`` is the one dense view, for the wire format and ``is_morphism``;
+all else, submodules and quotients too, reads the columns.  An element at
+vertex u is pushed along an arrow u -> v by the arrow's matrix (covariant
+convention, pinned empirically by the law hom(P_i, M) = dim(M)_i), and a
+combination of paths by ``act``.  Hom spaces are kernels of the intertwiner
+system, built as map rows that ``linalg`` adapts like dense ones; Ext comes
+from a projective-cover presentation 0 -> K -> P0 -> M -> 0, with Hom(P0, N)
+read off by Yoneda (Hom(P_v, N) = N_v).  All linear algebra is exact.
 """
 
 from __future__ import annotations
@@ -325,7 +326,7 @@ Bases = list[list[list[Fraction]]]  # per vertex, a list of coordinate vectors
 
 
 def submodule_closure(rep: Representation, gens: list[Element]) -> Bases:
-    """Per-vertex bases of the submodule generated by the given elements."""
+    """Per-vertex reduced bases of the submodule generated by the elements."""
     spans: Bases = [[] for _ in range(rep.spec.vertex_count)]
     for v, coords in gens:
         if len(coords) != rep.dims[v]:
@@ -340,8 +341,7 @@ def submodule_closure(rep: Representation, gens: list[Element]) -> Bases:
             u, v = arrow.src, arrow.tgt
             if not spans[u]:
                 continue
-            a = matrix(rep, arrow.label)
-            pushed = [linalg.mat_vec(a, vec) for vec in spans[u]]
+            pushed = [push(rep, (arrow.label,), dict(_column(vec))) for vec in spans[u]]
             merged = linalg.column_space_basis(spans[v] + pushed, rep.dims[v])
             if len(merged) != len(spans[v]):
                 spans[v] = merged
@@ -353,14 +353,19 @@ def sub_representation(rep: Representation, bases: Bases) -> Representation:
     """The subrepresentation spanned by arrow-closed per-vertex bases (each
     basis vector in ambient coordinates)."""
     dims = tuple(len(b) for b in bases)
+    # per vertex, the map rows of the matrix whose columns are the basis
+    systems = [
+        [{k: vec[i] for k, vec in enumerate(basis) if vec[i]} for i in range(d)]
+        for basis, d in zip(bases, rep.dims)
+    ]
     columns = {}
     for arrow in rep.spec.arrows:
         u, v = arrow.src, arrow.tgt
-        a = matrix(rep, arrow.label)
-        tgt_matrix = linalg.transpose(bases[v], rep.dims[v])
         cols = []
         for vec in bases[u]:
-            coeffs = linalg.solve(tgt_matrix, linalg.mat_vec(a, vec), dims[v])
+            image = push(rep, (arrow.label,), dict(_column(vec)))
+            rhs = [image.get(i, ZERO) for i in range(rep.dims[v])]
+            coeffs = linalg.solve(systems[v], rhs, dims[v])
             if coeffs is None:
                 raise ConsistencyError("bases are not closed under the arrows")
             cols.append(_column(coeffs))
@@ -368,22 +373,34 @@ def sub_representation(rep: Representation, bases: Bases) -> Representation:
     return Representation(rep.spec, dims, columns)
 
 
-def _reducer(basis_vectors: list[list[Fraction]], dim: int):
-    """Return (free_positions, reduce) where reduce maps an ambient vector to
-    its quotient coordinates over the standard complement."""
-    reduced, pivots = linalg.rref(basis_vectors, dim)
-    reduced = reduced[: len(pivots)]
-    free = sorted(set(range(dim)) - set(pivots))
+def _projection(basis_vectors: list[list[Fraction]], dim: int):
+    """Return (free_positions, project, reduce): the positions that lead no
+    reduced row of the basis, and the map to quotient coordinates over the
+    standard complement, from ``Column`` to ``Column`` and dense to dense."""
+    reduced, pivots = linalg.rref_maps([dict(_column(vec)) for vec in basis_vectors], dim)
+    rows = dict(zip(pivots, reduced))
+    free = [j for j in range(dim) if j not in rows]
+    index = {j: k for k, j in enumerate(free)}
+
+    def project(column) -> Column:
+        # subtract the row of each pivot held; a pivot row holds no other pivot
+        image = dict(column)
+        for p, f in column:
+            for j, y in rows[p].items() if p in rows else ():
+                image[j] = image.get(j, 0) - f * y
+        return tuple(sorted((index[j], x) for j, x in image.items() if x))
 
     def reduce(vec):
-        r = vec
-        for row, p in zip(reduced, pivots):
-            if r[p]:
-                f = r[p]
-                r = [x - f * y for x, y in zip(r, row)]
-        return [r[c] for c in free]
+        image = dict(project(_column(vec)))
+        return [image.get(k, ZERO) for k in range(len(free))]
 
-    return free, reduce
+    return free, project, reduce
+
+
+def _reducer(basis_vectors: list[list[Fraction]], dim: int):
+    """Return (free_positions, reduce), the first and last of ``_projection``:
+    reduce maps a dense ambient vector to its dense quotient coordinates."""
+    return _projection(basis_vectors, dim)[::2]
 
 
 def quotient_representation(
@@ -391,19 +408,12 @@ def quotient_representation(
 ) -> tuple[Representation, list]:
     """The quotient by an arrow-closed subspace family, plus the per-vertex
     projection functions (ambient coordinates -> quotient coordinates)."""
-    reducers = []
-    frees = []
-    for v in range(rep.spec.vertex_count):
-        free, reduce = _reducer(bases[v], rep.dims[v])
-        reducers.append(reduce)
-        frees.append(free)
-    dims = tuple(len(f) for f in frees)
-    columns = {}
-    for arrow in rep.spec.arrows:
-        u, v = arrow.src, arrow.tgt
-        a_cols = linalg.transpose(matrix(rep, arrow.label), rep.dims[u])
-        columns[arrow.label] = tuple(_column(reducers[v](a_cols[fpos])) for fpos in frees[u])
-    return Representation(rep.spec, dims, columns), reducers
+    frees, projects, reducers = zip(*map(_projection, bases, rep.dims))
+    columns = {
+        a.label: tuple(projects[a.tgt](rep.columns[a.label][j]) for j in frees[a.src])
+        for a in rep.spec.arrows
+    }
+    return Representation(rep.spec, tuple(map(len, frees)), columns), list(reducers)
 
 
 def quotient_by_elements(

@@ -24,6 +24,7 @@ list, and one ``"".join`` writes the whole document.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
@@ -41,19 +42,23 @@ def frac_to_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+# A number as text, on the wire and the command line: whitespace around, an
+# optional sign, ASCII digits and an optional "/" with ASCII digits; never a
+# decimal point, exponent, underscore or other script's digit, as ``Fraction``
+# and ``int`` take.
+_NUMBER = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
+
+
 def parse_frac(text) -> Fraction:
-    """Parse ``"p/q"``, ``"p"`` or a JSON integer into an exact rational."""
-    if isinstance(text, bool):
+    """Parse ``"p/q"`` or ``"p"`` (by ``_NUMBER``) or a JSON integer into an
+    exact rational."""
+    if isinstance(text, bool) or not isinstance(text, (int, Fraction, str)):
         raise SpecFormatError(f"not a rational: {text!r}")
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, Fraction):
-        return text
-    if not isinstance(text, str):
-        raise SpecFormatError(f"not a rational: {text!r}")
+    if isinstance(text, str) and not _NUMBER.fullmatch(text):
+        raise SpecFormatError(f"malformed rational {text!r}")
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
         raise SpecFormatError(f"malformed rational {text!r}") from exc
 
 

@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -614,3 +615,73 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["gap-search", "--r", "sqrt:2", "--eps", "1e-1", "--k", "5"], "malformed rational '1e-1'"),
+        (["--lambda", "2_0", "p-bound"], "malformed rational '2_0'"),
+        (["--lambda", "0.5", "p-bound"], "malformed rational '0.5'"),
+        (["gap-search", "--r", "sqrt:2", "--eps", "1/10", "--k", "1_0"], "argument --k: invalid int value: '1_0'"),
+        (["gap-search", "--r", "sqrt:2", "--eps", "1/10", "--k", "\u0665"], "argument --k: invalid int value: '\u0665'"),
+        (["tube-params", "--r", "sqrt:2", "--eps", "1/10", "--d", "\u0663"], "argument --d: invalid int value: '\u0663'"),
+        (["delta", "--r", "sqrt:\u0662", "--eps", "1/10"], "cannot parse quadratic irrational 'sqrt:\u0662'"),
+        (["delta", "--r", "sqrt:2", "--eps", "\u0661/\u0661\u0660"], "malformed rational '\u0661/\u0661\u0660'"),
+    ],
+)
+def test_numbers_on_the_command_line_follow_one_grammar(argv, message):
+    assert invoke_json(*argv) == (1, {"error": "spec-format", "message": message})
+
+
+@pytest.mark.parametrize("name", ["h0", "p3"])
+def test_numbers_in_a_module_file_follow_one_grammar(tmp_path, name):
+    doc = json.loads((GOLDEN_OUT.parent / "inputs" / f"{name}.json").read_text(encoding="utf-8"))
+    for bad in ("1e2", "\u0663", "1_0", "1.0"):
+        label, mat = next((k, m) for k, m in sorted(doc["arrows"].items()) if m and m[0])
+        edited = {**doc, "arrows": {**doc["arrows"], label: [[bad, *mat[0][1:]], *mat[1:]]}}
+        path = tmp_path / "rep.json"
+        path.write_text(json.dumps(edited), encoding="utf-8")
+        assert invoke_json("slope", str(path)) == (
+            1, {"error": "spec-format", "message": f"malformed rational {bad!r}"}
+        )
+
+
+@pytest.mark.parametrize(
+    "spaced, joined",
+    [
+        (["--lambda", "-1/2", "p-bound"], ["--lambda=-1/2", "p-bound"]),
+        (["gap-search", "--r", "sqrt:2", "--eps", "-1/2", "--k", "5"], ["gap-search", "--r", "sqrt:2", "--eps=-1/2", "--k", "5"]),
+        (["--lambda", "-3", "p-bound"], ["--lambda=-3", "p-bound"]),
+    ],
+)
+def test_a_negative_value_is_read_as_a_value(spaced, joined):
+    code, doc = invoke_json(*spaced)
+    assert (code, doc) == invoke_json(*joined)
+    assert doc == {"p": 4} or doc["error"] == "precondition"
+
+
+def readme_examples():
+    """The ``tubelat ...`` lines of the README's command-line block, each as
+    its argv and the JSON after its ``# ->``, or None where it has none."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```sh\n(tubelat --version.*?)```", readme, re.S).group(1)
+    examples = []
+    for line in block.splitlines():
+        command, _, note = line.partition("#")
+        note = note.strip()
+        result = json.loads(note[2:]) if note.startswith("->") else None
+        examples.append((shlex.split(command)[1:], result))
+    return examples
+
+
+def test_the_readme_examples_stay_true():
+    examples = readme_examples()
+    assert sum(result is not None for _, result in examples) == 4
+    for argv, result in examples:
+        if any(arg.endswith(".json") for arg in argv):
+            continue
+        code, text = invoke(*argv)
+        assert code == 0, argv
+        if result is not None:
+            assert json.loads(text) == result, argv

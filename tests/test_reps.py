@@ -308,7 +308,7 @@ def dense_projective_cover_presentation(basis, rep):
     generators = [
         (v, fpos)
         for v in range(spec.vertex_count)
-        for fpos in reps._reducer(rad[v], rep.dims[v])[0]
+        for fpos in ref_reducer(rad[v], rep.dims[v])[0]
     ]
 
     summands = [projective(basis, v) for v, _ in generators]
@@ -380,22 +380,25 @@ def test_radical_bases_match_the_dense_reference(spec, basis):
         assert reps.radical_bases(m) == dense_radical_bases(m)
 
 
-def test_radical_bases_of_the_zero_module_of_dimension_2000_end_within_2_s(spec):
-    # six 2000-dimensional spaces, every arrow zero: no column adds to a span.
-    # ``ext`` on this file still has no bound: nothing limits its cover's work.
-    zero = rep_from_json(spec, json.loads(ZERO_2000.read_text(encoding="utf-8")))
-
+def within_2_s(fn, *args):
+    """fn(*args), failing the test if it runs past 2 s."""
     def too_slow(signum, frame):
-        pytest.fail("radical_bases ran past 2 s")
+        pytest.fail(f"{fn.__name__} ran past 2 s")
 
     previous = signal.signal(signal.SIGALRM, too_slow)
     signal.alarm(2)
     try:
-        rad = reps.radical_bases(zero)
+        return fn(*args)
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert rad == [[]] * 6
+
+
+def test_radical_bases_of_the_zero_module_of_dimension_2000_end_within_2_s(spec):
+    # six 2000-dimensional spaces, every arrow zero: no column adds to a span.
+    # ``ext`` on this file still has no bound: nothing limits its cover's work.
+    zero = rep_from_json(spec, json.loads(ZERO_2000.read_text(encoding="utf-8")))
+    assert within_2_s(reps.radical_bases, zero) == [[]] * 6
     assert reps.top_dims(zero) == (2000,) * 6
 
 
@@ -727,13 +730,31 @@ def ref_sub_representation(rep, bases):
     return ref_make_representation(rep.spec, dims, maps)
 
 
+def ref_reducer(basis_vectors, dim):
+    """Return (free_positions, reduce) where reduce maps an ambient vector to
+    its quotient coordinates over the standard complement."""
+    reduced, pivots = linalg.rref(basis_vectors, dim)
+    reduced = reduced[: len(pivots)]
+    free = sorted(set(range(dim)) - set(pivots))
+
+    def reduce(vec):
+        r = vec
+        for row, p in zip(reduced, pivots):
+            if r[p]:
+                f = r[p]
+                r = [x - f * y for x, y in zip(r, row)]
+        return [r[c] for c in free]
+
+    return free, reduce
+
+
 def ref_quotient_representation(rep, bases):
     """The quotient by an arrow-closed subspace family, plus the per-vertex
     projection functions (ambient coordinates -> quotient coordinates)."""
     reducers = []
     frees = []
     for v in range(rep.spec.vertex_count):
-        free, reduce = reps._reducer(bases[v], rep.dims[v])
+        free, reduce = ref_reducer(bases[v], rep.dims[v])
         reducers.append(reduce)
         frees.append(free)
     dims = tuple(len(f) for f in frees)
@@ -793,6 +814,74 @@ def test_sub_and_quotient_match_the_dense_reference(spec, basis):
             assert_stores(reps.sub_representation(m, bases), ref_sub_representation(dense(m), bases))
             quot, _ = reps.quotient_representation(m, bases)
             assert_stores(quot, ref_quotient_representation(dense(m), bases)[0])
+
+
+def test_reducers_match_the_dense_reference(spec, basis):
+    rng = random.Random(68)
+    for m in storage_fixtures(spec, basis):
+        vertices = [v for v in range(6) if m.dims[v]]
+        gens = [(v, tuple(Fraction(rng.randint(-1, 1)) for _ in range(m.dims[v]))) for v in vertices[:2]]
+        bases = reps.submodule_closure(m, gens)
+        _, reducers = reps.quotient_representation(m, bases)
+        for v, reduce in enumerate(reducers):
+            ref_free, ref_reduce = ref_reducer(bases[v], m.dims[v])
+            assert reps._reducer(bases[v], m.dims[v])[0] == ref_free
+            vecs = [unit(m.dims[v], i) for i in range(m.dims[v])] + bases[v]
+            vecs.append([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m.dims[v])])
+            for vec in vecs:
+                assert reduce(vec) == ref_reduce(vec)
+
+
+def dense_path_taken(*args, **kwargs):
+    raise AssertionError("a dense path was taken")
+
+
+def test_submodules_and_quotients_take_no_dense_path(spec, basis, monkeypatch):
+    # only the wire format and is_morphism read an arrow densely
+    from test_pp import random_formula
+
+    from tubelat import pp
+
+    rng = random.Random(69)
+    modules = storage_fixtures(spec, basis)
+    gens = {}
+    for k, m in enumerate(modules):
+        vertices = [v for v in range(6) if m.dims[v]]
+        gens[k] = [(v, tuple(Fraction(rng.randint(-1, 1)) for _ in range(m.dims[v]))) for v in vertices[:2]]
+    formulas = [random_formula(spec, basis, rng) for _ in range(8)]
+
+    def results():
+        out = []
+        for k, m in enumerate(modules):
+            quot, reducers = reps.quotient_by_elements(m, gens[k])
+            sub = reps.sub_representation(m, reps.submodule_closure(m, gens[k]))
+            images = [reduce(unit(m.dims[v], 0)) for v, reduce in enumerate(reducers) if m.dims[v]]
+            ext = ext_dim(basis, m, modules[k - 1])
+            out.append((quot.dims, quot.columns, images, sub.dims, sub.columns, ext))
+        for phi in formulas:
+            fr = pp.free_realisation(basis, phi)
+            out.append((fr.module.dims, fr.module.columns, fr.points))
+        return out
+
+    expected = results()
+    monkeypatch.setattr(reps, "matrix", dense_path_taken)
+    monkeypatch.setattr(linalg, "mat_vec", dense_path_taken)
+    monkeypatch.setattr(linalg, "rref", dense_path_taken)
+    assert results() == expected
+
+
+def test_submodule_of_the_zero_module_of_dimension_2000_ends_within_2_s(spec):
+    # one unit generator at vertex 3: every arrow is zero, so the submodule
+    # is that line and the quotient drops one coordinate there
+    zero = rep_from_json(spec, json.loads(ZERO_2000.read_text(encoding="utf-8")))
+    bases = within_2_s(reps.submodule_closure, zero, [(2, unit(2000, 0))])
+    assert bases == [[], [], [list(unit(2000, 0))], [], [], []]
+    sub = within_2_s(reps.sub_representation, zero, bases)
+    assert sub.dims == (0, 0, 1, 0, 0, 0) and all(not any(c) for c in sub.columns.values())
+    quot, reducers = within_2_s(reps.quotient_representation, zero, bases)
+    assert quot.dims == (2000, 2000, 1999, 2000, 2000, 2000)
+    assert all(not any(c) for c in quot.columns.values())
+    assert reducers[2](unit(2000, 1)) == list(unit(1999, 0))
 
 
 def test_make_representation_matches_the_dense_reference(spec):

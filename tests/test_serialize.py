@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from tubelat.search import (
     tube_params_from_json,
     tube_params_to_json,
 )
-from tubelat.serialize import Rows, dumps_canonical
+from tubelat.errors import SpecFormatError
+from tubelat.serialize import Rows, dumps_canonical, parse_frac
 
 
 def ref_dumps_canonical(obj) -> str:
@@ -264,3 +266,33 @@ def test_rows_read_as_their_list_of_dicts():
     with pytest.raises(TypeError):
         hash(rows)
     assert Rows(()) == [] and len(Rows(())) == 0
+
+
+# The number grammar: whitespace around, an optional sign, ASCII digits, and
+# an optional "/" with ASCII digits.  Texts near it: other scripts' digits,
+# decimal points, exponents, underscores, inner whitespace.
+GRAMMAR = re.compile(r"\s*[+-]?[0-9]+(/[0-9]+)?\s*")
+NEAR_NUMBERS = st.text(st.sampled_from([*"0123456789+-/._eE x\t\n", "\u0663", "\uff15", "\u2003"]), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(st.from_regex(GRAMMAR, fullmatch=True), NEAR_NUMBERS))
+@example(text="1e2")
+@example(text="1_0")
+@example(text="0.5")
+@example(text="\u0663")
+@example(text="1 / 2")
+@example(text=" -7/5\n")
+@example(text="1/0")
+def test_numbers_follow_one_grammar(text):
+    """A text of the grammar reads as ``Fraction(text)`` does; every other
+    text, ``Fraction()`` accepting it or not, is ``spec-format``."""
+    try:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if GRAMMAR.fullmatch(text) and value is not None:
+        assert parse_frac(text) == value
+    else:
+        with pytest.raises(SpecFormatError):
+            parse_frac(text)
