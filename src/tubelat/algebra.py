@@ -60,7 +60,12 @@ class AlgebraSpec(Value):
                 raise SpecFormatError("trivial path needs an explicit vertex")
             return src_hint, src_hint
         amap = self.arrow_map()
-        src = at = amap[path[0]].src if path[0] in amap else None
+        try:
+            first = amap[path[0]]
+        except KeyError as exc:
+            raise SpecFormatError(f"unknown arrow label {path[0]!r}") from exc
+        cur = first.src
+        at = cur
         for label in path:
             arrow = amap.get(label)
             if arrow is None:
@@ -68,7 +73,7 @@ class AlgebraSpec(Value):
             if arrow.src != at:
                 raise SpecFormatError(f"path {'.'.join(path)} breaks at {label!r}")
             at = arrow.tgt
-        return src, at
+        return cur, at
 
 
 def check_spec(spec: AlgebraSpec) -> None:

@@ -293,7 +293,8 @@ def _cmd_certify(ctx: _Context) -> tuple[object, int]:
 class _Parser(argparse.ArgumentParser):
     """Usage errors raise ``SpecFormatError``, so that they end in the one
     error document; subparsers are made of the same class.  A negative p/q
-    is a value, as argparse already takes -3 and -.5 to be."""
+    is a value, as argparse already takes -3 and -.5 to be; this extends the
+    private ``_negative_number_matcher``, which no public API sets."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

@@ -18,7 +18,6 @@ morphism from the free realisation carries the marked element to n.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 
 from . import linalg
 from .algebra import AlgebraSpec, Path, PathBasis
@@ -131,7 +130,11 @@ def solution_space(phi: PpFormula, m: Representation) -> list[list[Fraction]]:
     """Echelonized basis of phi(M) inside the free coordinate block."""
     _check_compatible(phi, m)
     col_dims = [m.dims[t] for t in phi.col_types]
-    *col_offsets, total = accumulate(col_dims, initial=0)
+    col_offsets = []
+    total = 0
+    for d in col_dims:
+        col_offsets.append(total)
+        total += d
     rows: list[dict[int, Fraction]] = []
     for r, row_type in enumerate(phi.row_types):
         block_rows: list[dict[int, Fraction]] = [{} for _ in range(m.dims[row_type])]
@@ -177,10 +180,19 @@ def meet(phi: PpFormula, psi: PpFormula) -> PpFormula:
     """phi and psi: stack both systems, sharing the free variables."""
     _check_same_free(phi, psi)
     f = phi.free_count
-    entries = [row + ((),) * psi.bound_count for row in phi.entries]
-    entries += [row[:f] + ((),) * phi.bound_count + row[f:] for row in psi.entries]
-    col_types = phi.col_types + psi.col_types[f:]
-    return make_formula(phi.spec, f, col_types, phi.row_types + psi.row_types, tuple(entries))
+    col_types = (
+        phi.col_types[:f] + phi.col_types[f:] + psi.col_types[f:]
+    )
+    zero_a = ((),) * phi.bound_count
+    zero_b = ((),) * psi.bound_count
+    entries = []
+    for row in phi.entries:
+        entries.append(row[:f] + row[f:] + zero_b)
+    for row in psi.entries:
+        entries.append(row[:f] + zero_a + row[f:])
+    return make_formula(
+        phi.spec, f, col_types, phi.row_types + psi.row_types, tuple(entries)
+    )
 
 
 def plus(phi: PpFormula, psi: PpFormula) -> PpFormula:
@@ -189,19 +201,35 @@ def plus(phi: PpFormula, psi: PpFormula) -> PpFormula:
     f = phi.free_count
     head = phi.col_types[:f]
     col_types = head + head + head + phi.col_types[f:] + psi.col_types[f:]
+    n_cols = len(col_types)
     entries = []
+    row_types = []
     # v_i - v'_i - v''_i = 0
-    for i in range(f):
-        row = [()] * len(col_types)
-        row[i], row[f + i], row[2 * f + i] = ((ONE, ()),), ((-ONE, ()),), ((-ONE, ()),)
+    for i, t in enumerate(head):
+        row = [()] * n_cols
+        row[i] = ((ONE, ()),)
+        row[f + i] = ((-ONE, ()),)
+        row[2 * f + i] = ((-ONE, ()),)
         entries.append(tuple(row))
-    # phi acting on v', psi acting on v''; the columns are v, v', v'', then
-    # phi's bound variables and psi's
-    blank = ((),) * f
-    entries += [blank + row[:f] + blank + row[f:] + ((),) * psi.bound_count for row in phi.entries]
-    entries += [blank + blank + row[:f] + ((),) * phi.bound_count + row[f:] for row in psi.entries]
-    row_types = head + phi.row_types + psi.row_types
-    return make_formula(phi.spec, f, col_types, row_types, tuple(entries))
+        row_types.append(t)
+    # phi acting on v', psi acting on v''
+    for r, row in enumerate(phi.entries):
+        new = [()] * n_cols
+        for c in range(f):
+            new[f + c] = row[c]
+        for c in range(phi.bound_count):
+            new[3 * f + c] = row[f + c]
+        entries.append(tuple(new))
+        row_types.append(phi.row_types[r])
+    for r, row in enumerate(psi.entries):
+        new = [()] * n_cols
+        for c in range(f):
+            new[2 * f + c] = row[c]
+        for c in range(psi.bound_count):
+            new[3 * f + phi.bound_count + c] = row[f + c]
+        entries.append(tuple(new))
+        row_types.append(psi.row_types[r])
+    return make_formula(phi.spec, f, col_types, tuple(row_types), tuple(entries))
 
 
 # ---------------------------------------------------------------------------

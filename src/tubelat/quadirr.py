@@ -154,18 +154,21 @@ def parse_quad_irrational(text: str) -> QuadIrrational:
     if not isinstance(text, str):
         raise SpecFormatError(f"not a quadratic irrational: {text!r}")
     text = text.strip().replace(" ", "")
-    m = _SQRT_COLON.match(text) or _SQRT_CALL.match(text)
-    if m:
-        return QuadIrrational(0, 1, int(m.group(1)), 1)
-    m = _SQRT_OVER.match(text)
-    if m:
-        return QuadIrrational(0, 1, int(m.group(1)), int(m.group(2)))
-    m = _GENERAL.match(text)
-    if m:
-        p = int(m.group(1))
-        sign = -1 if m.group(2) == "-" else 1
-        q = sign * int(m.group(3) or "1")
-        d = int(m.group(4))
-        s = int(m.group(5) or "1")
-        return QuadIrrational(p, q, d, s)
+    try:
+        m = _SQRT_COLON.match(text) or _SQRT_CALL.match(text)
+        if m:
+            return QuadIrrational(0, 1, int(m.group(1)), 1)
+        m = _SQRT_OVER.match(text)
+        if m:
+            return QuadIrrational(0, 1, int(m.group(1)), int(m.group(2)))
+        m = _GENERAL.match(text)
+        if m:
+            p = int(m.group(1))
+            sign = -1 if m.group(2) == "-" else 1
+            q = sign * int(m.group(3) or "1")
+            d = int(m.group(4))
+            s = int(m.group(5) or "1")
+            return QuadIrrational(p, q, d, s)
+    except ValueError:  # an integer past the digit limit
+        pass
     raise SpecFormatError(f"cannot parse quadratic irrational {text!r}")

@@ -374,9 +374,9 @@ def sub_representation(rep: Representation, bases: Bases) -> Representation:
 
 
 def _projection(basis_vectors: list[list[Fraction]], dim: int):
-    """Return (free_positions, project, reduce): the positions that lead no
-    reduced row of the basis, and the map to quotient coordinates over the
-    standard complement, from ``Column`` to ``Column`` and dense to dense."""
+    """Return (free_positions, project): the positions that lead no reduced
+    row of the basis, and the map from a ``Column`` to its quotient
+    ``Column`` over the standard complement."""
     reduced, pivots = linalg.rref_maps([dict(_column(vec)) for vec in basis_vectors], dim)
     rows = dict(zip(pivots, reduced))
     free = [j for j in range(dim) if j not in rows]
@@ -390,17 +390,26 @@ def _projection(basis_vectors: list[list[Fraction]], dim: int):
                 image[j] = image.get(j, 0) - f * y
         return tuple(sorted((index[j], x) for j, x in image.items() if x))
 
+    return free, project
+
+
+def _on_dense(free: list[int], project):
+    """A projection's map on dense vectors: a dense ambient vector to its
+    dense quotient coordinates."""
+
     def reduce(vec):
         image = dict(project(_column(vec)))
         return [image.get(k, ZERO) for k in range(len(free))]
 
-    return free, project, reduce
+    return reduce
 
 
 def _reducer(basis_vectors: list[list[Fraction]], dim: int):
-    """Return (free_positions, reduce), the first and last of ``_projection``:
-    reduce maps a dense ambient vector to its dense quotient coordinates."""
-    return _projection(basis_vectors, dim)[::2]
+    """Return (free_positions, reduce) where reduce maps a dense ambient
+    vector to its dense quotient coordinates over the standard complement;
+    both come from ``_projection``, whose one sparse elimination they share."""
+    free, project = _projection(basis_vectors, dim)
+    return free, _on_dense(free, project)
 
 
 def quotient_representation(
@@ -408,12 +417,13 @@ def quotient_representation(
 ) -> tuple[Representation, list]:
     """The quotient by an arrow-closed subspace family, plus the per-vertex
     projection functions (ambient coordinates -> quotient coordinates)."""
-    frees, projects, reducers = zip(*map(_projection, bases, rep.dims))
+    frees, projects = zip(*map(_projection, bases, rep.dims))
     columns = {
         a.label: tuple(projects[a.tgt](rep.columns[a.label][j]) for j in frees[a.src])
         for a in rep.spec.arrows
     }
-    return Representation(rep.spec, tuple(map(len, frees)), columns), list(reducers)
+    reducers = list(map(_on_dense, frees, projects))
+    return Representation(rep.spec, tuple(map(len, frees)), columns), reducers
 
 
 def quotient_by_elements(

@@ -42,11 +42,11 @@ def frac_to_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-# A number as text, on the wire and the command line: whitespace around, an
-# optional sign, ASCII digits and an optional "/" with ASCII digits; never a
-# decimal point, exponent, underscore or other script's digit, as ``Fraction``
-# and ``int`` take.
-_NUMBER = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*")
+# A number as text, on the wire and the command line: ASCII whitespace
+# around, an optional sign, ASCII digits and an optional "/" with ASCII
+# digits; never a decimal point, exponent, underscore or other script's digit
+# or space, as ``Fraction`` and ``int`` take.
+_NUMBER = re.compile(r"\s*[+-]?[0-9]+(?:/[0-9]+)?\s*", re.ASCII)
 
 
 def parse_frac(text) -> Fraction:
@@ -58,7 +58,7 @@ def parse_frac(text) -> Fraction:
         raise SpecFormatError(f"malformed rational {text!r}")
     try:
         return Fraction(text)
-    except ZeroDivisionError as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # x/0, or past the digit limit
         raise SpecFormatError(f"malformed rational {text!r}") from exc
 
 

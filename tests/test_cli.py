@@ -523,23 +523,41 @@ DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() + 1  # one past the
         (["certify", "{cert}"], "malformed-json"),
         (["hom", "{rep}", "{rep}"], "malformed-json"),
         (["slope", "--vec", "[{long},0,0,0,0,0]"], "spec-format"),
+        (["certify", "{cert_eps}"], "spec-format"),
+        (["slope", "{rep_entry}"], "spec-format"),
+        (["--lambda", "{long}", "p-bound"], "spec-format"),
+        (["--lambda", "-1/{long}", "p-bound"], "spec-format"),
+        (["gap-search", "--r", "sqrt:2", "--eps", "1/{long}", "--k", "5"], "spec-format"),
+        (["gap-search", "--r", "sqrt:{long}", "--eps", "1/10", "--k", "5"], "spec-format"),
+        (["gap-search", "--r", "sqrt:2", "--eps", "1/10", "--k", "{long}"], "spec-format"),
+        (["tube-params", "--r", "sqrt:2", "--eps", "1/10", "--d", "{long}"], "spec-format"),
     ],
-    ids=["certify", "rep", "vec"],
+    ids=["certify", "rep", "vec", "certify-epsilon", "rep-entry", "lambda",
+         "lambda-negative-rational", "eps", "r", "k", "d"],
 )
 def test_integer_literals_past_the_digit_limit_are_named_errors(tmp_path, argv, error):
     """An integer literal longer than the interpreter converts to an int is
     one named error, not a ValueError traceback: in the canonical
-    certificate's header (which the byte path gives up on as well), in a
-    rep file and in a vector."""
+    certificate's header (which the byte path gives up on as well) and its
+    epsilon, in a rep file's dims and entries, in a vector, and in every
+    number option; ``--k`` and ``--d`` keep argparse's usage error."""
     long = "1" * DIGITS
     golden = (GOLDEN_OUT / "gap-search-sqrt2.out").read_text(encoding="utf-8")
-    assert '\n  "mu": 58,\n' in golden
+    assert '\n  "mu": 58,\n' in golden and '\n  "epsilon": "1/10",\n' in golden
     cert = tmp_path / "cert.json"
     cert.write_text(golden.replace('\n  "mu": 58,\n', f'\n  "mu": {long},\n'))
+    cert_eps = tmp_path / "cert-eps.json"
+    cert_eps.write_text(golden.replace('"epsilon": "1/10"', f'"epsilon": "1/{long}"'))
     rep = tmp_path / "rep.json"
     rep.write_text(f'{{"dims": [{long}, 0, 0, 0, 0, 0], "arrows": {{}}}}')
-    code, text = invoke(*[a.format(cert=cert, rep=rep, long=long) for a in argv])
-    assert code == 1 and json.loads(text)["error"] == error
+    rep_entry = tmp_path / "rep-entry.json"
+    rep_entry.write_text(f'{{"dims": [1, 1, 2, 1, 1, 0], "arrows": {{"a12": [["{long}"], ["0"]]}}}}')
+    paths = {"cert": cert, "cert_eps": cert_eps, "rep": rep, "rep_entry": rep_entry}
+    code, text = invoke(*[a.format(long=long, **paths) for a in argv])
+    doc = json.loads(text)
+    assert code == 1 and doc["error"] == error
+    if argv[-2:] in (["--k", "{long}"], ["--d", "{long}"]):
+        assert doc["message"] == f"argument {argv[-2]}: invalid int value: {long!r}"
 
 
 def test_rep_breaking_a_relation_is_a_validation_error(tmp_path):
