@@ -21,7 +21,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from . import linalg
 from .errors import (
     ConsistencyError,
     InfiniteDimensionError,
@@ -109,8 +108,7 @@ def build_c4(lam: Fraction | int | str) -> AlgebraSpec:
 
     The returned spec has already passed ``validate_spec``.
     """
-    lam = parse_frac(lam) if isinstance(lam, str) else Fraction(lam)
-    return _build_c4_cached(lam)
+    return _build_c4_cached(parse_frac(lam))
 
 
 @lru_cache(maxsize=None)
@@ -324,40 +322,32 @@ class EulerData(Value):
 
 
 def euler_data(spec: AlgebraSpec, basis: PathBasis) -> EulerData:
-    """Compute E two independent ways and require entrywise agreement:
-    (a) inverse-transpose of the Cartan matrix, (b) the global-dimension-2
-    alternating count over vertices, arrows and relations."""
+    """Compute E two independent ways and require that they agree: (a) as
+    the inverse transpose of the Cartan matrix C, counted from the path
+    basis, (b) by the global-dimension-2 alternating count over vertices,
+    arrows and relations.  E from (b) is the inverse transpose of C exactly
+    when C^T E = I, which is checked as one integer product."""
     n = spec.vertex_count
     cartan = [[len(basis.paths_between(j, i)) for j in range(n)] for i in range(n)]
-
-    ct = [[Fraction(cartan[j][i]) for j in range(n)] for i in range(n)]
-    inv = linalg.inverse(ct)
-    if inv is None:
-        raise ConsistencyError("Cartan matrix is singular")
-    route_a = []
-    for row in inv:
-        out_row = []
-        for x in row:
-            if x.denominator != 1:
-                raise ConsistencyError("Cartan inverse is not integral")
-            out_row.append(x.numerator)
-        route_a.append(out_row)
-
-    route_b = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    unit = [[int(i == j) for j in range(n)] for i in range(n)]
+    euler = [row[:] for row in unit]
     for a in spec.arrows:
-        route_b[a.src][a.tgt] -= 1
+        euler[a.src][a.tgt] -= 1
     for rel in spec.relations:
         src, tgt = spec.path_endpoints(rel[0][1])
-        route_b[src][tgt] += 1
-
-    if route_a != route_b:
+        euler[src][tgt] += 1
+    # (C^T E)[i][k] is the sum over j of C[j][i] * E[j][k]
+    product = [
+        [sum(c[i] * e[k] for c, e in zip(cartan, euler)) for k in range(n)] for i in range(n)
+    ]
+    if product != unit:
         raise ConsistencyError(
             "Euler matrix routes disagree (Cartan route vs arrow/relation count); "
             "the quiver or relation data is inconsistent"
         )
     return EulerData(
         cartan=tuple(tuple(r) for r in cartan),
-        euler=tuple(tuple(r) for r in route_a),
+        euler=tuple(tuple(r) for r in euler),
     )
 
 

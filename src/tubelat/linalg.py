@@ -21,11 +21,11 @@ only the rows that hold the pivot column, so a system costs its nonzeros
 rather than its size.  ``nullspace`` and ``solve`` read its pivot rows as
 maps, ``rank`` only counts the pivots of its elimination (skipping the
 conversion of the reduced rows to ``Fraction``s), and ``rref`` is its dense
-front end, which writes the reduced rows back out densely; its callers are
-``inverse`` (for ``algebra.euler_data``) and the benchmark's timing probe.
+front end, which writes the reduced rows back out densely; nothing in the
+package calls it, and it stays for the benchmark's ``linalg.rref_ms`` probe.
 A reduced row echelon form is unique for its row space and column order, so
 the reduced rows, the pivot list and every basis derived from them
-(``nullspace``, ``column_space_basis``, ``solve``, ``inverse``) depend on
+(``nullspace``, ``column_space_basis``, ``solve``) depend on
 the input alone, not on how the elimination is carried out; all derived
 bases are byte-stable.
 """
@@ -40,10 +40,6 @@ Mat = list  # list[list[Fraction]]; any sequence of row sequences as input
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def identity(n: int) -> Mat:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Mat, b: Mat, b_cols: int | None = None) -> Mat:
@@ -156,7 +152,8 @@ def _eliminate(rows, width: int, cols: int | None = None):
 
 def rref(a: Mat, cols: int | None = None) -> tuple[Mat, list[int]]:
     """Dense front end of ``rref_maps``: the reduced rows (as wide as the
-    input rows) and the pivot columns, for dense rows."""
+    input rows) and the pivot columns, for dense rows.  The benchmark's
+    ``linalg.rref_ms`` probe times it; the package itself does not call it."""
     width = len(a[0]) if a else 0
     reduced, pivots = rref_maps(_map_rows(a), width, cols)
     return [_dense(row, width) for row in reduced], pivots
@@ -216,15 +213,6 @@ def solve(a, b: Vec, cols: int) -> Vec | None:
     for row, p in zip(reduced, pivots):
         x[p] = row.get(cols, ZERO)
     return x
-
-
-def inverse(a: Mat) -> Mat | None:
-    n = len(a)
-    aug = [[*row, *ident_row] for row, ident_row in zip(a, identity(n))]
-    reduced, pivots = rref(aug, 2 * n)
-    if pivots[:n] != list(range(n)):
-        return None
-    return [row[n:] for row in reduced]
 
 
 def column_space_basis(vectors, dim: int) -> list[Vec]:

@@ -72,7 +72,7 @@ def make_formula(
         for c, combo in enumerate(row):
             norm = []
             for coeff, path in combo:
-                coeff = Fraction(coeff)
+                coeff = parse_frac(coeff)
                 path = tuple(path)
                 src, tgt = spec.path_endpoints(path, src_hint=col_types[c])
                 if src != col_types[c] or tgt != row_types[r]:

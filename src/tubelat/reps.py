@@ -83,7 +83,7 @@ def make_representation(spec: AlgebraSpec, dims, maps) -> Representation:
         if mat is None:
             columns[arrow.label] = ((),) * cols
             continue
-        m = [[x if type(x) is Fraction else Fraction(x) for x in row] for row in mat]
+        m = [[x if type(x) is Fraction else parse_frac(x) for x in row] for row in mat]
         if len(m) != rows or any(len(r) != cols for r in m):
             raise SpecFormatError(
                 f"matrix for arrow {arrow.label!r} must be {rows}x{cols}"
@@ -331,7 +331,7 @@ def submodule_closure(rep: Representation, gens: list[Element]) -> Bases:
     for v, coords in gens:
         if len(coords) != rep.dims[v]:
             raise TypeMismatchError("generator has wrong length")
-        spans[v].append([Fraction(c) for c in coords])
+        spans[v].append([parse_frac(c) for c in coords])
     for v in range(rep.spec.vertex_count):
         spans[v] = linalg.column_space_basis(spans[v], rep.dims[v])
     changed = True
@@ -402,14 +402,6 @@ def _on_dense(free: list[int], project):
         return [image.get(k, ZERO) for k in range(len(free))]
 
     return reduce
-
-
-def _reducer(basis_vectors: list[list[Fraction]], dim: int):
-    """Return (free_positions, reduce) where reduce maps a dense ambient
-    vector to its dense quotient coordinates over the standard complement;
-    both come from ``_projection``, whose one sparse elimination they share."""
-    free, project = _projection(basis_vectors, dim)
-    return free, _on_dense(free, project)
 
 
 def quotient_representation(

@@ -25,6 +25,10 @@ integer comparisons:
 * ``tube_parameters`` turns a requested dimension gap d into a choice of k,
   a certified gap vector and the resulting dimension bounds.
 
+Both certificate kinds travel as JSON documents declared once, in
+``_KINDS``: each wire field with its writer and its reader, which one
+generic writer and one generic reader run over.
+
 The pair (a, b) always ranges over a >= 1, b >= 0: the slope b/a must be
 defined, so the a = 0 edge of the natural numbers is excluded throughout.
 """
@@ -166,7 +170,7 @@ class DeltaResult(Value):
 
 
 def _check_window(r: QuadIrrational, eps: Fraction) -> Fraction:
-    eps = Fraction(eps)
+    eps = parse_frac(eps)
     if eps <= 0 or not r > eps:
         raise PreconditionError(f"need 0 < eps < r, got eps={eps}")
     return eps
@@ -656,22 +660,6 @@ def validate_tube_params(
 # ---------------------------------------------------------------------------
 
 
-def gap_certificate_to_json(cert: GapCertificate) -> dict:
-    return {
-        "kind": cert.kind,
-        "r": str(cert.r),
-        "epsilon": frac_to_str(cert.epsilon),
-        "k": cert.k,
-        "a": cert.a,
-        "b": cert.b,
-        "slope": str(cert.slope),
-        "mu": cert.mu,
-        "budget": cert.budget,
-        "mu_weights": list(cert.mu_weights),
-        "witnesses": Rows(cert.witnesses),
-    }
-
-
 def _witness_from_json(w) -> tuple[int, int, int, str]:
     # a JSON number without a fraction is read as an int; anything else
     # goes through parse_int, a then b then mu, for its error message
@@ -686,6 +674,67 @@ def _witness_from_json(w) -> tuple[int, int, int, str]:
     return a, b, m, slope
 
 
+def _rows_from_json(rows):
+    return rows if type(rows) is BudgetScan else tuple(map(_witness_from_json, rows))
+
+
+def _weights_from_json(weights) -> tuple[int, int]:
+    w0, w1 = weights  # exactly two
+    return parse_int(w0), parse_int(w1)
+
+
+def _to_json(value: GapCertificate | TubeParams) -> dict:
+    doc = {"kind": value.kind, "slope": str(value.slope)}
+    for name, write, _ in _KINDS[value.kind][3]:
+        field = getattr(value, name)
+        doc[name] = field if write is None else write(field)
+    return doc
+
+
+def _from_json(kind: str, data) -> GapCertificate | TubeParams:
+    cls, full_name, short_name, fields = _KINDS[kind]
+    try:
+        if data.get("kind") != kind:
+            raise SpecFormatError(f"not a {full_name}: {data.get('kind')!r}")
+        return cls(**{name: read(data[name]) for name, _, read in fields})
+    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise SpecFormatError(f"malformed {short_name}: {exc}") from exc
+
+
+def _ints(*names) -> tuple:
+    return tuple((name, None, parse_int) for name in names)
+
+
+# Each certificate kind once: its class, the names its errors give its
+# document, and its wire fields apart from "kind" and the derived "slope",
+# each as (name, writer, reader) in the order they are read.  ``_ints``
+# fields are written as they are, and a field written by ``_to_json`` holds
+# a certificate of its own.
+_KINDS = {
+    GapCertificate.kind: (GapCertificate, "gap-vector certificate", "gap certificate", (
+        ("witnesses", Rows, _rows_from_json),
+        ("mu_weights", list, _weights_from_json),
+        ("r", str, parse_quad_irrational),
+        ("epsilon", frac_to_str, parse_frac),
+        *_ints("k", "a", "b", "mu", "budget"),
+    )),
+    TubeParams.kind: (TubeParams, "tube-params document", "tube-params document", (
+        *_ints("a", "b", "rank", "k_used", "p", "d"),
+        ("lower_bound", frac_to_str, parse_frac),
+        *_ints("threshold"),
+        ("r", str, parse_quad_irrational),
+        ("epsilon", frac_to_str, parse_frac),
+        # read through the module name, so that a wrapper put there also
+        # sees a tube's certificate being read
+        ("certificate", _to_json, lambda data: gap_certificate_from_json(data)),
+    )),
+}
+
+
+def gap_certificate_to_json(cert: GapCertificate) -> dict:
+    return _to_json(cert)
+
+
 def gap_certificate_from_json(data: dict) -> GapCertificate:
     """Read a ``gap-vector`` document; malformed input is a SpecFormatError.
 
@@ -697,64 +746,15 @@ def gap_certificate_from_json(data: dict) -> GapCertificate:
     place of the rows, which ``certificate_from_canonical_text`` puts there,
     is kept as it is.
     """
-    try:
-        if data.get("kind") != GapCertificate.kind:
-            raise SpecFormatError(f"not a gap-vector certificate: {data.get('kind')!r}")
-        rows = data["witnesses"]
-        witnesses = rows if type(rows) is BudgetScan else tuple(map(_witness_from_json, rows))
-        w0, w1 = data["mu_weights"]  # exactly two
-        return GapCertificate(
-            r=parse_quad_irrational(data["r"]),
-            epsilon=parse_frac(data["epsilon"]),
-            k=parse_int(data["k"]),
-            a=parse_int(data["a"]),
-            b=parse_int(data["b"]),
-            mu=parse_int(data["mu"]),
-            budget=parse_int(data["budget"]),
-            mu_weights=(parse_int(w0), parse_int(w1)),
-            witnesses=witnesses,
-        )
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
-        raise SpecFormatError(f"malformed gap certificate: {exc}") from exc
+    return _from_json(GapCertificate.kind, data)
 
 
 def tube_params_to_json(tp: TubeParams) -> dict:
-    return {
-        "kind": tp.kind,
-        "a": tp.a,
-        "b": tp.b,
-        "slope": str(tp.slope),
-        "rank": tp.rank,
-        "k_used": tp.k_used,
-        "p": tp.p,
-        "d": tp.d,
-        "lower_bound": frac_to_str(tp.lower_bound),
-        "threshold": tp.threshold,
-        "r": str(tp.r),
-        "epsilon": frac_to_str(tp.epsilon),
-        "certificate": gap_certificate_to_json(tp.certificate),
-    }
+    return _to_json(tp)
 
 
 def tube_params_from_json(data: dict) -> TubeParams:
-    try:
-        if data.get("kind") != TubeParams.kind:
-            raise SpecFormatError(f"not a tube-params document: {data.get('kind')!r}")
-        return TubeParams(
-            a=parse_int(data["a"]),
-            b=parse_int(data["b"]),
-            rank=parse_int(data["rank"]),
-            k_used=parse_int(data["k_used"]),
-            p=parse_int(data["p"]),
-            d=parse_int(data["d"]),
-            lower_bound=parse_frac(data["lower_bound"]),
-            threshold=parse_int(data["threshold"]),
-            r=parse_quad_irrational(data["r"]),
-            epsilon=parse_frac(data["epsilon"]),
-            certificate=gap_certificate_from_json(data["certificate"]),
-        )
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
-        raise SpecFormatError(f"malformed tube-params document: {exc}") from exc
+    return _from_json(TubeParams.kind, data)
 
 
 def _stored_slope_failures(where: str, data: dict, cert) -> list[str]:
@@ -776,14 +776,14 @@ def certificate_from_json(data) -> tuple[GapCertificate | TubeParams, list[str]]
     from its pair.  The top slope comes before that of a tube's certificate.
     """
     kind = data.get("kind") if isinstance(data, dict) else None
-    if kind == GapCertificate.kind:
-        value = gap_certificate_from_json(data)
-        slopes = [("", data, value)]
-    elif kind == TubeParams.kind:
-        value = tube_params_from_json(data)
-        slopes = [("", data, value), ("certificate ", data["certificate"], value.certificate)]
-    else:
+    if type(kind) is not str or kind not in _KINDS:
         raise SpecFormatError(f"unknown certificate kind {kind!r}")
+    value = _from_json(kind, data)
+    slopes = [("", data, value)] + [
+        (f"{name} ", data[name], getattr(value, name))
+        for name, write, _ in _KINDS[kind][3]
+        if write is _to_json
+    ]
     return value, [f for slope in slopes for f in _stored_slope_failures(*slope)]
 
 
@@ -821,8 +821,7 @@ def certificate_from_canonical_text(text: str) -> GapCertificate | TubeParams | 
             return None
         # a document that its writer spells again has the slopes of its pairs
         value, _ = certificate_from_json(data)
-        write = tube_params_to_json if type(value) is TubeParams else gap_certificate_to_json
-        again = dumps_canonical(write(value))
+        again = dumps_canonical(_to_json(value))
     except (TubelatError, ArithmeticError, LookupError, RecursionError, TypeError, ValueError):
         return None
     return value if again == text else None

@@ -202,6 +202,25 @@ def test_certify_round_trip(tmp_path):
     assert code == 0 and doc["valid"] is True
 
 
+# every field of each certificate kind, each missing and each set to true
+WIRE_FIELDS = {
+    "gap": (
+        "kind", "r", "epsilon", "k", "a", "b", "slope", "mu", "budget", "mu_weights", "witnesses",
+    ),
+    "tube": (
+        "kind", "a", "b", "slope", "rank", "k_used", "p", "d", "lower_bound", "threshold", "r",
+        "epsilon", "certificate",
+    ),
+}
+MISSING = object()
+EVERY_FIELD = [
+    (kind, (field,), value)
+    for kind, fields in WIRE_FIELDS.items()
+    for field in fields
+    for value in (MISSING, True)
+]
+
+
 @pytest.mark.parametrize(
     "kind, where, value",
     [
@@ -215,6 +234,7 @@ def test_certify_round_trip(tmp_path):
         ("tube", ("certificate",), []),
         ("rep", ("dims", 0), 1.9),
         ("rep", ("arrows",), []),
+        *EVERY_FIELD,
     ],
     ids=[
         "slope-1/0",
@@ -227,6 +247,10 @@ def test_certify_round_trip(tmp_path):
         "certificate-list",
         "dims-float",
         "arrows-list",
+        *(
+            f"{kind}-{where[0]}-{'missing' if value is MISSING else 'true'}"
+            for kind, where, value in EVERY_FIELD
+        ),
     ],
 )
 def test_wire_values_must_be_exact(tmp_path, spec, kind, where, value):
@@ -240,10 +264,14 @@ def test_wire_values_must_be_exact(tmp_path, spec, kind, where, value):
             "tube": ("tube-params", "--r", "sqrt:2", "--eps", "1/10", "--d", "1"),
         }[kind]
         doc = json.loads(invoke(*argv)[1])
+        assert tuple(sorted(doc)) == tuple(sorted(WIRE_FIELDS[kind]))
     target = doc
     for key in where[:-1]:
         target = target[key]
-    target[where[-1]] = value
+    if value is MISSING:
+        del target[where[-1]]
+    else:
+        target[where[-1]] = value
     doc_file = tmp_path / "doc.json"
     doc_file.write_text(json.dumps(doc))
     code, out = invoke_json(command, str(doc_file))

@@ -5,7 +5,6 @@ kept here as the reference."""
 
 import copy
 from fractions import Fraction
-from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -59,9 +58,9 @@ def dense_rref(a, cols=None):
 
 
 @st.composite
-def matrices(draw, rows=None, cols=None):
-    n_rows = draw(st.integers(0, 4)) if rows is None else rows
-    n_cols = draw(st.integers(1, 4)) if cols is None else cols
+def matrices(draw):
+    n_rows = draw(st.integers(0, 4))
+    n_cols = draw(st.integers(1, 4))
     mat = [[draw(ENTRY) for _ in range(n_cols)] for _ in range(n_rows)]
     return mat, n_cols
 
@@ -130,9 +129,6 @@ def test_list_and_tuple_inputs_agree_and_stay_unchanged(am, bm):
     if a:
         both_forms(linalg.solve, a, extra=([row[0] for row in a], cols))
         both_forms(linalg.in_span, a, extra=(a[0], cols))
-    square = [row[:] for row in a[:cols]]
-    if len(square) == cols:
-        both_forms(linalg.inverse, square)
     if b_cols == cols:
         for fn in (
             linalg.subspace_leq,
@@ -196,18 +192,6 @@ def test_solve_satisfies_its_equation(am, data):
         assert linalg.mat_vec(a, y) == rhs
 
 
-@settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4).flatmap(lambda n: matrices(rows=n, cols=n)))
-def test_inverse_satisfies_its_equations(am):
-    a, n = am
-    inv = linalg.inverse(a)
-    if inv is None:
-        assert linalg.rank(a, n) < n
-    else:
-        assert linalg.mat_mul(a, inv) == linalg.identity(n)
-        assert linalg.mat_mul(inv, a) == linalg.identity(n)
-
-
 def test_mat_mul_keeps_b_cols_when_b_has_no_rows():
     a = [[], []]  # 2 x 0
     assert linalg.mat_mul(a, [], b_cols=3) == [[Fraction(0)] * 3] * 2
@@ -266,8 +250,27 @@ def test_rref_matches_the_dense_reference(am, data):
 def test_rref_of_no_rows_keeps_explicit_cols():
     for cols in (0, 1, 5):
         assert linalg.rref([], cols) == dense_rref([], cols) == ([], [])
-        assert linalg.nullspace([], cols) == linalg.identity(cols)
+        assert linalg.nullspace([], cols) == [[Fraction(i == j) for j in range(cols)] for i in range(cols)]
     assert linalg.rref([[], []]) == dense_rref([[], []]) == ([[], []], [])
+
+
+def dense_derived(a, rhs, cols):
+    """rank, nullspace and one solution of ``a x = rhs``, read off ``dense_rref``."""
+    reduced, pivots = dense_rref(a, cols)
+    kernel = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [ZERO] * cols
+        v[f] = ONE
+        for row, p in zip(reduced, pivots):
+            v[p] = -row[f]
+        kernel.append(v)
+    aug, aug_pivots = dense_rref([[*row, b] for row, b in zip(a, rhs)], cols + 1)
+    if cols in aug_pivots:
+        return len(pivots), kernel, None
+    x = [ZERO] * cols
+    for row, p in zip(aug, aug_pivots):
+        x[p] = row[cols]
+    return len(pivots), kernel, x
 
 
 @settings(max_examples=300, deadline=None)
@@ -275,21 +278,8 @@ def test_rref_of_no_rows_keeps_explicit_cols():
 def test_derived_functions_match_the_reference(am, data):
     a, cols = am
     rhs = data.draw(st.lists(NONZERO | st.just(ZERO), min_size=len(a), max_size=len(a)))
-    square = [row[: len(a)] for row in a] if a and len(a) <= cols else None
-    got = (
-        linalg.rank(a, cols),
-        linalg.nullspace(a, cols),
-        linalg.solve(a, rhs, cols),
-        square and linalg.inverse(square),
-    )
-    with mock.patch.object(linalg, "rref", dense_rref):
-        want = (
-            linalg.rank(a, cols),
-            linalg.nullspace(a, cols),
-            linalg.solve(a, rhs, cols),
-            square and linalg.inverse(square),
-        )
-    assert got == want
+    got = (linalg.rank(a, cols), linalg.nullspace(a, cols), linalg.solve(a, rhs, cols))
+    assert got == dense_derived(a, rhs, cols)
 
 
 # The map-row entry: ``rref_maps`` against the same dense reference.
@@ -350,6 +340,4 @@ def test_derived_functions_on_map_rows_match_the_reference(amw, data):
     a, rows, cols = amw
     rhs = data.draw(st.lists(NONZERO | st.just(ZERO), min_size=len(a), max_size=len(a)))
     got = (linalg.rank(rows, cols), linalg.nullspace(rows, cols), linalg.solve(rows, rhs, cols))
-    with mock.patch.object(linalg, "rref", dense_rref):
-        want = (linalg.rank(a, cols), linalg.nullspace(a, cols), linalg.solve(a, rhs, cols))
-    assert got == want
+    assert got == dense_derived(a, rhs, cols)

@@ -226,7 +226,7 @@ def test_hom_ext_on_the_n8_ladder_pair(spec, basis, lattice):
 def path_matrix(rep, path, src_hint=None):
     """Matrix of a path acting dims(src) -> dims(tgt); identity for trivial paths."""
     src, _ = rep.spec.path_endpoints(path, src_hint)
-    mat = linalg.identity(rep.dims[src])
+    mat = [[Fraction(i == j) for j in range(rep.dims[src])] for i in range(rep.dims[src])]
     for label in path:
         mat = linalg.mat_mul(reps.matrix(rep, label), mat, b_cols=rep.dims[src])
     return mat
@@ -822,10 +822,10 @@ def test_reducers_match_the_dense_reference(spec, basis):
         vertices = [v for v in range(6) if m.dims[v]]
         gens = [(v, tuple(Fraction(rng.randint(-1, 1)) for _ in range(m.dims[v]))) for v in vertices[:2]]
         bases = reps.submodule_closure(m, gens)
-        _, reducers = reps.quotient_representation(m, bases)
+        quot, reducers = reps.quotient_representation(m, bases)
         for v, reduce in enumerate(reducers):
             ref_free, ref_reduce = ref_reducer(bases[v], m.dims[v])
-            assert reps._reducer(bases[v], m.dims[v])[0] == ref_free
+            assert quot.dims[v] == len(ref_free)
             vecs = [unit(m.dims[v], i) for i in range(m.dims[v])] + bases[v]
             vecs.append([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m.dims[v])])
             for vec in vecs:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from tubelat import algebra, pp, reps
 from tubelat import lattice as lattice_module
 from tubelat import search
 from tubelat.quadirr import QuadIrrational
@@ -321,4 +322,29 @@ def test_numbers_follow_one_grammar(text):
     else:
         with pytest.raises(SpecFormatError):
             parse_frac(text)
+
+
+SQRT2 = QuadIrrational(0, 1, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda spec, lat: algebra.build_c4(0.5),
+        lambda spec, lat: reps.make_representation(spec, (1, 1, 2, 1, 1, 0), {"a12": [["1e2"], [1]]}),
+        lambda spec, lat: reps.make_representation(spec, (1, 1, 2, 1, 1, 0), {"a12": [[1], ["0.5"]]}),
+        lambda spec, lat: reps.submodule_closure(reps.simple(spec, 2), [(2, (1.5,))]),
+        lambda spec, lat: pp.make_formula(spec, 1, (2,), (2,), (((("2.5", ()),),),)),
+        lambda spec, lat: gap_vector(lat, SQRT2, 0.1, 5),
+        lambda spec, lat: gap_vector(lat, SQRT2, True, 5),
+    ],
+    ids=["build_c4-float", "rep-exponent", "rep-decimal", "submodule-float", "formula-decimal",
+         "eps-float", "eps-bool"],
+)
+def test_library_entry_points_read_numbers_by_the_grammar(spec, lattice, call):
+    """The library's own entry points read a number as the wire and the
+    command line do: a float, a bool or a text outside the grammar is
+    ``spec-format``, never converted."""
+    with pytest.raises(SpecFormatError):
+        call(spec, lattice)
 
