@@ -29,7 +29,7 @@ from .errors import (
     SpecFormatError,
     ValidationError,
 )
-from .serialize import frac_to_str, parse_frac, parse_int
+from .serialize import frac_to_str, label, parse_frac, parse_int, read
 from .value import Value
 
 Path = tuple[str, ...]  # arrow labels in traversal order (first arrow first)
@@ -498,12 +498,8 @@ def _coeff_to_json(c: Fraction, lam: Fraction) -> str:
     return frac_to_str(c)
 
 
-def _coeff_from_json(text, lam: Fraction) -> Fraction:
-    if text == "lambda":
-        return lam
-    if text == "-lambda":
-        return -lam
-    return parse_frac(text)
+def _coeff_from_json(text) -> Fraction | str:
+    return text if text in ("lambda", "-lambda") else parse_frac(text)
 
 
 def spec_to_json(spec: AlgebraSpec) -> dict:
@@ -524,24 +520,23 @@ def spec_to_json(spec: AlgebraSpec) -> dict:
     }
 
 
+_SPEC = {
+    "name?": label,
+    "vertices": parse_int,
+    "arrows": [{"label": label, "src": parse_int, "tgt": parse_int}],
+    "relations": [[{"coeff": _coeff_from_json, "path": [label]}]],
+    "lambda": parse_frac,
+}
+
+
 def spec_from_json(data: dict) -> AlgebraSpec:
-    try:
-        lam = parse_frac(data["lambda"])
-        n = parse_int(data["vertices"])
-        arrows = tuple(
-            Arrow(str(a["label"]), parse_int(a["src"]) - 1, parse_int(a["tgt"]) - 1)
-            for a in data["arrows"]
-        )
-        relations = tuple(
-            tuple(
-                (_coeff_from_json(t["coeff"], lam), tuple(str(l) for l in t["path"]))
-                for t in rel
-            )
-            for rel in data["relations"]
-        )
-        name = str(data.get("name", "user-algebra"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecFormatError(f"malformed algebra spec: {exc}") from exc
-    spec = AlgebraSpec(name, n, arrows, relations, lam)
+    doc = read(_SPEC, data, "algebra spec")
+    lam = doc["lambda"]
+    coeff = {"lambda": lam, "-lambda": -lam}
+    arrows = tuple(Arrow(a["label"], a["src"] - 1, a["tgt"] - 1) for a in doc["arrows"])
+    relations = tuple(
+        tuple((coeff.get(t["coeff"], t["coeff"]), t["path"]) for t in rel) for rel in doc["relations"]
+    )
+    spec = AlgebraSpec(doc.get("name", "user-algebra"), doc["vertices"], arrows, relations, lam)
     check_spec(spec)
     return spec

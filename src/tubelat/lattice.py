@@ -22,7 +22,7 @@ from .errors import (
     UndefinedSlopeError,
     UnsupportedFormError,
 )
-from .serialize import parse_frac
+from .serialize import label, parse_frac
 from .value import Value
 
 DimVector = tuple[int, ...]
@@ -110,9 +110,7 @@ class Slope(Value):
 
     @staticmethod
     def parse(text: str) -> "Slope":
-        if not isinstance(text, str):
-            raise SpecFormatError(f"slope must be a string, got {text!r}")
-        text = text.strip()
+        text = label(text).strip()
         if text in ("inf", "infinity", "oo"):
             return Slope(1, 0)
         q = parse_frac(text)

@@ -33,7 +33,7 @@ from .reps import (
     sum_embed,
     zero_rep,
 )
-from .serialize import frac_to_str, parse_frac, parse_int
+from .serialize import frac_to_str, label, parse_frac, parse_int, read
 from .value import Value
 
 AlgElement = tuple[tuple[Fraction, Path], ...]
@@ -55,8 +55,9 @@ def make_formula(
     row_types,
     entries,
 ) -> PpFormula:
-    col_types = tuple(int(t) for t in col_types)
-    row_types = tuple(int(t) for t in row_types)
+    free_count = parse_int(free_count)
+    col_types = tuple(map(parse_int, col_types))
+    row_types = tuple(map(parse_int, row_types))
     if not 0 <= free_count <= len(col_types):
         raise SpecFormatError("free variable count out of range")
     for t in col_types + row_types:
@@ -73,6 +74,8 @@ def make_formula(
             norm = []
             for coeff, path in combo:
                 coeff = parse_frac(coeff)
+                if isinstance(path, str):
+                    raise SpecFormatError(f"path {path!r} is a text, not a sequence of labels")
                 path = tuple(path)
                 src, tgt = spec.path_endpoints(path, src_hint=col_types[c])
                 if src != col_types[c] or tgt != row_types[r]:
@@ -376,42 +379,38 @@ def formula_to_json(phi: PpFormula) -> dict:
     }
 
 
+_FORMULA = {
+    "free": parse_int,
+    "bound?": parse_int,
+    "types": [parse_int],
+    "rows?": [parse_int],
+    "entries?": [{"row": parse_int, "col": parse_int, "terms": [{"coeff": parse_frac, "path": [label]}]}],
+}
+
+
 def formula_from_json(spec: AlgebraSpec, data: dict) -> PpFormula:
-    try:
-        free = parse_int(data["free"])
-        col_types = [parse_int(t) - 1 for t in data["types"]]
-        if "bound" in data and parse_int(data["bound"]) + free != len(col_types):
-            raise SpecFormatError("free + bound does not match the type list")
-        raw_entries = data.get("entries", [])
-        cells = [(parse_int(e["row"]), parse_int(e["col"])) for e in raw_entries]
-        if any(r < 0 or c < 0 for r, c in cells):
-            raise SpecFormatError("entry row and col must be nonnegative")
-        if "rows" in data:
-            row_types = [parse_int(t) - 1 for t in data["rows"]]
-        else:
-            # derive row types from the entries' path targets
-            row_count = 1 + max((r for r, _ in cells), default=-1)
-            derived: list[int | None] = [None] * row_count
-            for (r, c), e in zip(cells, raw_entries):
-                for term in e["terms"]:
-                    path = tuple(str(l) for l in term["path"])
-                    _, tgt = spec.path_endpoints(path, src_hint=col_types[c])
-                    if derived[r] is None:
-                        derived[r] = tgt
-                    elif derived[r] != tgt:
-                        raise SpecFormatError(f"row {r} mixes target types")
-            if any(t is None for t in derived):
-                raise SpecFormatError("row without entries needs explicit 'rows'")
-            row_types = list(derived)
-        entries = [[() for _ in col_types] for _ in row_types]
-        for (r, c), e in zip(cells, raw_entries):
-            combo = tuple(
-                (parse_frac(term["coeff"]), tuple(str(l) for l in term["path"]))
-                for term in e["terms"]
-            )
-            entries[r][c] = combo
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise SpecFormatError(f"malformed pp formula: {exc}") from exc
+    doc = read(_FORMULA, data, "pp formula")
+    free, col_types = doc["free"], [t - 1 for t in doc["types"]]
+    if "bound" in doc and doc["bound"] + free != len(col_types):
+        raise SpecFormatError("pp formula.bound: free + bound does not match the type list")
+    raw_entries = doc.get("entries", ())
+    derive = "rows" not in doc  # then each row type is its entries' path target
+    row_count = 1 + max((e["row"] for e in raw_entries), default=-1)
+    row_types = [None] * row_count if derive else [t - 1 for t in doc["rows"]]
+    entries = [[()] * len(col_types) for _ in row_types]
+    for i, e in enumerate(raw_entries):
+        r, c = e["row"], e["col"]
+        if not (0 <= r < len(row_types) and 0 <= c < len(col_types)):
+            raise SpecFormatError(f"pp formula.entries[{i}]: no cell ({r},{c}) in the type lists")
+        entries[r][c] = tuple((t["coeff"], t["path"]) for t in e["terms"])
+        if derive:
+            for _, path in entries[r][c]:
+                _, tgt = spec.path_endpoints(path, src_hint=col_types[c])
+                if row_types[r] not in (None, tgt):
+                    raise SpecFormatError(f"row {r} mixes target types")
+                row_types[r] = tgt
+    if None in row_types:
+        raise SpecFormatError("row without entries needs explicit 'rows'")
     return make_formula(spec, free, col_types, row_types, entries)
 
 

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .errors import ParameterDomainError, SpecFormatError
+from .serialize import label
 from .value import Value
 
 
@@ -151,9 +152,7 @@ _GENERAL = re.compile(
 def parse_quad_irrational(text: str) -> QuadIrrational:
     """Parse the wire forms ``sqrt:d``, ``sqrt(d)``, ``sqrt(d)/s`` and
     ``(p+q*sqrt(d))/s`` (the ``q*`` and ``/s`` parts optional)."""
-    if not isinstance(text, str):
-        raise SpecFormatError(f"not a quadratic irrational: {text!r}")
-    text = text.strip().replace(" ", "")
+    text = label(text).strip().replace(" ", "")
     try:
         m = _SQRT_COLON.match(text) or _SQRT_CALL.match(text)
         if m:

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .lattice import K0Lattice, Slope
 from .linalg import ONE, ZERO
-from .serialize import frac_to_str, parse_frac, parse_int
+from .serialize import frac_to_str, parse_frac, parse_int, read
 from .value import Value
 
 # Dense matrices and coordinates are frozen tuples; they go to ``linalg`` as
@@ -73,7 +73,7 @@ def matrix(rep: Representation, label: str) -> Matrix:
 def make_representation(spec: AlgebraSpec, dims, maps) -> Representation:
     """Normalise and shape-check dense input; every arrow needs a
     dims(tgt) x dims(src) matrix (missing ones default to zero)."""
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(map(parse_int, dims))
     if len(dims) != spec.vertex_count or any(d < 0 for d in dims):
         raise SpecFormatError(f"bad dimension vector {dims}")
     columns: dict[str, tuple[Column, ...]] = {}
@@ -556,15 +556,11 @@ def rep_to_json(rep: Representation) -> dict:
     }
 
 
+_REP = {"dims": [parse_int], "arrows?": {str: [[parse_frac]]}}
+
+
 def rep_from_json(spec: AlgebraSpec, data: dict) -> Representation:
-    try:
-        dims = [parse_int(d) for d in data["dims"]]
-        maps = {
-            str(label): [[parse_frac(x) for x in row] for row in mat]
-            for label, mat in data.get("arrows", {}).items()
-        }
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise SpecFormatError(f"malformed representation: {exc}") from exc
-    rep = make_representation(spec, dims, maps)
+    doc = read(_REP, data, "representation")
+    rep = make_representation(spec, doc["dims"], doc.get("arrows", {}))
     validate(rep)
     return rep

@@ -44,7 +44,7 @@ from .errors import BudgetExhaustedError, PreconditionError, SpecFormatError, Tu
 from .exceptional import ExceptionalSet
 from .lattice import K0Lattice, Slope, mu, reduced_ratio, slope_text
 from .quadirr import QuadIrrational, parse_quad_irrational
-from .serialize import Rows, dumps_canonical, frac_to_str, parse_frac, parse_int
+from .serialize import Rows, dumps_canonical, frac_to_str, label, parse_frac, parse_int, read
 from .value import Value
 
 MAX_SHRINK_ROUNDS = 64  # window shrinks in tube_parameters before budget-exhausted
@@ -392,7 +392,7 @@ def gap_vector(
 
     ``witnesses`` is the ``BudgetScan`` of (w0, w1, mu + k): no row is built.
     """
-    eps = _check_window(r, eps)
+    eps, k = _check_window(r, eps), parse_int(k)
     if k < 0:
         raise PreconditionError("k must be nonnegative")
     w0, w1 = lattice.mu_h0, lattice.mu_hinf
@@ -586,7 +586,7 @@ def tube_parameters(
     """Choose the smallest k with k/<h0,hinf> - 2p >= d, run the gap search,
     and shrink the window toward r until the returned numerator clears the
     quasisimple threshold (larger denominators force larger numerators)."""
-    eps = _check_window(r, eps)
+    eps, d = _check_window(r, eps), parse_int(d)
     if d < 1:
         raise PreconditionError("dimension gap d must be at least 1")
     p = p_bound(lattice, exceptional)
@@ -663,10 +663,13 @@ def validate_tube_params(
 def _witness_from_json(w) -> tuple[int, int, int, str]:
     # a JSON number without a fraction is read as an int; anything else
     # goes through parse_int, a then b then mu, for its error message
-    a = x if type(x := w["a"]) is int else parse_int(x)
-    b = x if type(x := w["b"]) is int else parse_int(x)
-    m = x if type(x := w["mu"]) is int else parse_int(x)
-    slope = w["slope"]
+    try:
+        a = x if type(x := w["a"]) is int else parse_int(x)
+        b = x if type(x := w["b"]) is int else parse_int(x)
+        m = x if type(x := w["mu"]) is int else parse_int(x)
+        slope = w["slope"]
+    except (KeyError, TypeError):  # a key missing, or not an object
+        raise SpecFormatError(f"not an object with keys a, b, mu and slope: {w!r:.80}") from None
     # the reduced text of b/a is its own normal form, so only another
     # spelling (or the undefined 0/0 row) needs Slope.parse
     if not ((a or b) and slope == slope_text(b, a)):
@@ -674,51 +677,46 @@ def _witness_from_json(w) -> tuple[int, int, int, str]:
     return a, b, m, slope
 
 
-def _rows_from_json(rows):
-    return rows if type(rows) is BudgetScan else tuple(map(_witness_from_json, rows))
-
-
 def _weights_from_json(weights) -> tuple[int, int]:
-    w0, w1 = weights  # exactly two
-    return parse_int(w0), parse_int(w1)
+    if type(weights) is not list or len(weights) != 2:
+        raise SpecFormatError(f"not a JSON array of two integers: {weights!r:.80}")
+    return parse_int(weights[0]), parse_int(weights[1])
 
 
 def _to_json(value: GapCertificate | TubeParams) -> dict:
     doc = {"kind": value.kind, "slope": str(value.slope)}
-    for name, write, _ in _KINDS[value.kind][3]:
+    for name, write, _ in _KINDS[value.kind][2]:
         field = getattr(value, name)
         doc[name] = field if write is None else write(field)
     return doc
 
 
 def _from_json(kind: str, data) -> GapCertificate | TubeParams:
-    cls, full_name, short_name, fields = _KINDS[kind]
-    try:
-        if data.get("kind") != kind:
-            raise SpecFormatError(f"not a {full_name}: {data.get('kind')!r}")
-        return cls(**{name: read(data[name]) for name, _, read in fields})
-    except (KeyError, TypeError, ValueError, IndexError, AttributeError) as exc:
-        raise SpecFormatError(f"malformed {short_name}: {exc}") from exc
+    cls, name, fields = _KINDS[kind]
+    doc = read({"kind": label, **{f: r for f, _, r in fields}, "slope": label}, data, name)
+    if doc["kind"] != kind:
+        raise SpecFormatError(f"{name}.kind: not {kind!r}: {doc['kind']!r}")
+    return cls(**{f: doc[f] for f, _, _ in fields})
 
 
 def _ints(*names) -> tuple:
     return tuple((name, None, parse_int) for name in names)
 
 
-# Each certificate kind once: its class, the names its errors give its
-# document, and its wire fields apart from "kind" and the derived "slope",
-# each as (name, writer, reader) in the order they are read.  ``_ints``
-# fields are written as they are, and a field written by ``_to_json`` holds
-# a certificate of its own.
+# Each certificate kind once: its class, the name its errors give its
+# document, and its wire fields apart from "kind" and "slope" (a text that
+# certificate_from_json checks against the pair), each as (name, writer,
+# shape for ``serialize.read``) in the order they are read.  ``_ints`` fields
+# are written as they are; one written by ``_to_json`` is a certificate.
 _KINDS = {
-    GapCertificate.kind: (GapCertificate, "gap-vector certificate", "gap certificate", (
-        ("witnesses", Rows, _rows_from_json),
+    GapCertificate.kind: (GapCertificate, "gap certificate", (
+        ("witnesses", Rows, [_witness_from_json]),
         ("mu_weights", list, _weights_from_json),
         ("r", str, parse_quad_irrational),
         ("epsilon", frac_to_str, parse_frac),
         *_ints("k", "a", "b", "mu", "budget"),
     )),
-    TubeParams.kind: (TubeParams, "tube-params document", "tube-params document", (
+    TubeParams.kind: (TubeParams, "tube-params document", (
         *_ints("a", "b", "rank", "k_used", "p", "d"),
         ("lower_bound", frac_to_str, parse_frac),
         *_ints("threshold"),
@@ -741,10 +739,10 @@ def gap_certificate_from_json(data: dict) -> GapCertificate:
     The witness rows are read one by one: a witness slope already in the
     reduced text of b/a is kept as it is, and any other spelling goes
     through ``Slope.parse`` and is stored normalised, so
-    ``validate_gap_certificate`` judges the value, not the spelling.  A
-    malformed row raises the first bad row's error.  A ``BudgetScan`` in
-    place of the rows, which ``certificate_from_canonical_text`` puts there,
-    is kept as it is.
+    ``validate_gap_certificate`` judges the value, not the spelling.  The
+    first bad row's error names its index.  A ``BudgetScan`` in place of
+    the rows, which ``certificate_from_canonical_text`` puts there, is kept
+    as it is.
     """
     return _from_json(GapCertificate.kind, data)
 
@@ -781,7 +779,7 @@ def certificate_from_json(data) -> tuple[GapCertificate | TubeParams, list[str]]
     value = _from_json(kind, data)
     slopes = [("", data, value)] + [
         (f"{name} ", data[name], getattr(value, name))
-        for name, write, _ in _KINDS[kind][3]
+        for name, write, _ in _KINDS[kind][2]
         if write is _to_json
     ]
     return value, [f for slope in slopes for f in _stored_slope_failures(*slope)]

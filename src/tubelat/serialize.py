@@ -2,7 +2,10 @@
 
 All exact rationals travel as ``"p/q"`` strings (the ``/q`` part is omitted
 for integers), dimension vectors as JSON integer arrays.  No floating point
-is parsed or emitted anywhere.
+is parsed or emitted anywhere.  Every input file is read by ``read`` from a
+shape declared next to its writer, with no coercion: a leaf is read by
+``parse_int``, ``parse_frac``, ``label`` or another function, and an error
+names the path of the field.
 
 Every output is written by ``dumps_canonical``, whose bytes are those of
 ``json.dumps(obj, sort_keys=True, indent=2)``.  It does not call that,
@@ -26,7 +29,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd
@@ -69,22 +72,71 @@ def parse_int(value) -> int:
     return value
 
 
-def parse_int_vector(text, length: int | None = None) -> tuple[int, ...]:
-    """Parse a JSON integer array (given as text or list) into a tuple."""
-    if isinstance(text, str):
+def label(value) -> str:
+    """Accept a JSON string only."""
+    if type(value) is not str:
+        raise SpecFormatError(f"not a JSON string: {value!r:.80}")
+    return value
+
+
+def read(shape, value, where: str):
+    """``value`` read by ``shape``: a dict is an object with those keys (one
+    ending in "?" may be absent, others are ignored), or any keys if its key
+    is ``str``; a one-item list is an array or ``Rows`` read into a tuple, a
+    budget scan kept; a function reads a leaf.  An error names the path, as
+    in ``algebra spec.arrows[0].label: not a JSON string: True``."""
+    try:
+        return _read(shape, value)
+    except SpecFormatError as exc:
+        raise SpecFormatError(f"{where}{getattr(exc, 'path', '')}: {exc}") from exc
+
+
+def _read(shape, value):
+    if callable(shape):
+        return shape(value)
+    if type(shape) is list:
+        if hasattr(value, "blocks"):
+            return value
+        if not isinstance(value, (list, Rows)):
+            raise SpecFormatError(f"not a JSON array: {value!r:.80}")
         try:
-            data = json.loads(text)
-        except (ValueError, RecursionError) as exc:  # ValueError: also the int digit limit
-            raise SpecFormatError(f"malformed vector {text!r}") from exc
-    else:
-        data = text
-    if not isinstance(data, list) or not all(
-        isinstance(c, int) and not isinstance(c, bool) for c in data
-    ):
-        raise SpecFormatError(f"vector must be a JSON integer array, got {text!r}")
-    if length is not None and len(data) != length:
-        raise SpecFormatError(f"vector has length {len(data)}, expected {length}")
-    return tuple(data)
+            return tuple(map(shape[0] if callable(shape[0]) else partial(_read, shape[0]), value))
+        except SpecFormatError:
+            for i, x in enumerate(value):  # again, to name the first bad item
+                _at(i, shape[0], x)
+            raise
+    if type(value) is not dict:
+        raise SpecFormatError(f"not a JSON object: {value!r:.80}")
+    if str in shape:
+        return {key: _at(key, shape[str], x) for key, x in value.items()}
+    out = {}
+    for key, item in shape.items():
+        name = key.rstrip("?")
+        if name in value:
+            out[name] = _at(name, item, value[name])
+        elif name == key:
+            raise SpecFormatError(f"missing key {name!r}")
+    return out
+
+
+def _at(key, shape, value):
+    try:
+        return _read(shape, value)
+    except SpecFormatError as exc:  # the path is spelt only here
+        exc.path = (f"[{key}]" if type(key) is int else f".{key}") + getattr(exc, "path", "")
+        raise
+
+
+def parse_int_vector(text: str, length: int | None = None) -> tuple[int, ...]:
+    """Parse a JSON integer array given as text."""
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ValueError: also the int digit limit
+        raise SpecFormatError(f"malformed vector {text!r}") from exc
+    vector = read([parse_int], data, "vector")
+    if length is not None and len(vector) != length:
+        raise SpecFormatError(f"vector has length {len(vector)}, expected {length}")
+    return vector
 
 
 _INDENT = "  "

@@ -10,9 +10,10 @@ from pathlib import Path
 import pytest
 
 import tubelat
-from tubelat import algebra, cli, pp, reps
+from tubelat import algebra, cli, pp, reps, search
 from tubelat.cli import run
-from tubelat.serialize import dumps_canonical
+from tubelat.errors import SpecFormatError
+from tubelat.serialize import dumps_canonical, label, read
 from tubelat.pp import formula_to_json
 from tubelat.reps import rep_to_json
 
@@ -202,39 +203,97 @@ def test_certify_round_trip(tmp_path):
     assert code == 0 and doc["valid"] is True
 
 
-# every field of each certificate kind, each missing and each set to true
-WIRE_FIELDS = {
-    "gap": (
-        "kind", "r", "epsilon", "k", "a", "b", "slope", "mu", "budget", "mu_weights", "witnesses",
-    ),
-    "tube": (
-        "kind", "a", "b", "slope", "rank", "k_used", "p", "d", "lower_bound", "threshold", "r",
-        "epsilon", "certificate",
-    ),
+# Each file format's declared shape, the argv that reads a file of it and
+# a document of it in which every array holds an item: the algebra spec,
+# the pp formula phi-beta with its entries reversed, a representation, and
+# the two certificate kinds, whose "kind" and "slope" are read as texts.
+def _certificate_shape(kind):
+    return {"kind": label, "slope": label, **{f: r for f, _, r in search._KINDS[kind][2]}}
+
+
+FORMATS = {
+    "spec": (algebra._SPEC, ("--algebra", "{}", "validate-algebra")),
+    "rep": (reps._REP, ("slope", "{}")),
+    "formula": (pp._FORMULA, ("pp-free", "{}")),
+    "gap": (_certificate_shape("gap-vector"), ("certify", "{}")),
+    "tube": (_certificate_shape("tube-params"), ("certify", "{}")),
 }
+
+
+def wire_document(spec, kind):
+    if kind == "spec":
+        return algebra.spec_to_json(spec)
+    if kind == "rep":
+        return rep_to_json(reps.make_representation(spec, (1, 1, 2, 1, 1, 0), {}))
+    if kind == "formula":
+        doc = json.loads((GOLDEN_OUT.parent / "inputs" / "phi-beta.json").read_text(encoding="utf-8"))
+        return {**doc, "entries": doc["entries"][::-1]}
+    argv = {
+        "gap": ("gap-search", "--r", "sqrt:2", "--eps", "1/10", "--k", "5"),
+        "tube": ("tube-params", "--r", "sqrt:2", "--eps", "1/10", "--d", "1"),
+    }[kind]
+    return json.loads(invoke(*argv)[1])
+
+
+def declared_fields(shape, where=()):
+    """(path, shape, required) of every field under ``shape``, an array
+    standing for its items by index 0 and an object of any keys for none."""
+    if isinstance(shape, dict):
+        for key, item in shape.items():
+            if key is not str:
+                name = key.rstrip("?")
+                yield (*where, name), item, name == key
+                yield from declared_fields(item, (*where, name))
+    elif isinstance(shape, list):
+        yield (*where, 0), shape[0], True
+        yield from declared_fields(shape[0], (*where, 0))
+
+
+def path_text(where):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in where)[1:]
+
+
 MISSING = object()
+VALUES = (("missing", MISSING), ("true", True), ("x", "x"), ("list", []), ("object", {}))
+
+
+def refused(item, value, required):
+    """A value its shape refuses: missing from its object when required,
+    or one that the field's shape does not read."""
+    if value is MISSING:
+        return required
+    try:
+        read(item, value, "")
+    except SpecFormatError:
+        return True
+    return False
+
+
+# every field of every format, with each value its shape refuses
 EVERY_FIELD = [
-    (kind, (field,), value)
-    for kind, fields in WIRE_FIELDS.items()
-    for field in fields
-    for value in (MISSING, True)
+    (kind, where, value, f"{kind}-{'.'.join(map(str, where))}-{name}")
+    for kind, (shape, _) in FORMATS.items()
+    for where, item, required in declared_fields(shape)
+    for name, value in VALUES
+    if refused(item, value, required and not isinstance(where[-1], int))
 ]
+PYTHON_TEXT = ("indices must be", "has no attribute", "not subscriptable", "not iterable")
 
 
 @pytest.mark.parametrize(
-    "kind, where, value",
+    "kind, where, value, drawn",
     [
-        ("gap", ("witnesses", 1, "slope"), "1/0"),
-        ("gap", ("witnesses", 1, "slope"), 3),
-        ("gap", ("k",), 5.9),
-        ("gap", ("a",), True),
-        ("gap", ("mu_weights",), []),
-        ("gap", ("mu_weights",), [6, 4, 99]),
-        ("gap", ("r",), 5),
-        ("tube", ("certificate",), []),
-        ("rep", ("dims", 0), 1.9),
-        ("rep", ("arrows",), []),
-        *EVERY_FIELD,
+        ("gap", ("witnesses", 1, "slope"), "1/0", False),
+        ("gap", ("witnesses", 1, "slope"), 3, False),
+        ("gap", ("k",), 5.9, False),
+        ("gap", ("a",), True, False),
+        ("gap", ("mu_weights",), [], False),
+        ("gap", ("mu_weights",), [6, 4, 99], False),
+        ("gap", ("r",), 5, False),
+        ("tube", ("certificate",), [], False),
+        ("rep", ("dims", 0), 1.9, False),
+        ("rep", ("arrows",), [], False),
+        *((*case[:3], True) for case in EVERY_FIELD),
     ],
     ids=[
         "slope-1/0",
@@ -247,24 +306,16 @@ EVERY_FIELD = [
         "certificate-list",
         "dims-float",
         "arrows-list",
-        *(
-            f"{kind}-{where[0]}-{'missing' if value is MISSING else 'true'}"
-            for kind, where, value in EVERY_FIELD
-        ),
+        *(case[3] for case in EVERY_FIELD),
     ],
 )
-def test_wire_values_must_be_exact(tmp_path, spec, kind, where, value):
-    if kind == "rep":
-        command = "slope"
-        doc = rep_to_json(reps.make_representation(spec, (1, 1, 2, 1, 1, 0), {}))
-    else:
-        command = "certify"
-        argv = {
-            "gap": ("gap-search", "--r", "sqrt:2", "--eps", "1/10", "--k", "5"),
-            "tube": ("tube-params", "--r", "sqrt:2", "--eps", "1/10", "--d", "1"),
-        }[kind]
-        doc = json.loads(invoke(*argv)[1])
-        assert tuple(sorted(doc)) == tuple(sorted(WIRE_FIELDS[kind]))
+def test_wire_values_must_be_exact(tmp_path, spec, kind, where, value, drawn):
+    """One spec-format document with exit 1, in the format's own words.  A
+    case drawn from a declaration names its field: its path, or the key its
+    object misses; certify's dispatch names a missing "kind" as "kind"."""
+    shape, argv = FORMATS[kind]
+    doc = wire_document(spec, kind)
+    assert set(doc) == {key.rstrip("?") for key in shape}
     target = doc
     for key in where[:-1]:
         target = target[key]
@@ -274,8 +325,15 @@ def test_wire_values_must_be_exact(tmp_path, spec, kind, where, value):
         target[where[-1]] = value
     doc_file = tmp_path / "doc.json"
     doc_file.write_text(json.dumps(doc))
-    code, out = invoke_json(command, str(doc_file))
+    code, out = invoke_json(*(a.format(doc_file) for a in argv))
     assert code == 1 and out["error"] == "spec-format"
+    assert not any(text in out["message"] for text in PYTHON_TEXT)
+    if drawn:
+        if value is MISSING and where != ("kind",):
+            name = f"{path_text(where[:-1])}: missing key {where[-1]!r}"
+        else:
+            name = path_text(where)
+        assert name in out["message"]
 
 
 def test_certify_rejects_mutation(tmp_path):
@@ -689,7 +747,11 @@ def test_numbers_in_a_module_file_follow_one_grammar(tmp_path, name):
         path = tmp_path / "rep.json"
         path.write_text(json.dumps(edited), encoding="utf-8")
         assert invoke_json("slope", str(path)) == (
-            1, {"error": "spec-format", "message": f"malformed rational {bad!r}"}
+            1,
+            {
+                "error": "spec-format",
+                "message": f"representation.arrows.{label}[0][0]: malformed rational {bad!r}",
+            },
         )
 
 

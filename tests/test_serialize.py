@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from tubelat import algebra, pp, reps
 from tubelat import lattice as lattice_module
 from tubelat import search
+from tubelat.exceptional import enumerate_exceptional
 from tubelat.quadirr import QuadIrrational
 from tubelat.search import (
     BudgetScan,
@@ -20,7 +21,7 @@ from tubelat.search import (
     tube_params_to_json,
 )
 from tubelat.errors import SpecFormatError
-from tubelat.serialize import Rows, dumps_canonical, parse_frac
+from tubelat.serialize import Rows, dumps_canonical, label, parse_frac, parse_int, read
 
 
 def ref_dumps_canonical(obj) -> str:
@@ -337,14 +338,52 @@ SQRT2 = QuadIrrational(0, 1, 2, 1)
         lambda spec, lat: pp.make_formula(spec, 1, (2,), (2,), (((("2.5", ()),),),)),
         lambda spec, lat: gap_vector(lat, SQRT2, 0.1, 5),
         lambda spec, lat: gap_vector(lat, SQRT2, True, 5),
+        lambda spec, lat: reps.make_representation(spec, [1.5, 0, 0, 0, 0, 0], {}),
+        lambda spec, lat: reps.make_representation(spec, [True, 0, 0, 0, 0, 0], {}),
+        lambda spec, lat: reps.make_representation(spec, ["1", 0, 0, 0, 0, 0], {}),
+        lambda spec, lat: pp.make_formula(spec, 0.5, [0], [], []),
+        lambda spec, lat: pp.make_formula(spec, 1, ["0"], [], []),
+        lambda spec, lat: pp.make_formula(spec, 1, (3, 5), (3,), ((((1, ()),), ((-1, "a11"),)),)),
+        lambda spec, lat: gap_vector(lat, SQRT2, Fraction(1, 10), 5.5),
+        lambda spec, lat: gap_vector(lat, SQRT2, Fraction(1, 10), "5"),
+        lambda spec, lat: tube_parameters(lat, enumerate_exceptional(lat), SQRT2, Fraction(1, 10), 1.5),
     ],
     ids=["build_c4-float", "rep-exponent", "rep-decimal", "submodule-float", "formula-decimal",
-         "eps-float", "eps-bool"],
+         "eps-float", "eps-bool", "dims-float", "dims-bool", "dims-text", "free-float",
+         "types-text", "path-text", "k-float", "k-text", "d-float"],
 )
 def test_library_entry_points_read_numbers_by_the_grammar(spec, lattice, call):
     """The library's own entry points read a number as the wire and the
     command line do: a float, a bool or a text outside the grammar is
-    ``spec-format``, never converted."""
-    with pytest.raises(SpecFormatError):
+    ``spec-format``, never converted, and so is a path given as a text."""
+    with pytest.raises(SpecFormatError, match="rational|not an integer|sequence of labels"):
         call(spec, lattice)
+
+
+ROW_SHAPE = {"rows": [{"a": parse_int, "slope?": label}], "name?": label}
+
+
+@pytest.mark.parametrize(
+    "value, read_as",
+    [
+        ({"rows": [{"a": 1, "c": 2}], "x": 3}, {"rows": ({"a": 1},)}),
+        ({"rows": Rows(((1, 2, 3, "2"),)), "name": "n"}, {"rows": ({"a": 1, "slope": "2"},), "name": "n"}),
+        ({"rows": [{"a": 1}, {"a": 2, "slope": 3}]}, "doc.rows[1].slope: not a JSON string: 3"),
+        ({"rows": [{"a": 1}, {}]}, "doc.rows[1]: missing key 'a'"),
+        ({"rows": [{"a": 1}], "name": None}, "doc.name: not a JSON string: None"),
+        ({"rows": {"a": "x" * 1000}}, "doc.rows: not a JSON array: " + repr({"a": "x" * 1000})[:80]),
+        ([], "doc: not a JSON object: []"),
+    ],
+    ids=["unknown-keys-ignored", "rows-value", "bad-item", "missing-key", "optional-key",
+         "long-value", "not-an-object"],
+)
+def test_read_names_the_path_of_a_refused_field(value, read_as):
+    """An object keeps its declared keys, an optional one only if present;
+    an array is read into a tuple.  A refusal names its field's path and
+    quotes at most 80 characters of the value."""
+    try:
+        got = read(ROW_SHAPE, value, "doc")
+    except SpecFormatError as exc:
+        got = str(exc)
+    assert got == read_as
 
