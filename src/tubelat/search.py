@@ -8,10 +8,12 @@ integer comparisons:
 
 * the strip enumerators list all pairs caught between a rational slope bound
   and a perturbed one, with a derived completeness bound on a, on integer
-  numerators over one common denominator;
+  numerators over one common denominator, a row (a, lo, hi) at a time;
 * ``delta_for`` shrinks a slope window until perturbed membership forces
-  unperturbed membership, by excluding the finitely many exceptions: each
-  candidate pair costs one or two ``floor_mul`` calls, and
+  unperturbed membership, by excluding the finitely many exceptions: the
+  two strips that hold them end just past the exception conditions, at
+  eps' = eps/2 and eps from a bracket of r, each row of pairs costs one
+  ``floor_mul`` and each pair whose perturbed slope is near r one more, and
   ``distance_lower_bound`` runs only on the exceptions less than twice as
   far from r as the nearest one, the only ones that can set delta;
 * ``gap_vector`` walks the Stern-Brocot tree toward r to the pair of least
@@ -93,24 +95,15 @@ def _over_common_denominator(g1: Fraction, g2: Fraction) -> tuple[int, int, int]
     return g1.numerator * (D // g1.denominator), g2.numerator * (D // g2.denominator), D
 
 
-def strip_pairs_below(r1, r2, gamma1, gamma2) -> list[tuple[int, int]]:
-    """All (a, b), a >= 1, b >= 0 with b/a <= r1 and perturbed slope >= r2.
-
-    Completeness: when a + gamma2 > 0 the two constraints squeeze
-    a <= (gamma1 - r2*gamma2)/(r2 - r1); the remaining branches force
-    a <= -gamma2.  Every a up to the larger bound is scanned exactly.
-
-    The scan runs on integers: with r_i = n_i/d_i, gamma_i = G_i/D and
-    E = a*D + G2 = D*(a + gamma2), each bound r_i*(a + gamma2) - gamma1 is
-    (n_i*E - d_i*G1)/(d_i*D), and each floor or ceil is one ``//``.
-    """
+def _strip_rows_below(r1, r2, gamma1, gamma2):
+    """The rows of ``strip_pairs_below``: (a, lo, hi) for each a with pairs,
+    whose pairs are (a, b) for lo <= b <= hi, in increasing a."""
     r1, r2 = _check_strip_args(r1, r2)
     g1, g2 = Fraction(gamma1), Fraction(gamma2)
     a_max = _a_ceiling((g1 - r2 * g2) / (r2 - r1), g2)
     n1, d1, n2, d2 = r1.numerator, r1.denominator, r2.numerator, r2.denominator
     G1, G2, D = _over_common_denominator(g1, g2)
     scale = d2 * D
-    out: list[tuple[int, int]] = []
     for a in range(1, a_max + 1):
         hi = n1 * a // d1  # floor(r1*a) >= 0, as r1 > 0
         E = a * D + G2
@@ -122,22 +115,18 @@ def strip_pairs_below(r1, r2, gamma1, gamma2) -> list[tuple[int, int]]:
             # ratio >= r2 > 0 with negative denominator forces b + g1 <= r2*den
             hi = min(hi, (n2 * E - d2 * G1) // scale)  # floor(r2*(a + g2) - g1)
             lo = 0
-        out.extend((a, b) for b in range(lo, hi + 1))
-    return out
+        if lo <= hi:
+            yield a, lo, hi
 
 
-def strip_pairs_above(r1, r2, gamma1, gamma2) -> list[tuple[int, int]]:
-    """All (a, b), a >= 1, b >= 0 with 0 < perturbed slope <= r1 and b/a >= r2.
-
-    The scan runs on integers, as in ``strip_pairs_below``.
-    """
+def _strip_rows_above(r1, r2, gamma1, gamma2):
+    """The rows of ``strip_pairs_above``, as in ``_strip_rows_below``."""
     r1, r2 = _check_strip_args(r1, r2)
     g1, g2 = Fraction(gamma1), Fraction(gamma2)
     a_max = _a_ceiling((r1 * g2 - g1) / (r2 - r1), g2)
     n1, d1, n2, d2 = r1.numerator, r1.denominator, r2.numerator, r2.denominator
     G1, G2, D = _over_common_denominator(g1, g2)
     scale = d1 * D
-    out: list[tuple[int, int]] = []
     for a in range(1, a_max + 1):
         lo = -(-n2 * a // d2)  # ceil(r2*a) >= 1, as r2 > 0
         E = a * D + G2
@@ -149,8 +138,34 @@ def strip_pairs_above(r1, r2, gamma1, gamma2) -> list[tuple[int, int]]:
         else:
             lo = max(lo, -((d1 * G1 - n1 * E) // scale))  # ceil(r1*(a + g2) - g1)
             hi = -(G1 // D) - 1  # positivity: b + g1 < 0
-        out.extend((a, b) for b in range(lo, hi + 1))
-    return out
+        if lo <= hi:
+            yield a, lo, hi
+
+
+def _pairs(rows) -> list[tuple[int, int]]:
+    return [(a, b) for a, lo, hi in rows for b in range(lo, hi + 1)]
+
+
+def strip_pairs_below(r1, r2, gamma1, gamma2) -> list[tuple[int, int]]:
+    """All (a, b), a >= 1, b >= 0 with b/a <= r1 and perturbed slope >= r2.
+
+    Completeness: when a + gamma2 > 0 the two constraints squeeze
+    a <= (gamma1 - r2*gamma2)/(r2 - r1); the remaining branches force
+    a <= -gamma2.  Every a up to the larger bound is scanned exactly.
+
+    The scan runs on integers: with r_i = n_i/d_i, gamma_i = G_i/D and
+    E = a*D + G2 = D*(a + gamma2), each bound r_i*(a + gamma2) - gamma1 is
+    (n_i*E - d_i*G1)/(d_i*D), and each floor or ceil is one ``//``.
+    """
+    return _pairs(_strip_rows_below(r1, r2, gamma1, gamma2))
+
+
+def strip_pairs_above(r1, r2, gamma1, gamma2) -> list[tuple[int, int]]:
+    """All (a, b), a >= 1, b >= 0 with 0 < perturbed slope <= r1 and b/a >= r2.
+
+    The scan runs on integers, as in ``strip_pairs_below``.
+    """
+    return _pairs(_strip_rows_above(r1, r2, gamma1, gamma2))
 
 
 # ---------------------------------------------------------------------------
@@ -185,34 +200,68 @@ def _in_window_below(r: QuadIrrational, eps: Fraction, b: int, a: int) -> bool:
     return r.floor_mul(a) >= b and r.floor_mul(a * f) < b * f + e * a
 
 
-def _could_set_delta(
-    r: QuadIrrational, below: list[Fraction], above: list[Fraction]
-) -> list[Fraction]:
-    """The slopes t, from ``below`` (all < r) and ``above`` (all > r), with
-    d(t) = |r - t| under 2*d_min, d_min the least d(t): the only ones whose
-    ``r.distance_lower_bound(t)`` can be the least (see ``delta_for``).
+def _nearest(pairs: list[tuple[int, int]], sign: int) -> tuple[int, int]:
+    """The n/m of ``pairs`` (all m > 0) with the largest sign*n/m, the
+    first of equal ones, compared by cross-multiplication."""
+    X, Y = pairs[0]
+    for n, m in pairs:
+        if sign * (n * Y - X * m) > 0:
+            X, Y = n, m
+    return X, Y
 
-    The nearest t, x, is max(below) or min(above): the first exactly when
-    r - max(below) < min(above) - r, that is r < (max(below) + min(above))/2.
-    For x < r, d(t) < 2*d(x) reads r > 2x - t for t < r, and r > (2x + t)/3
-    for t > r; for x > r it reads r < 2x - t and r < (2x + t)/3.  So each
-    decision is one comparison of r with a rational, made by ``floor_mul``
-    on the numerators and denominators of x and t.
+
+def _could_set_delta(
+    r: QuadIrrational, below: list[tuple[int, int]], above: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """The slopes t = n/m, given as (n, m) with m > 0, from ``below`` (all
+    < r) and ``above`` (all > r), with d(t) = |r - t| under 2*d_min, d_min
+    the least d(t): the only ones whose ``r.distance_lower_bound(t)`` can be
+    the least (see ``delta_for``).
+
+    The nearest t, x, is the largest below r or the least above it: the
+    first exactly when r - x_below < x_above - r, that is
+    r < (x_below + x_above)/2.  For x < r, d(t) < 2*d(x) reads r > 2x - t
+    for t < r, and r > (2x + t)/3 for t > r; for x > r it reads r < 2x - t
+    and r < (2x + t)/3.  So each decision is one comparison of r with a
+    rational, made by ``floor_mul`` on the numerators and denominators of x
+    and t.
     """
-    if below and (not above or r < (max(below) + min(above)) / 2):
-        x, x_below, same, other = max(below), True, below, above
+    if below:
+        Xb, Yb = _nearest(below, 1)
+    if above:
+        Xa, Ya = _nearest(above, -1)
+    if below and (not above or r.floor_mul(2 * Yb * Ya) < Xb * Ya + Xa * Yb):
+        X, Y, x_below, same, other = Xb, Yb, True, below, above
     elif above:
-        x, x_below, same, other = min(above), False, above, below
+        X, Y, x_below, same, other = Xa, Ya, False, above, below
     else:
         return []
-    X, Y = x.numerator, x.denominator
 
-    def keep(t: Fraction, k: int, sign: int) -> bool:
+    def keep(n: int, m: int, k: int, sign: int) -> bool:
         # r > (2x + sign*t)/k, as r*k*Y*m > 2*X*m + sign*n*Y for t = n/m
-        n, m = t.numerator, t.denominator
         return (r.floor_mul(k * Y * m) >= 2 * X * m + sign * n * Y) == x_below
 
-    return [t for t in same if keep(t, 1, -1)] + [t for t in other if keep(t, 3, 1)]
+    return [t for t in same if keep(*t, 1, -1)] + [t for t in other if keep(*t, 3, 1)]
+
+
+def _strip_ends(r: QuadIrrational, eps: Fraction) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+    """(u1, u2, t1, t2): the ends of the two strips that hold every
+    exception of ``delta_for``, with eps' = eps/2 and 0 < eps < r.
+
+    With a bracket below < r < above narrower than eps/8, each end is
+    rational and sits past the condition on an exception it stands for:
+
+    * u1 = above + eps' > r + eps' > perturbed slope;
+    * u2 = below + eps < r + eps <= raw slope b/a, for b/a > r;
+    * t1 = above - eps > r - eps >= raw slope b/a, for b/a < r;
+    * t2 = below - eps' < r - eps' < perturbed slope.
+
+    As above - below < eps/8 < eps - eps', 0 < r - eps < t1 < t2 < r <
+    u1 < u2, and each strip is eps/2 - (above - below) > 3*eps/8 wide, the
+    width that bounds a in the strip enumerators.
+    """
+    below, above = r.bracket_until(lambda lo, hi: hi - lo < eps / 8)
+    return above + eps / 2, below + eps, above - eps, below - eps / 2
 
 
 def delta_for(
@@ -225,69 +274,71 @@ def delta_for(
     the raw slope b/a within eps of r, for every a >= 1, b >= 0 and every
     exceptional y.
 
-    Strategy: fix eps' = eps/2, bracket r once, within g = eps/8, enumerate
-    the finitely many candidate exceptions with the two strip enumerators,
-    and take delta below every exceptional perturbed slope's distance to r
-    (and at most eps'): delta = min(eps', distance_lower_bound(rho)/2).
+    Strategy: fix eps' = eps/2 and call an exception a pair whose perturbed
+    slope lies in (r - eps', r + eps') while its raw slope does not lie in
+    (r - eps, r + eps).  Every exception lies in one of two strips, by the
+    ends of ``_strip_ends``: raw slope >= u2 with 0 < perturbed slope <= u1
+    (``strip_pairs_above``), or raw slope <= t1 with perturbed slope >= t2
+    (``strip_pairs_below``); the strips hold finitely many pairs.  Then
+    delta = min(eps', distance_lower_bound(rho)/2) over the exceptional
+    perturbed slopes rho is below every |r - rho| and at most eps'.
 
-    Each candidate is tested on integers.  With gamma_i = G_i/D, the
-    perturbed slope is rho = (b*D + G1)/(a*D + G2) = num/den, signs flipped
-    so that den > 0.  For eps' = e'/f', |rho - r| < eps' says
-    num*f' - e'*den <= floor(r*den*f') < num*f' + e'*den, one ``floor_mul``,
-    and rho < r exactly when floor(r*den*f') >= num*f'; the raw test
-    |b/a - r| < eps is the same with (b, a) and eps.  Only an exception
-    gets a ``Fraction``.
+    The strips are read a row (a, lo, hi) at a time and each b of a row is
+    tested in place, on integers.  With gamma_i = G_i/D, the perturbed
+    slope is rho = (b*D + G1)/(a*D + G2) = num/den, signs flipped so that
+    den > 0.  For eps' = e'/f', |rho - r| < eps' says
+    num*f' - e'*den <= floor(r*den*f') < num*f' + e'*den, one ``floor_mul``
+    per row, and rho < r exactly when floor(r*den*f') >= num*f'; the raw
+    test |b/a - r| < eps is the same with (b, a) and eps.  Only an
+    exception, and a slope passed to ``distance_lower_bound``, gets a
+    ``Fraction``.
 
     ``distance_lower_bound`` runs only on the exceptions that can set the
-    minimum (``_could_set_delta``).  Its value lies in [d/2, d) for
-    d = |r - rho|.  So an exception with d >= 2*d_min, d_min the least d,
-    has a bound of at least d/2 >= d_min, more than the bound (< d_min) of
-    the nearest exception, and never sets the minimum: the minimum over the
-    rest is the minimum over all.  d = 2*d_min never holds, since it would
-    make r rational, so the rest are exactly the rho with d < 2*d_min.
+    minimum (``_could_set_delta``, on the (num, den) pairs).  Its value lies
+    in [d/2, d) for d = |r - rho|.  So an exception with d >= 2*d_min,
+    d_min the least d, has a bound of at least d/2 >= d_min, more than the
+    bound (< d_min) of the nearest exception, and never sets the minimum:
+    the minimum over the rest is the minimum over all.  d = 2*d_min never
+    holds, since it would make r rational, so the rest are exactly the rho
+    with d < 2*d_min.
     """
     eps = _check_window(r, eps)
     eps_prime = eps / 2
-    g = eps / 8
-    # r - g < below < r < above < r + g
-    below, above = r.bracket_until(lambda lo, hi: hi - lo < g)
-    u1 = above + eps_prime  # in (r + eps', r + eps' + g)
-    u2 = above + eps_prime + 2 * g  # in (r + eps' + 2g, r + eps' + 3g)
-    t1 = below - (eps - g)  # in (r - eps, r - eps + g)
-    t2 = below - eps_prime - 2 * g  # in (r - eps' - 3g, r - eps' - 2g)
+    u1, u2, t1, t2 = _strip_ends(r, eps)
     e, f = eps.numerator, eps.denominator
     e_prime, f_prime = eps_prime.numerator, eps_prime.denominator
 
     # the two strip enumerators list each (a, b) once and never share one
     # (b/a >= u2 > r above, b/a <= t1 < r below), so no key repeats
     exceptions: list[ExceptionRecord] = []
-    rho_below: list[Fraction] = []  # exceptional perturbed slopes below r
-    rho_above: list[Fraction] = []
+    rho_below: list[tuple[int, int]] = []  # (num, den) of those below r
+    rho_above: list[tuple[int, int]] = []
     for y in exceptional:
         params = perturbed_params(lattice, y)
-        G1, G2, D = _over_common_denominator(params.gamma1, params.gamma2)
-        candidates = strip_pairs_above(u1, u2, params.gamma1, params.gamma2)
-        candidates += strip_pairs_below(t1, t2, params.gamma1, params.gamma2)
-        for a, b in candidates:
-            num, den = b * D + G1, a * D + G2
+        g1, g2 = params.gamma1, params.gamma2
+        G1, G2, D = _over_common_denominator(g1, g2)
+        for a, lo, hi in chain(_strip_rows_above(u1, u2, g1, g2), _strip_rows_below(t1, t2, g1, g2)):
+            den = a * D + G2
             if den == 0:
                 continue  # no perturbed slope
-            if den < 0:
-                num, den = -num, -den
+            # num = b*step + start, signs flipped so that den > 0
+            step, start = (D, G1) if den > 0 else (-D, -G1)
+            den = abs(den)
             cut = r.floor_mul(den * f_prime)
-            if not num * f_prime - e_prime * den <= cut < num * f_prime + e_prime * den:
-                continue  # perturbed slope outside (r - eps', r + eps')
-            raw = r.floor_mul(a * f)
-            if b * f - e * a <= raw < b * f + e * a:
-                continue  # raw slope already inside the eps window
-            rho = Fraction(num, den)
-            exceptions.append(ExceptionRecord(a, b, params.y, rho))
-            (rho_below if cut >= num * f_prime else rho_above).append(rho)
+            for b in range(lo, hi + 1):
+                num = b * step + start
+                if not num * f_prime - e_prime * den <= cut < num * f_prime + e_prime * den:
+                    continue  # perturbed slope outside (r - eps', r + eps')
+                raw = r.floor_mul(a * f)
+                if b * f - e * a <= raw < b * f + e * a:
+                    continue  # raw slope already inside the eps window
+                exceptions.append(ExceptionRecord(a, b, params.y, Fraction(num, den)))
+                (rho_below if cut >= num * f_prime else rho_above).append((num, den))
 
     exceptions.sort(key=lambda rec: (rec.a, rec.b, rec.y))
     delta = eps_prime
-    for rho in _could_set_delta(r, rho_below, rho_above):
-        delta = min(delta, r.distance_lower_bound(rho) / 2)
+    for num, den in _could_set_delta(r, rho_below, rho_above):
+        delta = min(delta, r.distance_lower_bound(Fraction(num, den)) / 2)
     return DeltaResult(delta, eps_prime, tuple(exceptions))
 
 
@@ -755,15 +806,15 @@ def tube_params_from_json(data: dict) -> TubeParams:
     return _from_json(TubeParams.kind, data)
 
 
-def _stored_slope_failures(where: str, data: dict, cert) -> list[str]:
-    """A failure if the ``slope`` text of ``data`` is not the slope of the
-    pair of ``cert``, compared by value; a text that is no slope is
-    malformed."""
-    stored, a, b = Slope.parse(data.get("slope")), cert.a, cert.b
+def _stored_slope_failures(prefix: str, where: str, data: dict, cert) -> list[str]:
+    """A failure, led by ``prefix``, if the ``slope`` text of ``data`` is not
+    the slope of the pair of ``cert``, compared by value; a text that is no
+    slope is malformed, named ``<where>.slope``."""
+    stored, a, b = read(Slope.parse, data["slope"], f"{where}.slope"), cert.a, cert.b
     if not (a or b):
-        return [f"{where}stored slope {stored} is given for (0,0), which has no slope"]
+        return [f"{prefix}stored slope {stored} is given for (0,0), which has no slope"]
     if stored != Slope.from_ratio(b, a):
-        return [f"{where}stored slope {stored} is not the slope {slope_text(b, a)} of ({a},{b})"]
+        return [f"{prefix}stored slope {stored} is not the slope {slope_text(b, a)} of ({a},{b})"]
     return []
 
 
@@ -777,9 +828,10 @@ def certificate_from_json(data) -> tuple[GapCertificate | TubeParams, list[str]]
     if type(kind) is not str or kind not in _KINDS:
         raise SpecFormatError(f"unknown certificate kind {kind!r}")
     value = _from_json(kind, data)
-    slopes = [("", data, value)] + [
-        (f"{name} ", data[name], getattr(value, name))
-        for name, write, _ in _KINDS[kind][2]
+    _, doc_name, fields = _KINDS[kind]
+    slopes = [("", doc_name, data, value)] + [
+        (f"{name} ", f"{doc_name}.{name}", data[name], getattr(value, name))
+        for name, write, _ in fields
         if write is _to_json
     ]
     return value, [f for slope in slopes for f in _stored_slope_failures(*slope)]

@@ -408,6 +408,21 @@ def test_certify_checks_each_stored_slope(tmp_path, argv, where, pair):
     assert code == 1 and doc["error"] == "spec-format"
 
 
+@pytest.mark.parametrize(
+    "argv, where, field",
+    [
+        (GAP_K5, (), "gap certificate.slope"),
+        (TUBE_D1, (), "tube-params document.slope"),
+        (TUBE_D1, ("certificate",), "tube-params document.certificate.slope"),
+    ],
+    ids=["gap", "tube", "tube-certificate"],
+)
+def test_certify_names_a_stored_slope_that_is_no_slope(tmp_path, argv, where, field):
+    code, doc = certify_edited(tmp_path, argv, {"slope": "x"}, where)
+    assert code == 1
+    assert doc == {"error": "spec-format", "message": f"{field}: malformed rational 'x'"}
+
+
 @pytest.mark.parametrize("where", [(), ("certificate",)], ids=["tube", "tube-certificate"])
 def test_certify_answers_a_pair_with_no_slope(tmp_path, where):
     code, verdict = certify_edited(tmp_path, TUBE_D1, {"a": 0, "b": 0}, where)

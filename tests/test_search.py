@@ -4,6 +4,7 @@ import random
 import re
 import signal
 from contextlib import ExitStack
+from functools import lru_cache
 from fractions import Fraction
 from itertools import islice
 from math import ceil, floor, gcd
@@ -15,8 +16,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tubelat import cli, serialize
+from tubelat.algebra import build_c4
 from tubelat.errors import BudgetExhaustedError, PreconditionError, SpecFormatError
-from tubelat.exceptional import ExceptionalSet
+from tubelat.exceptional import ExceptionalSet, enumerate_exceptional
 from tubelat.lattice import K0Lattice, Slope, reduced_ratio, slope_text, vec_add
 from tubelat.quadirr import QuadIrrational, parse_quad_irrational
 from tubelat.search import (
@@ -29,6 +31,7 @@ from tubelat.search import (
     _check_window,
     _could_set_delta,
     _in_window_below,
+    _strip_ends,
     certificate_from_canonical_text,
     delta_for,
     gap_certificate_from_json,
@@ -337,6 +340,56 @@ def test_delta_matches_fraction_reference(lattice, exceptional_set, r, eps):
     assert got == ref_delta_for(lattice, exceptional_set, r, eps)
 
 
+@lru_cache(maxsize=None)
+def lattice_and_exceptional(lam: str) -> tuple[K0Lattice, ExceptionalSet]:
+    lattice = K0Lattice.for_spec(build_c4(lam))
+    return lattice, enumerate_exceptional(lattice)
+
+
+SQUAREFREE = [d for d in range(2, 31) if all(d % (k * k) for k in range(2, 6))]
+
+
+@st.composite
+def delta_windows(draw):
+    """r = (p + q*sqrt(d))/s > 1/40 with small p, q, s, and eps from 1/40 up
+    to just below r: the strip ends move toward 0 as eps nears r."""
+    r = QuadIrrational(
+        draw(st.integers(-3, 3)),
+        draw(st.integers(-2, 2).filter(bool)),
+        draw(st.sampled_from(SQUAREFREE)),
+        draw(st.integers(1, 3)),
+    )
+    lo, _ = r.bracket(1 << 20)
+    assume(Fraction(1, 40) < lo < 4)
+    top = Fraction(floor(lo * 1000), 1000)  # within 10^-3 of r, below it
+    fractions = st.fractions(Fraction(1, 40), Fraction(floor(top * 60), 60), max_denominator=60)
+    return r, draw(st.one_of(st.just(top), fractions) if top >= Fraction(1, 30) else st.just(top))
+
+
+@given(window=delta_windows(), lam=st.sampled_from(["2", "5/3", "-1", "1/2"]))
+@settings(max_examples=40, deadline=None)
+def test_delta_matches_the_loose_strip_reference(window, lam):
+    """The exact strip ends find the same exceptions as the reference, whose
+    strips keep the looser ends, up to eps/4 further toward r."""
+    r, eps = window
+    lattice, exceptional = lattice_and_exceptional(lam)
+    assert delta_for(lattice, exceptional, r, eps) == ref_delta_for(lattice, exceptional, r, eps)
+
+
+@pytest.mark.parametrize(
+    "r",
+    [SQRT2, QuadIrrational(1, 1, 5, 2), QuadIrrational(0, 1, 7, 2), QuadIrrational(0, 1, 1009, 1), QuadIrrational(1, 1, 2, 40)],
+    ids=["sqrt2", "golden", "sqrt7/2", "sqrt1009", "small"],
+)
+def test_strip_ends_stay_ordered_as_eps_nears_r(r):
+    for scale in (1000, 10_000, 1 << 40):
+        eps = Fraction(r.floor_mul(scale), scale)  # r - 10^-3 < eps < r
+        u1, u2, t1, t2 = _strip_ends(r, eps)
+        assert 0 < t1 < t2 < r < u1 < u2
+        # each end lies past the condition it stands for
+        assert r < t1 + eps and r > t2 + eps / 2 and r < u1 - eps / 2 and r > u2 - eps
+
+
 def test_delta_soundness_oracle_scan(lattice, exceptional_set):
     """Independent rescan: no pair up to a = 600 breaks the implication, at
     sqrt(2), the golden ratio and sqrt(7)/2.
@@ -410,12 +463,18 @@ def nearer(r, t1, t2, k=1):
     return surd_sign(alpha, beta, r.d) > 0
 
 
+def could_set_delta(r, below, above) -> list[Fraction]:
+    """``_could_set_delta`` on Fractions, through their (num, den) pairs."""
+    pairs = [[t.as_integer_ratio() for t in ts] for ts in (below, above)]
+    return [Fraction(*t) for t in _could_set_delta(r, *pairs)]
+
+
 def check_could_set_delta(r, ts):
     """The filter keeps exactly the t with |r - t| < 2*d_min, and the least
     distance_lower_bound over what it keeps is the least over all of ts."""
     below = [t for t in ts if r_exceeds(r, t.numerator, t.denominator)]
     above = [t for t in ts if not r_exceeds(r, t.numerator, t.denominator)]
-    kept = _could_set_delta(r, below, above)
+    kept = could_set_delta(r, below, above)
     x = next(t for t in ts if not any(nearer(r, u, t) for u in ts))
     assert sorted(kept) == sorted(t for t in ts if nearer(r, t, x, 2))
     least = min(r.distance_lower_bound(t) for t in ts)
@@ -442,7 +501,7 @@ def test_could_set_delta_farther_slope_with_smaller_bound(near, far):
     assert r.distance_lower_bound(far) < r.distance_lower_bound(near)
     ts = [near, far, Fraction(7, 5), Fraction(3, 2), Fraction(99, 70), near]
     check_could_set_delta(r, ts)
-    assert far in _could_set_delta(r, [near, Fraction(7, 5)], [far, Fraction(3, 2)])
+    assert far in could_set_delta(r, [near, Fraction(7, 5)], [far, Fraction(3, 2)])
 
 
 FILTER_RS = [
