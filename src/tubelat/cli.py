@@ -207,15 +207,7 @@ def _cmd_delta(ctx: _Context) -> tuple[object, int]:
     return {
         "delta": frac_to_str(result.delta),
         "eps_prime": frac_to_str(result.eps_prime),
-        "exceptions": [
-            {
-                "a": e.a,
-                "b": e.b,
-                "y": list(e.y),
-                "perturbed": frac_to_str(e.perturbed),
-            }
-            for e in result.exceptions
-        ],
+        "exceptions": result.exceptions,  # written by blocks from the packed view
     }, 0
 
 

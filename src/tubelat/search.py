@@ -12,10 +12,13 @@ integer comparisons:
 * ``delta_for`` shrinks a slope window until perturbed membership forces
   unperturbed membership, by excluding the finitely many exceptions: the
   two strips that hold them end just past the exception conditions, at
-  eps' = eps/2 and eps from a bracket of r, each row of pairs costs one
-  ``floor_mul`` and each pair whose perturbed slope is near r one more, and
+  eps' = eps/2 and eps from a bracket of r, and are scanned once per class
+  of exceptional y with equal offsets; each row of pairs costs one
+  ``floor_mul`` and each pair whose perturbed slope is near r one more,
   ``distance_lower_bound`` runs only on the exceptions less than twice as
-  far from r as the nearest one, the only ones that can set delta;
+  far from r as the nearest one, the only ones that can set delta, and the
+  exceptions come back as integer rows in a packed view, ``ExceptionRows``,
+  whose records are built only when it is iterated;
 * ``gap_vector`` walks the Stern-Brocot tree toward r to the pair of least
   total dimension mu whose slope in (r - eps, r) is the best slope below r
   of all pairs within dimension mu + k, and certifies it by every pair
@@ -39,8 +42,9 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from functools import partial
 from itertools import chain, islice, repeat
-from math import ceil, floor, gcd, lcm
+from math import gcd, lcm
 
 from .errors import BudgetExhaustedError, PreconditionError, SpecFormatError, TubelatError
 from .exceptional import ExceptionalSet
@@ -79,30 +83,24 @@ def _check_strip_args(r1: Fraction, r2: Fraction) -> tuple[Fraction, Fraction]:
     return r1, r2
 
 
-def _a_ceiling(main_bound: Fraction, g2: Fraction) -> int:
-    """Largest a that any branch of the case analysis can reach."""
-    top = 0
-    if main_bound >= 1:
-        top = floor(main_bound)
-    if g2 < 0:
-        top = max(top, ceil(-g2))
-    return top
-
-
-def _over_common_denominator(g1: Fraction, g2: Fraction) -> tuple[int, int, int]:
-    """(G1, G2, D) with g1 = G1/D, g2 = G2/D and D > 0 the least such."""
-    D = lcm(g1.denominator, g2.denominator)
-    return g1.numerator * (D // g1.denominator), g2.numerator * (D // g2.denominator), D
-
-
-def _strip_rows_below(r1, r2, gamma1, gamma2):
-    """The rows of ``strip_pairs_below``: (a, lo, hi) for each a with pairs,
-    whose pairs are (a, b) for lo <= b <= hi, in increasing a."""
+def _strip_ints(r1, r2, gamma1, gamma2) -> tuple[int, ...]:
+    """The integers (n1, d1, n2, d2, G1, G2, D) of a strip, r_i = n_i/d_i
+    and gamma_i = G_i/D with D > 0 the least such, that the row generators
+    take."""
     r1, r2 = _check_strip_args(r1, r2)
     g1, g2 = Fraction(gamma1), Fraction(gamma2)
-    a_max = _a_ceiling((g1 - r2 * g2) / (r2 - r1), g2)
-    n1, d1, n2, d2 = r1.numerator, r1.denominator, r2.numerator, r2.denominator
-    G1, G2, D = _over_common_denominator(g1, g2)
+    D = lcm(g1.denominator, g2.denominator)
+    G1, G2 = g1.numerator * (D // g1.denominator), g2.numerator * (D // g2.denominator)
+    return r1.numerator, r1.denominator, r2.numerator, r2.denominator, G1, G2, D
+
+
+def _strip_rows_below(n1, d1, n2, d2, G1, G2, D):
+    """The rows of ``strip_pairs_below`` for 0 < r1 = n1/d1 < r2 = n2/d2 and
+    gamma_i = G_i/D (D > 0): (a, lo, hi) for each a with pairs, whose pairs
+    are (a, b) for lo <= b <= hi, in increasing a.  The a ceiling is the
+    larger of floor((g1 - r2*g2)/(r2 - r1)) and ceil(-g2), each one ``//``."""
+    width = D * (n2 * d1 - n1 * d2)  # D*d1*d2*(r2 - r1) > 0
+    a_max = max(0, (G1 * d2 - n2 * G2) * d1 // width, -(G2 // D))
     scale = d2 * D
     for a in range(1, a_max + 1):
         hi = n1 * a // d1  # floor(r1*a) >= 0, as r1 > 0
@@ -119,13 +117,11 @@ def _strip_rows_below(r1, r2, gamma1, gamma2):
             yield a, lo, hi
 
 
-def _strip_rows_above(r1, r2, gamma1, gamma2):
-    """The rows of ``strip_pairs_above``, as in ``_strip_rows_below``."""
-    r1, r2 = _check_strip_args(r1, r2)
-    g1, g2 = Fraction(gamma1), Fraction(gamma2)
-    a_max = _a_ceiling((r1 * g2 - g1) / (r2 - r1), g2)
-    n1, d1, n2, d2 = r1.numerator, r1.denominator, r2.numerator, r2.denominator
-    G1, G2, D = _over_common_denominator(g1, g2)
+def _strip_rows_above(n1, d1, n2, d2, G1, G2, D):
+    """The rows of ``strip_pairs_above``, as in ``_strip_rows_below``; the
+    a ceiling is the larger of floor((r1*g2 - g1)/(r2 - r1)) and ceil(-g2)."""
+    width = D * (n2 * d1 - n1 * d2)
+    a_max = max(0, (n1 * G2 - d1 * G1) * d2 // width, -(G2 // D))
     scale = d1 * D
     for a in range(1, a_max + 1):
         lo = -(-n2 * a // d2)  # ceil(r2*a) >= 1, as r2 > 0
@@ -157,7 +153,7 @@ def strip_pairs_below(r1, r2, gamma1, gamma2) -> list[tuple[int, int]]:
     E = a*D + G2 = D*(a + gamma2), each bound r_i*(a + gamma2) - gamma1 is
     (n_i*E - d_i*G1)/(d_i*D), and each floor or ceil is one ``//``.
     """
-    return _pairs(_strip_rows_below(r1, r2, gamma1, gamma2))
+    return _pairs(_strip_rows_below(*_strip_ints(r1, r2, gamma1, gamma2)))
 
 
 def strip_pairs_above(r1, r2, gamma1, gamma2) -> list[tuple[int, int]]:
@@ -165,7 +161,7 @@ def strip_pairs_above(r1, r2, gamma1, gamma2) -> list[tuple[int, int]]:
 
     The scan runs on integers, as in ``strip_pairs_below``.
     """
-    return _pairs(_strip_rows_above(r1, r2, gamma1, gamma2))
+    return _pairs(_strip_rows_above(*_strip_ints(r1, r2, gamma1, gamma2)))
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +176,38 @@ class ExceptionRecord(Value):
     __slots__ = ("a", "b", "y", "perturbed")
 
 
+class ExceptionRows(Value):
+    """The exceptions of a ``delta_for``, packed: ``ys`` holds the distinct
+    exceptional y in increasing order, and ``rows`` one integer tuple
+    (a, b, rank of y in ``ys``, num, den) per exception, sorted, for the
+    perturbed slope num/den (den > 0, not reduced).  ``len`` counts the rows;
+    iterating builds ``ExceptionRecord(a, b, y, Fraction(num, den))`` for
+    each, in order, so the view equals, and hashes as, the tuple of its
+    records.  ``serialize`` writes it, a block of rows at a time, as the
+    list of the records' wire dicts."""
+
+    __slots__ = ("ys", "rows")
+
+    def __iter__(self):
+        ys = self.ys
+        return (ExceptionRecord(a, b, ys[k], Fraction(num, den)) for a, b, k, num, den in self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, ExceptionRows)):
+            return NotImplemented
+        if type(other) is ExceptionRows and (other.ys, other.rows) == (self.ys, self.rows):
+            return True  # the same packing: no record built
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 class DeltaResult(Value):
-    __slots__ = ("delta", "eps_prime", "exceptions")  # exceptions: ExceptionRecords
+    __slots__ = ("delta", "eps_prime", "exceptions")  # exceptions: ExceptionRecords, or their view
 
 
 def _check_window(r: QuadIrrational, eps: Fraction) -> Fraction:
@@ -283,41 +309,58 @@ def delta_for(
     delta = min(eps', distance_lower_bound(rho)/2) over the exceptional
     perturbed slopes rho is below every |r - rho| and at most eps'.
 
-    The strips are read a row (a, lo, hi) at a time and each b of a row is
-    tested in place, on integers.  With gamma_i = G_i/D, the perturbed
-    slope is rho = (b*D + G1)/(a*D + G2) = num/den, signs flipped so that
-    den > 0.  For eps' = e'/f', |rho - r| < eps' says
-    num*f' - e'*den <= floor(r*den*f') < num*f' + e'*den, one ``floor_mul``
-    per row, and rho < r exactly when floor(r*den*f') >= num*f'; the raw
-    test |b/a - r| < eps is the same with (b, a) and eps.  Only an
-    exception, and a slope passed to ``distance_lower_bound``, gets a
-    ``Fraction``.
+    The exceptional y fall into classes of equal offsets: gamma1 =
+    <h0, y>/P and gamma2 = -<hinf, y>/P, P the pairing, over their least
+    common denominator as (G1, G2, D), worked out in integers.  The strips
+    of a class are the same for each of its y, so each class is scanned
+    once, a row (a, lo, hi) at a time, each b of a row tested in place, on
+    integers.  The perturbed slope is rho = (b*D + G1)/(a*D + G2) =
+    num/den, signs flipped so that den > 0.  For eps' = e'/f', |rho - r| <
+    eps' says num*f' - e'*den <= floor(r*den*f') < num*f' + e'*den, one
+    ``floor_mul`` per row, and rho < r exactly when floor(r*den*f') >=
+    num*f'; the raw test |b/a - r| < eps is the same with (b, a) and eps.
+    A class's exceptions, turned into integer columns, go to each of its y
+    by one ``zip``, as rows (a, b, rank of y, num, den); the rows are
+    sorted as plain tuples, so by (a, b, y), and returned as an
+    ``ExceptionRows`` view.  No exception gets a ``Fraction`` until the
+    view is iterated; only the slopes passed to ``distance_lower_bound``
+    do here.
 
     ``distance_lower_bound`` runs only on the exceptions that can set the
-    minimum (``_could_set_delta``, on the (num, den) pairs).  Its value lies
-    in [d/2, d) for d = |r - rho|.  So an exception with d >= 2*d_min,
-    d_min the least d, has a bound of at least d/2 >= d_min, more than the
-    bound (< d_min) of the nearest exception, and never sets the minimum:
-    the minimum over the rest is the minimum over all.  d = 2*d_min never
-    holds, since it would make r rational, so the rest are exactly the rho
-    with d < 2*d_min.
+    minimum (``_could_set_delta``, on each class's (num, den) pairs once).
+    Its value lies in [d/2, d) for d = |r - rho|.  So an exception with d
+    >= 2*d_min, d_min the least d, has a bound of at least d/2 >= d_min,
+    more than the bound (< d_min) of the nearest exception, and never sets
+    the minimum: the minimum over the rest is the minimum over all.  d =
+    2*d_min never holds, since it would make r rational, so the rest are
+    exactly the rho with d < 2*d_min.
     """
     eps = _check_window(r, eps)
     eps_prime = eps / 2
-    u1, u2, t1, t2 = _strip_ends(r, eps)
     e, f = eps.numerator, eps.denominator
     e_prime, f_prime = eps_prime.numerator, eps_prime.denominator
+    u1, u2, t1, t2 = _strip_ends(r, eps)
+    above = (u1.numerator, u1.denominator, u2.numerator, u2.denominator)
+    below = (t1.numerator, t1.denominator, t2.numerator, t2.denominator)
 
-    # the two strip enumerators list each (a, b) once and never share one
-    # (b/a >= u2 > r above, b/a <= t1 < r below), so no key repeats
-    exceptions: list[ExceptionRecord] = []
-    rho_below: list[tuple[int, int]] = []  # (num, den) of those below r
-    rho_above: list[tuple[int, int]] = []
+    P = lattice.pairing
+    classes: dict[tuple[int, int, int], list] = {}  # (G1, G2, D) -> its ys
     for y in exceptional:
-        params = perturbed_params(lattice, y)
-        g1, g2 = params.gamma1, params.gamma2
-        G1, G2, D = _over_common_denominator(g1, g2)
-        for a, lo, hi in chain(_strip_rows_above(u1, u2, g1, g2), _strip_rows_below(t1, t2, g1, g2)):
+        y = tuple(y)
+        c1, c2 = lattice.bilinear(lattice.h0, y), -lattice.bilinear(lattice.hinf, y)
+        g = gcd(c1, c2, P)
+        classes.setdefault((c1 // g, c2 // g, P // g), []).append(y)
+    ys = tuple(sorted({y for members in classes.values() for y in members}))
+    rank = {y: k for k, y in enumerate(ys)}
+
+    # the two strips list each (a, b) once and never share one (b/a >= u2 >
+    # r above, b/a <= t1 < r below), so no (a, b, y) repeats
+    rows: list[tuple[int, int, int, int, int]] = []
+    rho_below: list[tuple[int, int]] = []  # (num, den) of those below r, once per class
+    rho_above: list[tuple[int, int]] = []
+    for (G1, G2, D), members in classes.items():
+        found: list[tuple[int, int, int, int]] = []  # the class's (a, b, num, den)
+        for a, lo, hi in chain(_strip_rows_above(*above, G1, G2, D), _strip_rows_below(*below, G1, G2, D)):
             den = a * D + G2
             if den == 0:
                 continue  # no perturbed slope
@@ -332,14 +375,18 @@ def delta_for(
                 raw = r.floor_mul(a * f)
                 if b * f - e * a <= raw < b * f + e * a:
                     continue  # raw slope already inside the eps window
-                exceptions.append(ExceptionRecord(a, b, params.y, Fraction(num, den)))
+                found.append((a, b, num, den))
                 (rho_below if cut >= num * f_prime else rho_above).append((num, den))
+        if found:
+            A, B, N, M = zip(*found)  # as columns, which each y of the class takes
+            for y in members:
+                rows += zip(A, B, repeat(rank[y]), N, M)
 
-    exceptions.sort(key=lambda rec: (rec.a, rec.b, rec.y))
+    rows.sort()
     delta = eps_prime
     for num, den in _could_set_delta(r, rho_below, rho_above):
         delta = min(delta, r.distance_lower_bound(Fraction(num, den)) / 2)
-    return DeltaResult(delta, eps_prime, tuple(exceptions))
+    return DeltaResult(delta, eps_prime, ExceptionRows(ys, tuple(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -744,10 +791,14 @@ def _to_json(value: GapCertificate | TubeParams) -> dict:
 
 def _from_json(kind: str, data) -> GapCertificate | TubeParams:
     cls, name, fields = _KINDS[kind]
-    doc = read({"kind": label, **{f: r for f, _, r in fields}, "slope": label}, data, name)
-    if doc["kind"] != kind:
-        raise SpecFormatError(f"{name}.kind: not {kind!r}: {doc['kind']!r}")
+    doc = read({"kind": partial(_kind_is, kind), **{f: r for f, _, r in fields}, "slope": label}, data, name)
     return cls(**{f: doc[f] for f, _, _ in fields})
+
+
+def _kind_is(kind: str, value) -> str:
+    if label(value) != kind:
+        raise SpecFormatError(f"not {kind!r}: {value!r}")
+    return value
 
 
 def _ints(*names) -> tuple:

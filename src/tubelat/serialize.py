@@ -19,9 +19,12 @@ is a budget scan, ``_write_rows`` writes it one block of rows with equal a
 at a time, at the depth where it stands, with no dict built: the scan says
 which rows there are, and each block's pieces are put in place by C
 iterators, so no Python frame runs per row.  Rows read from the wire are
-written as the list of dicts they read as.  Everything else is written by a
-short recursion with sorted keys.  All of them append their pieces to one
-list, and one ``"".join`` writes the whole document.
+written as the list of dicts they read as.  The exceptions of a delta
+travel as their packed view, which ``_write_exceptions`` writes in the same
+way, a fixed number of rows at a time, as the list of dicts {a, b,
+perturbed, y}.  Everything else is written by a short recursion with sorted
+keys.  All of them append their pieces to one list, and one ``"".join``
+writes the whole document.
 """
 
 from __future__ import annotations
@@ -84,11 +87,15 @@ def read(shape, value, where: str):
     ending in "?" may be absent, others are ignored), or any keys if its key
     is ``str``; a one-item list is an array or ``Rows`` read into a tuple, a
     budget scan kept; a function reads a leaf.  An error names the path, as
-    in ``algebra spec.arrows[0].label: not a JSON string: True``."""
+    in ``algebra spec.arrows[0].label: not a JSON string: True``.  A leaf
+    function that reads by ``read`` itself, as a tube's certificate is read,
+    continues the outer path: ``tube-params document.certificate.k: ...``."""
     try:
         return _read(shape, value)
     except SpecFormatError as exc:
-        raise SpecFormatError(f"{where}{getattr(exc, 'path', '')}: {exc}") from exc
+        error = SpecFormatError(f"{where}{getattr(exc, 'path', '')}: {exc}")
+        error.unnamed = exc  # the error before ``where``, for a read around this one
+        raise error from exc
 
 
 def _read(shape, value):
@@ -123,8 +130,11 @@ def _at(key, shape, value):
     try:
         return _read(shape, value)
     except SpecFormatError as exc:  # the path is spelt only here
-        exc.path = (f"[{key}]" if type(key) is int else f".{key}") + getattr(exc, "path", "")
-        raise
+        inner = getattr(exc, "unnamed", exc)  # a nested read's error goes on from its path
+        inner.path = (f"[{key}]" if type(key) is int else f".{key}") + getattr(inner, "path", "")
+        if inner is exc:
+            raise
+        raise inner from None
 
 
 def parse_int_vector(text: str, length: int | None = None) -> tuple[int, ...]:
@@ -142,8 +152,9 @@ def parse_int_vector(text: str, length: int | None = None) -> tuple[int, ...]:
 _INDENT = "  "
 # exact types, tested in C: a subclass only takes the slower recursion
 _SCALARS = frozenset((str, int, bool, type(None)))
-# str and int leaves, spelt as json spells them: every ``encode`` call builds a
-# C encoder, and the recursion meets three such leaves per delta exception
+# str and int leaves, spelt as json spells them, since every ``encode`` call
+# builds a C encoder: the values of a document's header, and of any dict or
+# list that also holds a container
 _LEAVES = {str: encode_basestring_ascii, int: int.__repr__}
 
 
@@ -230,6 +241,54 @@ def _write_rows(scan, depth: int, out: list) -> None:
     out.append("\n" + _INDENT * depth + "]")
 
 
+# delta rows per block; each block is joined at once, so only one block's
+# pieces are alive at a time
+_EXCEPTION_BLOCK = 4096
+
+
+def _write_exceptions(view, depth: int, out: list) -> None:
+    """Append to ``out`` the bytes of the packed exceptions view of a delta
+    (``search.ExceptionRows``) as json spells the list of the dicts
+    {a, b, perturbed, y} of its rows at ``depth``, ``_EXCEPTION_BLOCK`` rows
+    at a time, each block joined into one piece.  Each row is eight pieces:
+    the opening up to the a key, a, the b key, b, the perturbed key and
+    opening quote, the numerator of the reduced perturbed slope, "/" and
+    its denominator unless that is 1, and the closing quote with the y key,
+    y and the row's close, one constant per y.  A block's columns come from
+    one ``zip``, num/den reduces by one pass of ``gcd`` and two of
+    ``floordiv``, and each column is put in by one slice assignment, so no
+    Python frame runs per row."""
+    rows = view.rows
+    if not rows:
+        out.append("[]")
+        return
+    inner = _INDENT * (depth + 1)
+    deep = inner + _INDENT
+    opening = ",\n" + inner + "{\n" + deep + '"a": '  # with the separator of rows
+    b_key = ",\n" + deep + '"b": '
+    perturbed_key = ",\n" + deep + '"perturbed": "'
+    y_tails = []
+    for y in view.ys:
+        text: list[str] = []
+        _write(list(y), depth + 2, text)
+        y_tails.append('",\n' + deep + '"y": ' + "".join(text) + "\n" + inner + "}")
+    start = len(out)
+    for i in range(0, len(rows), _EXCEPTION_BLOCK):
+        a, b, k, num, den = zip(*rows[i : i + _EXCEPTION_BLOCK])
+        gs = list(map(gcd, num, den))
+        dens = list(map(floordiv, den, gs))  # reduced
+        den_tails = {m: "" if m == 1 else "/" + str(m) for m in set(dens)}
+        block = [opening, None, b_key, None, perturbed_key, None, None, None] * len(a)
+        block[1::8] = map(str, a)
+        block[3::8] = map(str, b)
+        block[5::8] = map(str, map(floordiv, num, gs))
+        block[6::8] = map(den_tails.__getitem__, dens)
+        block[7::8] = map(y_tails.__getitem__, k)
+        out.append("".join(block))
+    out[start] = "[" + out[start][1:]  # the first row's "," opens the list
+    out.append("\n" + _INDENT * depth + "]")
+
+
 def _write(obj, depth: int, out: list) -> None:
     """Append to ``out`` the pieces of ``obj`` as json spells it at ``depth``."""
     leaf = _LEAVES.get(type(obj))
@@ -241,6 +300,9 @@ def _write(obj, depth: int, out: list) -> None:
             _write_rows(obj._source, depth, out)
             return
         obj = list(obj)  # wire tuples: the list of dicts they read as
+    elif hasattr(obj, "ys"):  # the packed exceptions of a delta
+        _write_exceptions(obj, depth, out)
+        return
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         out.append(_encoder(0).encode(obj))
         return

@@ -423,6 +423,27 @@ def test_certify_names_a_stored_slope_that_is_no_slope(tmp_path, argv, where, fi
     assert doc == {"error": "spec-format", "message": f"{field}: malformed rational 'x'"}
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ("row", "witnesses[3]: not an object with keys a, b, mu and slope: [0, 4, 16, 'inf']"),
+        ("kind", "kind: not 'gap-vector': 'tube-params'"),
+    ],
+)
+def test_certify_names_a_tube_certificate_field_by_one_path(tmp_path, edit, message):
+    doc = json.loads(invoke(*TUBE_D1)[1])
+    cert = doc["certificate"]
+    if edit == "row":
+        cert["witnesses"][3] = list(cert["witnesses"][3].values())
+    else:
+        cert["kind"] = "tube-params"
+    doc_file = tmp_path / "doc.json"
+    doc_file.write_text(json.dumps(doc))
+    code, doc = invoke_json("certify", str(doc_file))
+    assert code == 1
+    assert doc == {"error": "spec-format", "message": f"tube-params document.certificate.{message}"}
+
+
 @pytest.mark.parametrize("where", [(), ("certificate",)], ids=["tube", "tube-certificate"])
 def test_certify_answers_a_pair_with_no_slope(tmp_path, where):
     code, verdict = certify_edited(tmp_path, TUBE_D1, {"a": 0, "b": 0}, where)

@@ -26,7 +26,6 @@ from tubelat.search import (
     DeltaResult,
     ExceptionRecord,
     GapCertificate,
-    _a_ceiling,
     _check_strip_args,
     _check_window,
     _could_set_delta,
@@ -71,6 +70,16 @@ def perturbed_slope(a: int, b: int, params) -> Fraction | None:
 # before the integer rewrite, kept to pin every output to them (only the
 # bracketing of r now takes one ``bracket_until`` call)
 # ---------------------------------------------------------------------------
+
+
+def _a_ceiling(main_bound: Fraction, g2: Fraction) -> int:
+    """Largest a that any branch of the case analysis can reach."""
+    top = 0
+    if main_bound >= 1:
+        top = floor(main_bound)
+    if g2 < 0:
+        top = max(top, ceil(-g2))
+    return top
 
 
 def ref_strip_pairs_below(r1, r2, gamma1, gamma2) -> list[tuple[int, int]]:
@@ -373,6 +382,32 @@ def test_delta_matches_the_loose_strip_reference(window, lam):
     strips keep the looser ends, up to eps/4 further toward r."""
     r, eps = window
     lattice, exceptional = lattice_and_exceptional(lam)
+    assert delta_for(lattice, exceptional, r, eps) == ref_delta_for(lattice, exceptional, r, eps)
+
+
+def one_per_offset_class(lattice, exceptional) -> ExceptionalSet:
+    """The last y of each class of equal offsets (gamma1, gamma2), so that
+    ``delta_for`` shares no class between two y."""
+    last = {}
+    for y in exceptional:
+        params = perturbed_params(lattice, y)
+        last[params.gamma1, params.gamma2] = y
+    return ExceptionalSet(tuple(last.values()), exceptional.bound)
+
+
+@given(window=delta_windows(), lam=st.sampled_from(["2", "5/3", "-1", "1/2"]), unshared=st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_delta_matches_the_reference_on_unshared_and_reversed_sets(window, lam, unshared):
+    """One y per offset class, or every y in reverse order: the grouping by
+    offsets and the sort by y itself, not by its place in the set."""
+    r, eps = window
+    lattice, exceptional = lattice_and_exceptional(lam)
+    if unshared:
+        exceptional = one_per_offset_class(lattice, exceptional)
+        assert 0 < len(exceptional) < 24
+    else:
+        exceptional = ExceptionalSet(exceptional.elements[::-1], exceptional.bound)
+        assert len(exceptional) == 24
     assert delta_for(lattice, exceptional, r, eps) == ref_delta_for(lattice, exceptional, r, eps)
 
 

@@ -13,6 +13,8 @@ from tubelat.exceptional import enumerate_exceptional
 from tubelat.quadirr import QuadIrrational
 from tubelat.search import (
     BudgetScan,
+    ExceptionRows,
+    delta_for,
     gap_certificate_from_json,
     gap_certificate_to_json,
     gap_vector,
@@ -30,9 +32,12 @@ def ref_dumps_canonical(obj) -> str:
 
 
 def list_form(doc):
-    """The document with every ``Rows`` value replaced by its list of dicts."""
+    """The document with every ``Rows`` value, and every packed view of delta
+    exceptions, replaced by its list of dicts."""
     if isinstance(doc, Rows):
         return list(doc)
+    if isinstance(doc, ExceptionRows):
+        return [{"a": e.a, "b": e.b, "perturbed": str(e.perturbed), "y": list(e.y)} for e in doc]
     if isinstance(doc, dict):
         return {k: list_form(v) for k, v in doc.items()}
     if isinstance(doc, (list, tuple)):
@@ -268,6 +273,55 @@ def test_rows_read_as_their_list_of_dicts():
     with pytest.raises(TypeError):
         hash(rows)
     assert Rows(()) == [] and len(Rows(())) == 0
+
+
+# ---------------------------------------------------------------------------
+# Delta exceptions: the packed view, written by blocks, against json.dumps
+# of the list of its records' dicts
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def exception_views(draw):
+    """Views of any ys (empty y included) and rows (a, b, rank, num, den),
+    num/den reduced or not, den = 1 or not."""
+    ys = draw(st.lists(st.lists(st.integers(-2, 2) | st.integers(), max_size=3).map(tuple), min_size=1, max_size=4, unique=True))
+    row = st.tuples(
+        st.integers(0, 40) | st.integers(),
+        st.integers(0, 40) | st.integers(),
+        st.integers(0, len(ys) - 1),
+        st.integers(-30, 30) | st.integers(),
+        st.integers(1, 12) | st.integers(1),
+    )
+    return ExceptionRows(tuple(sorted(ys)), tuple(sorted(draw(st.lists(row, max_size=8)))))
+
+
+# more rows than one block holds, the last block a short one
+LONG_VIEW = ExceptionRows(((), (0, 1)), tuple((a, a % 3, a % 2, 3 * a + 1, 1 + a % 6) for a in range(9000)))
+
+
+@given(view=exception_views(), depth=st.integers(0, 3), sibling=scalars, in_list=st.booleans())
+@example(view=LONG_VIEW, depth=1, sibling=0, in_list=False)
+@example(view=ExceptionRows(((0, 1),), ()), depth=1, sibling=0, in_list=False)
+@settings(max_examples=300, deadline=None)
+def test_exception_views_match_json_dumps_of_their_list_form(view, depth, sibling, in_list):
+    doc = view
+    for _ in range(depth):
+        doc = [sibling, doc] if in_list else {"exceptions": doc, "delta": sibling}
+    assert dumps_canonical(doc) == ref_dumps_canonical(list_form(doc))
+
+
+def test_writing_a_delta_builds_no_record(lattice, exceptional_set, monkeypatch):
+    """The CLI's delta document is written from the view: no
+    ``ExceptionRecord`` and no ``Fraction`` per exception."""
+    result = delta_for(lattice, exceptional_set, QuadIrrational(0, 1, 2, 1), Fraction(1, 100))
+    doc = {"delta": "d", "eps_prime": "e", "exceptions": result.exceptions}
+    monkeypatch.setattr(search, "ExceptionRecord", None)
+    monkeypatch.setattr(search, "Fraction", None)
+    text = dumps_canonical(doc)
+    monkeypatch.undo()
+    assert len(result.exceptions) == 1766
+    assert text == ref_dumps_canonical(list_form(doc))
 
 
 # The number grammar: ASCII whitespace around, an optional sign, ASCII

@@ -11,10 +11,11 @@ out of the comparison, defaults and a normalising constructor.
 import copy
 import pickle
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
-from tubelat import value
+from tubelat import search, value
 from tubelat.algebra import (
     AlgebraSpec,
     Arrow,
@@ -34,10 +35,12 @@ from tubelat.search import (
     BudgetScan,
     DeltaResult,
     ExceptionRecord,
+    ExceptionRows,
     GapCertificate,
     PerturbedSlopeParams,
     QuasisimpleBounds,
     TubeParams,
+    delta_for,
     gap_vector,
 )
 
@@ -149,6 +152,11 @@ CASES = {
         {"perturbed": Fraction(5, 2)},
         "ExceptionRecord(a=1, b=2, y=(0, 1), perturbed=Fraction(3, 2))",
     ),
+    "ExceptionRows": (
+        ExceptionRows(((0, 1), (1, 0)), ((1, 2, 1, 6, 4),)),
+        {"rows": ()},
+        "ExceptionRows(ys=((0, 1), (1, 0)), rows=((1, 2, 1, 6, 4),))",
+    ),
     "DeltaResult": (
         DeltaResult(Fraction(1, 20), Fraction(1, 6), (RECORD,)),
         {"exceptions": ()},
@@ -181,7 +189,7 @@ def all_value_classes(cls=value.Value):
 def test_every_value_class_has_a_case():
     names = sorted(cls.__name__ for cls in all_value_classes())
     assert names == sorted([*CASES, "Representation"])
-    assert len(names) == 23
+    assert len(names) == 24
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -255,6 +263,33 @@ def test_gap_certificate_equals_across_a_scan_and_a_tuple(lattice):
     wire = replaced(cert, witnesses=tuple(cert.witnesses))
     assert wire == cert and cert == wire and hash(wire) == hash(cert)
     assert replaced(cert, witnesses=tuple(cert.witnesses)[1:]) != cert
+
+
+def test_delta_result_equals_across_a_view_and_a_tuple(lattice, exceptional_set):
+    result = delta_for(lattice, exceptional_set, SQRT2, Fraction(1, 10))
+    view = result.exceptions
+    assert type(view) is ExceptionRows
+    with mock.patch.object(search, "ExceptionRecord", side_effect=AssertionError):
+        # len, and equality with a view of the same packing, build no record
+        assert len(view) == len(view.rows) == 167
+        assert view == delta_for(lattice, exceptional_set, SQRT2, Fraction(1, 10)).exceptions
+    records = tuple(view)
+    assert len(records) == 167 and all(type(rec) is ExceptionRecord for rec in records)
+    assert records[0] == ExceptionRecord(2, 4, (0, 1, 1, 0, 0, 0), Fraction(7, 5))
+    assert view == records and records == view and hash(view) == hash(records)
+    wire = replaced(result, exceptions=records)
+    assert wire == result and result == wire and hash(wire) == hash(result)
+    assert replaced(result, exceptions=records[1:]) != result
+    assert view != records[::-1] and view != list(records)
+    assert repr(view) == f"ExceptionRows(ys={view.ys!r}, rows={view.rows!r})"
+    assert repr(result) == (
+        f"DeltaResult(delta={result.delta!r}, eps_prime={result.eps_prime!r}, exceptions={view!r})"
+    )
+    for twin in (copy.copy(view), pickle.loads(pickle.dumps(view))):
+        assert type(twin) is ExceptionRows and twin == view and hash(twin) == hash(view)
+        assert twin == records and repr(twin) == repr(view)
+    twin = pickle.loads(pickle.dumps(result))
+    assert twin == result == wire and hash(twin) == hash(wire)
 
 
 def test_fields_are_bound_by_position_and_by_name():
