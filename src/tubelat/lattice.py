@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 from . import linalg
 from .algebra import AlgebraSpec, EulerData, derive_path_basis, euler_data
@@ -195,6 +196,15 @@ class K0Lattice(Value):
     def quadratic(self, x) -> int:
         return self.euler.quadratic(x)
 
+    def radical_pairings(self, ys):
+        """(y as a tuple, <h0, y>, <hinf, y>) for each y: a dot product of y
+        with each of the covectors h0^T E and hinf^T E, worked out once."""
+        columns = list(zip(*self.euler.euler))
+        c0, cinf = ([sum(map(mul, x, col)) for col in columns] for x in (self.h0, self.hinf))
+        for y in map(tuple, ys):
+            self.check_length(y)
+            yield y, sum(map(mul, c0, y)), sum(map(mul, cinf, y))
+
     def mu(self, x) -> int:
         self.check_length(x)
         return mu(x)
@@ -209,14 +219,10 @@ class K0Lattice(Value):
 
     def slope(self, x) -> Slope:
         """-<h0,x>/<hinf,x> reduced; zero denominator means infinite slope."""
-        self.check_length(x)
-        num = -self.bilinear(self.h0, x)
-        den = self.bilinear(self.hinf, x)
+        ((x, num, den),) = self.radical_pairings([x])
         if num == 0 and den == 0:
-            raise UndefinedSlopeError(
-                f"both radical pairings vanish on {tuple(x)}"
-            )
-        return Slope.from_ratio(num, den)
+            raise UndefinedSlopeError(f"both radical pairings vanish on {x}")
+        return Slope.from_ratio(-num, den)
 
     def radical_combination(self, a: int, b: int) -> DimVector:
         return vec_add(vec_scale(a, self.h0), vec_scale(b, self.hinf))

@@ -353,23 +353,25 @@ def sub_representation(rep: Representation, bases: Bases) -> Representation:
     """The subrepresentation spanned by arrow-closed per-vertex bases (each
     basis vector in ambient coordinates)."""
     dims = tuple(len(b) for b in bases)
-    # per vertex, the map rows of the matrix whose columns are the basis
-    systems = [
-        [{k: vec[i] for k, vec in enumerate(basis) if vec[i]} for i in range(d)]
-        for basis, d in zip(bases, rep.dims)
-    ]
     columns = {}
     for arrow in rep.spec.arrows:
-        u, v = arrow.src, arrow.tgt
-        cols = []
-        for vec in bases[u]:
-            image = push(rep, (arrow.label,), dict(_column(vec)))
-            rhs = [image.get(i, ZERO) for i in range(rep.dims[v])]
-            coeffs = linalg.solve(systems[v], rhs, dims[v])
-            if coeffs is None:
-                raise ConsistencyError("bases are not closed under the arrows")
-            cols.append(_column(coeffs))
-        columns[arrow.label] = tuple(cols)
+        u, v, d = arrow.src, arrow.tgt, dims[arrow.tgt]
+        # one elimination of the map rows of the matrix whose columns are the
+        # target basis, with each pushed image carried along as column d + j:
+        # its coefficients are the carried entries of the pivot rows
+        rows = [{k: vec[i] for k, vec in enumerate(bases[v]) if vec[i]} for i in range(rep.dims[v])]
+        for j, vec in enumerate(bases[u]):
+            for i, x in push(rep, (arrow.label,), dict(_column(vec))).items():
+                rows[i][d + j] = x
+        reduced, pivots = linalg.rref_maps(rows, d + len(bases[u]), d)
+        if any(reduced[len(pivots) :]):  # a carried entry with no pivot
+            raise ConsistencyError("bases are not closed under the arrows")
+        cols = [[] for _ in bases[u]]
+        for row, p in zip(reduced, pivots):
+            for c, x in row.items():
+                if c >= d:
+                    cols[c - d].append((p, x))
+        columns[arrow.label] = tuple(map(tuple, cols))
     return Representation(rep.spec, dims, columns)
 
 

@@ -51,7 +51,7 @@ from .exceptional import ExceptionalSet
 from .lattice import K0Lattice, Slope, mu, reduced_ratio, slope_text
 from .quadirr import QuadIrrational, parse_quad_irrational
 from .serialize import Rows, dumps_canonical, frac_to_str, label, parse_frac, parse_int, read
-from .value import Value
+from .value import Value, View
 
 MAX_SHRINK_ROUNDS = 64  # window shrinks in tube_parameters before budget-exhausted
 
@@ -63,12 +63,8 @@ class PerturbedSlopeParams(Value):
 
 
 def perturbed_params(lattice: K0Lattice, y) -> PerturbedSlopeParams:
-    y = tuple(y)
-    return PerturbedSlopeParams(
-        Fraction(lattice.bilinear(lattice.h0, y), lattice.pairing),
-        Fraction(-lattice.bilinear(lattice.hinf, y), lattice.pairing),
-        y,
-    )
+    ((y, c0, cinf),) = lattice.radical_pairings([y])
+    return PerturbedSlopeParams(Fraction(c0, lattice.pairing), Fraction(-cinf, lattice.pairing), y)
 
 
 # ---------------------------------------------------------------------------
@@ -176,14 +172,14 @@ class ExceptionRecord(Value):
     __slots__ = ("a", "b", "y", "perturbed")
 
 
-class ExceptionRows(Value):
+class ExceptionRows(View, Value):
     """The exceptions of a ``delta_for``, packed: ``ys`` holds the distinct
     exceptional y in increasing order, and ``rows`` one integer tuple
     (a, b, rank of y in ``ys``, num, den) per exception, sorted, for the
     perturbed slope num/den (den > 0, not reduced).  ``len`` counts the rows;
     iterating builds ``ExceptionRecord(a, b, y, Fraction(num, den))`` for
-    each, in order, so the view equals, and hashes as, the tuple of its
-    records.  ``serialize`` writes it, a block of rows at a time, as the
+    each, in order, and as a ``View`` it equals, and hashes as, the tuple of
+    its records.  ``serialize`` writes it, a block of rows at a time, as the
     list of the records' wire dicts."""
 
     __slots__ = ("ys", "rows")
@@ -194,16 +190,6 @@ class ExceptionRows(Value):
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __eq__(self, other):
-        if not isinstance(other, (tuple, ExceptionRows)):
-            return NotImplemented
-        if type(other) is ExceptionRows and (other.ys, other.rows) == (self.ys, self.rows):
-            return True  # the same packing: no record built
-        return len(self) == len(other) and tuple(self) == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
 
 
 class DeltaResult(Value):
@@ -345,11 +331,9 @@ def delta_for(
 
     P = lattice.pairing
     classes: dict[tuple[int, int, int], list] = {}  # (G1, G2, D) -> its ys
-    for y in exceptional:
-        y = tuple(y)
-        c1, c2 = lattice.bilinear(lattice.h0, y), -lattice.bilinear(lattice.hinf, y)
-        g = gcd(c1, c2, P)
-        classes.setdefault((c1 // g, c2 // g, P // g), []).append(y)
+    for y, c0, cinf in lattice.radical_pairings(exceptional):
+        g = gcd(c0, cinf, P)
+        classes.setdefault((c0 // g, -cinf // g, P // g), []).append(y)
     ys = tuple(sorted({y for members in classes.values() for y in members}))
     rank = {y: k for k, y in enumerate(ys)}
 
@@ -416,15 +400,15 @@ class GapCertificate(Value):
         return Slope.from_ratio(self.b, self.a)
 
 
-class BudgetScan(Value):
+class BudgetScan(View, Value):
     """The budget scan: a row (a, b, mu, slope_text(b, a)) for every (a, b)
     in N^2 minus the origin with mu = w0*a + w1*b <= budget, sorted.
     ``blocks`` is its one definition, read by iteration, by ``len`` (which
     sums its ranges), by both checks of ``validate_gap_certificate`` and by
-    the writer, ``serialize._write_rows``; only iteration builds rows.  The
-    view equals, and hashes as, the tuple of its rows.  ``gap_vector`` makes
-    one, and so does ``certificate_from_canonical_text`` from a document's
-    header."""
+    ``serialize._scan_blocks``, which feeds it to the block writer; only
+    iteration builds rows.  As a ``View`` it equals, and hashes as, the
+    tuple of its rows.  ``gap_vector`` makes one, and so does
+    ``certificate_from_canonical_text`` from a document's header."""
 
     __slots__ = ("w0", "w1", "budget")
 
@@ -442,17 +426,6 @@ class BudgetScan(Value):
 
     def __len__(self) -> int:
         return sum(len(bs) for _, bs in self.blocks())
-
-    def __eq__(self, other):
-        if not isinstance(other, (tuple, BudgetScan)):
-            return NotImplemented
-        scan = (self.w0, self.w1, self.budget)
-        if type(other) is BudgetScan and (other.w0, other.w1, other.budget) == scan:
-            return True  # the same scan: no row built
-        return len(self) == len(other) and tuple(self) == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
 
 
 def gap_vector(
@@ -611,7 +584,7 @@ def validate_gap_certificate(lattice: K0Lattice, cert: GapCertificate) -> list[s
 
 
 def max_hinf_pairing(lattice: K0Lattice, exceptional: ExceptionalSet) -> int:
-    return max(abs(lattice.bilinear(lattice.hinf, y)) for y in exceptional)
+    return max(abs(c) for _, _, c in lattice.radical_pairings(exceptional))
 
 
 def p_bound(lattice: K0Lattice, exceptional: ExceptionalSet) -> int:
@@ -619,9 +592,7 @@ def p_bound(lattice: K0Lattice, exceptional: ExceptionalSet) -> int:
     |(mu(<hinf,y>*h0 - <h0,y>*hinf) + mu(y)) / <h0,hinf>| <= p,
     rounded up to an integer.  Independent of any slope queried later."""
     best = 0
-    for y in exceptional:
-        c_h0 = lattice.bilinear(lattice.hinf, y)
-        c_hinf = lattice.bilinear(lattice.h0, y)
+    for y, c_hinf, c_h0 in lattice.radical_pairings(exceptional):
         # mu(c_h0*h0 - c_hinf*hinf) + mu(y), as mu is linear
         best = max(best, abs(lattice.mu_of_pair(c_h0, -c_hinf) + mu(y)))
     return -(-best // lattice.pairing)  # the pairing is positive

@@ -13,15 +13,16 @@ because on CPython 3.10-3.13 any ``indent`` forces the pure-Python encoder,
 which spends most of the time of a large certificate.  A ``JSONEncoder``
 without ``indent`` runs in C, and its item separator can carry the indent of
 one depth, so a container whose values are all scalars (str, int, bool,
-None) is given to C whole.  The witness rows of a gap certificate travel as
-one ``Rows`` value, which reads as the list of row dicts.  When its source
-is a budget scan, ``_write_rows`` writes it one block of rows with equal a
-at a time, at the depth where it stands, with no dict built: the scan says
-which rows there are, and each block's pieces are put in place by C
-iterators, so no Python frame runs per row.  Rows read from the wire are
+None) is given to C whole.  The two bulk tables are written by one block
+writer, ``_write_blocks``, with no dict built: each block is a row of
+constant pieces repeated, with each column of varying pieces put in place
+by C iterators, so no Python frame runs per row.  The witness rows of a gap
+certificate travel as one ``Rows`` value, which reads as the list of row
+dicts; when its source is a budget scan, ``_scan_blocks`` feeds the writer
+one block of rows with equal a at a time.  Rows read from the wire are
 written as the list of dicts they read as.  The exceptions of a delta
-travel as their packed view, which ``_write_exceptions`` writes in the same
-way, a fixed number of rows at a time, as the list of dicts {a, b,
+travel as their packed view, which ``_exception_blocks`` feeds to the
+writer a fixed number of rows at a time, as the list of dicts {a, b,
 perturbed, y}.  Everything else is written by a short recursion with sorted
 keys.  All of them append their pieces to one list, and one ``"".join``
 writes the whole document.
@@ -203,42 +204,52 @@ class Rows:
     __hash__ = None  # unhashable, like the list it reads as
 
 
-def _write_rows(scan, depth: int, out: list) -> None:
-    """Append to ``out`` the pieces of the rows of the budget scan ``scan``
-    as json spells the list of their dicts at ``depth``, a block of
-    ``scan.blocks()`` at a time.  Each row is seven pieces: the opening up
-    to the b key (a included), b, the mu key, mu, the slope key and opening
-    quote, and the slope text as a head and a tail that closes the row.  A
-    block is a list of the constants repeated, each column put in by one
-    slice assignment, so no Python frame runs per row: b and mu are ranges,
-    and for a >= 1, b/a reduces by g = gcd(b, a) to (b//g)/(a//g), one pass
-    of ``gcd`` and one of ``floordiv``, with one tail per distinct g.  Every
-    integer is spelt from one list of ``str(i)`` up to the budget."""
-    inner = _INDENT * (depth + 1)
-    deep = inner + _INDENT
-    opening = ",\n" + inner + "{\n" + deep + '"a": '  # with the separator of rows
-    b_key, mu_key, slope_key = (",\n" + deep + f'"{k}": ' for k in Rows.KEYS[1:])
-    slope_key += '"'
-    close = '"\n' + inner + "}"
-    spell = list(map(str, range(scan.budget + 1))).__getitem__
-    w0, w1 = scan.w0, scan.w1
+def _write_blocks(blocks, depth: int, out: list) -> None:
+    """Append to ``out`` a table as json spells the list of its rows at
+    ``depth``, one piece per block.  ``blocks`` yields, for each block, a
+    row of constant pieces with ``None`` for each hole, the number of rows,
+    and one column of pieces per hole.  The block is the row repeated, each
+    column put in by one slice assignment, joined at once, so no Python
+    frame runs per row.  Each row opens with the separator of rows, and the
+    first row's "," opens the list."""
     start = len(out)
-    for a, bs in scan.blocks():
-        # the slope of a = 0 is "inf"; other blocks spell theirs over it
-        block = [opening + spell(a) + b_key, None, mu_key, None, slope_key, "inf", close] * len(bs)
-        block[1::7] = map(spell, bs)
-        block[3::7] = map(spell, range(w0 * a + w1 * bs.start, w0 * a + w1 * bs.stop, w1))
-        if a:
-            gs = list(map(gcd, bs, repeat(a)))
-            tails = {g: ("" if g == a else "/" + spell(a // g)) + close for g in set(gs)}
-            block[5::7] = map(spell, map(floordiv, bs, gs))
-            block[6::7] = map(tails.__getitem__, gs)
-        out += block
+    for row, n, columns in blocks:
+        block = row * n
+        holes = [i for i, piece in enumerate(row) if piece is None]
+        for hole, column in zip(holes, columns, strict=True):
+            block[hole :: len(row)] = column
+        out.append("".join(block))
     if len(out) == start:
         out.append("[]")
         return
-    out[start] = "[" + out[start][1:]  # the first row's "," opens the list
+    out[start] = "[" + out[start][1:]
     out.append("\n" + _INDENT * depth + "]")
+
+
+def _scan_blocks(scan, depth: int):
+    """The blocks of ``_write_blocks`` for the rows of the budget scan
+    ``scan``, one per ``scan.blocks()``.  A row is seven pieces: the opening
+    up to the b key (a included), b, the mu key, mu, the slope key and
+    quote, and the slope as a head and a tail that closes the row.  b and mu
+    are ranges; for a >= 1, b/a reduces by g = gcd(b, a) to (b//g)/(a//g),
+    one pass of ``gcd`` and one of ``floordiv``, one tail per distinct g,
+    and for a = 0 the slope is "inf".  Every integer is spelt from one list
+    of ``str(i)`` up to the budget."""
+    inner = _INDENT * (depth + 1)
+    opening = ",\n" + inner + "{\n" + inner + _INDENT + '"a": '  # with the separator of rows
+    b_key, mu_key, slope_key = (",\n" + inner + _INDENT + f'"{k}": ' for k in Rows.KEYS[1:])
+    close = '"\n' + inner + "}"
+    spell = list(map(str, range(scan.budget + 1))).__getitem__
+    w0, w1 = scan.w0, scan.w1
+    for a, bs in scan.blocks():
+        row = [opening + spell(a) + b_key, None, mu_key, None, slope_key + '"', "inf", close]
+        columns = [map(spell, bs), map(spell, range(w0 * a + w1 * bs.start, w0 * a + w1 * bs.stop, w1))]
+        if a:
+            gs = list(map(gcd, bs, repeat(a)))
+            tails = {g: ("" if g == a else "/" + spell(a // g)) + close for g in set(gs)}
+            row[5:] = None, None
+            columns += map(spell, map(floordiv, bs, gs)), map(tails.__getitem__, gs)
+        yield row, len(bs), columns
 
 
 # delta rows per block; each block is joined at once, so only one block's
@@ -246,47 +257,31 @@ def _write_rows(scan, depth: int, out: list) -> None:
 _EXCEPTION_BLOCK = 4096
 
 
-def _write_exceptions(view, depth: int, out: list) -> None:
-    """Append to ``out`` the bytes of the packed exceptions view of a delta
-    (``search.ExceptionRows``) as json spells the list of the dicts
-    {a, b, perturbed, y} of its rows at ``depth``, ``_EXCEPTION_BLOCK`` rows
-    at a time, each block joined into one piece.  Each row is eight pieces:
-    the opening up to the a key, a, the b key, b, the perturbed key and
-    opening quote, the numerator of the reduced perturbed slope, "/" and
-    its denominator unless that is 1, and the closing quote with the y key,
-    y and the row's close, one constant per y.  A block's columns come from
-    one ``zip``, num/den reduces by one pass of ``gcd`` and two of
-    ``floordiv``, and each column is put in by one slice assignment, so no
-    Python frame runs per row."""
-    rows = view.rows
-    if not rows:
-        out.append("[]")
-        return
+def _exception_blocks(view, depth: int):
+    """The blocks of ``_write_blocks`` for the packed exceptions of a delta
+    (``search.ExceptionRows``) as the dicts {a, b, perturbed, y} of its
+    rows, ``_EXCEPTION_BLOCK`` rows at a time.  A row is eight pieces: the
+    opening up to the a key, a, the b key, b, the perturbed key and quote,
+    the numerator of the reduced perturbed slope, "/" and its denominator
+    unless that is 1, and the closing quote with the y key, y and the row's
+    close, one constant per y.  A block's columns come from one ``zip``, and
+    num/den reduces by one pass of ``gcd`` and two of ``floordiv``."""
     inner = _INDENT * (depth + 1)
-    deep = inner + _INDENT
-    opening = ",\n" + inner + "{\n" + deep + '"a": '  # with the separator of rows
-    b_key = ",\n" + deep + '"b": '
-    perturbed_key = ",\n" + deep + '"perturbed": "'
+    opening = ",\n" + inner + "{\n" + inner + _INDENT + '"a": '  # with the separator of rows
+    b_key, perturbed_key, y_key = (",\n" + inner + _INDENT + f'"{k}": ' for k in ("b", "perturbed", "y"))
+    row = [opening, None, b_key, None, perturbed_key + '"', None, None, None]
     y_tails = []
     for y in view.ys:
         text: list[str] = []
         _write(list(y), depth + 2, text)
-        y_tails.append('",\n' + deep + '"y": ' + "".join(text) + "\n" + inner + "}")
-    start = len(out)
-    for i in range(0, len(rows), _EXCEPTION_BLOCK):
-        a, b, k, num, den = zip(*rows[i : i + _EXCEPTION_BLOCK])
+        y_tails.append('"' + y_key + "".join(text) + "\n" + inner + "}")
+    for i in range(0, len(view.rows), _EXCEPTION_BLOCK):
+        a, b, k, num, den = zip(*view.rows[i : i + _EXCEPTION_BLOCK])
         gs = list(map(gcd, num, den))
         dens = list(map(floordiv, den, gs))  # reduced
         den_tails = {m: "" if m == 1 else "/" + str(m) for m in set(dens)}
-        block = [opening, None, b_key, None, perturbed_key, None, None, None] * len(a)
-        block[1::8] = map(str, a)
-        block[3::8] = map(str, b)
-        block[5::8] = map(str, map(floordiv, num, gs))
-        block[6::8] = map(den_tails.__getitem__, dens)
-        block[7::8] = map(y_tails.__getitem__, k)
-        out.append("".join(block))
-    out[start] = "[" + out[start][1:]  # the first row's "," opens the list
-    out.append("\n" + _INDENT * depth + "]")
+        nums, den_texts = map(str, map(floordiv, num, gs)), map(den_tails.__getitem__, dens)
+        yield row, len(a), (map(str, a), map(str, b), nums, den_texts, map(y_tails.__getitem__, k))
 
 
 def _write(obj, depth: int, out: list) -> None:
@@ -297,11 +292,11 @@ def _write(obj, depth: int, out: list) -> None:
         return
     if type(obj) is Rows:
         if hasattr(obj._source, "blocks"):  # a budget scan
-            _write_rows(obj._source, depth, out)
+            _write_blocks(_scan_blocks(obj._source, depth), depth, out)
             return
         obj = list(obj)  # wire tuples: the list of dicts they read as
     elif hasattr(obj, "ys"):  # the packed exceptions of a delta
-        _write_exceptions(obj, depth, out)
+        _write_blocks(_exception_blocks(obj, depth), depth, out)
         return
     if not isinstance(obj, (dict, list, tuple)) or not obj:
         out.append(_encoder(0).encode(obj))

@@ -7,6 +7,8 @@ says ``compare=(...)``), and never equals an instance of another class.  It
 prints as ``Name(field=value, ...)``.  The base builds one
 ``operator.attrgetter`` per class and generates no code, so defining a class
 costs microseconds and importing the package pulls in no ``dataclasses``.
+The ``View`` mixin makes a value that stands for a lazily built table
+compare and hash as that table instead.
 """
 
 from operator import attrgetter
@@ -50,3 +52,22 @@ class Value:
     def __reduce__(self):
         # copy and pickle rebuild through __init__, as assignment is refused
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class View:
+    """A mixin, before ``Value`` in the bases, for a value that stands for a
+    table it builds only when iterated: it equals, and hashes as, the tuple
+    of the records that iterating builds, and equals a view of its own class
+    and fields without building any."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if type(other) is type(self) and self._key(other) == self._key(self):
+            return True  # the same packing: no record built
+        if not isinstance(other, (tuple, type(self))):
+            return NotImplemented
+        return len(self) == len(other) and tuple(self) == tuple(other)
+
+    def __hash__(self):
+        return hash(tuple(self))

@@ -816,6 +816,32 @@ def test_sub_and_quotient_match_the_dense_reference(spec, basis):
             assert_stores(quot, ref_quotient_representation(dense(m), bases)[0])
 
 
+def test_bases_not_closed_under_the_arrows_are_refused(spec, basis):
+    """Random per-vertex bases, mostly not closed under the arrows: the
+    subrepresentation raises ConsistencyError exactly when the per-vector
+    reference does, and stores what the reference builds otherwise."""
+    rng = random.Random(69)
+    outcomes = []
+    for m in storage_fixtures(spec, basis):
+        for _ in range(4):
+            bases = [
+                linalg.column_space_basis(
+                    [[Fraction(rng.randint(-1, 1)) for _ in range(d)] for _ in range(rng.randint(0, d))], d
+                )
+                for d in m.dims
+            ]
+            try:
+                want = ref_sub_representation(dense(m), bases)
+            except ConsistencyError:
+                outcomes.append(False)
+                with pytest.raises(ConsistencyError, match="not closed under the arrows"):
+                    reps.sub_representation(m, bases)
+            else:
+                outcomes.append(True)
+                assert_stores(reps.sub_representation(m, bases), want)
+    assert outcomes.count(False) >= 20 and outcomes.count(True) >= 5
+
+
 def test_reducers_match_the_dense_reference(spec, basis):
     rng = random.Random(68)
     for m in storage_fixtures(spec, basis):
@@ -882,6 +908,14 @@ def test_submodule_of_the_zero_module_of_dimension_2000_ends_within_2_s(spec):
     assert quot.dims == (2000, 2000, 1999, 2000, 2000, 2000)
     assert all(not any(c) for c in quot.columns.values())
     assert reducers[2](unit(2000, 1)) == list(unit(1999, 0))
+
+
+def test_ext_of_a_module_with_no_arrows_and_dims_100_ends_within_2_s(spec, basis):
+    # the kernel of the cover has dims (400, 400, 400, 100, 100, 0), and
+    # sub_representation eliminates each target basis once per arrow (one
+    # solve per basis vector takes about 2.5 s)
+    m = make_representation(spec, (100,) * 6, {})
+    assert within_2_s(reps.ext_dim, basis, m, m) == 60000
 
 
 def test_make_representation_matches_the_dense_reference(spec):

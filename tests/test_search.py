@@ -724,7 +724,7 @@ def test_gap_vector_and_tube_parameters_build_no_witness_row(
         raise AssertionError("a witness row was built")
 
     monkeypatch.setattr(BudgetScan, "__iter__", no_rows)
-    monkeypatch.setattr(serialize, "_write_rows", no_rows)
+    monkeypatch.setattr(serialize, "_scan_blocks", no_rows)
     cert = gap_vector(lattice, SQRT2, Fraction(1, 10), 500)
     tp = tube_parameters(lattice, exceptional_set, SQRT2, Fraction(1, 10), 10)
     assert isinstance(cert.witnesses, BudgetScan) and isinstance(tp.certificate.witnesses, BudgetScan)
@@ -1521,7 +1521,7 @@ def test_hostile_headers_are_checked_within_a_second(name, monkeypatch):
             raise AssertionError("a row of the claimed scan was built")
 
         monkeypatch.setattr(BudgetScan, "__iter__", no_rows)
-        monkeypatch.setattr(serialize, "_write_rows", no_rows)
+        monkeypatch.setattr(serialize, "_scan_blocks", no_rows)
     value = _within_a_second(lambda: certificate_from_canonical_text(text))
     assert (value is not None) == scan
     assert not scan or type(value.witnesses) is BudgetScan

@@ -298,10 +298,13 @@ def exception_views(draw):
 
 # more rows than one block holds, the last block a short one
 LONG_VIEW = ExceptionRows(((), (0, 1)), tuple((a, a % 3, a % 2, 3 * a + 1, 1 + a % 6) for a in range(9000)))
+# exactly one full block of the writer (4096 rows), and no row after it
+FULL_BLOCK_VIEW = ExceptionRows(LONG_VIEW.ys, LONG_VIEW.rows[:4096])
 
 
 @given(view=exception_views(), depth=st.integers(0, 3), sibling=scalars, in_list=st.booleans())
 @example(view=LONG_VIEW, depth=1, sibling=0, in_list=False)
+@example(view=FULL_BLOCK_VIEW, depth=2, sibling=0, in_list=True)
 @example(view=ExceptionRows(((0, 1),), ()), depth=1, sibling=0, in_list=False)
 @settings(max_examples=300, deadline=None)
 def test_exception_views_match_json_dumps_of_their_list_form(view, depth, sibling, in_list):

@@ -292,6 +292,22 @@ def test_delta_result_equals_across_a_view_and_a_tuple(lattice, exceptional_set)
     assert twin == result == wire and hash(twin) == hash(wire)
 
 
+def test_views_of_two_kinds_never_compare_equal():
+    """Both packed tables take equality and hash from the ``View`` mixin
+    alone: each view is its tuple of records, and an empty budget scan is
+    not an empty exceptions view."""
+    for cls in (BudgetScan, ExceptionRows):
+        assert cls.__mro__[1:3] == (value.View, value.Value)
+        assert "__eq__" not in vars(cls) and "__hash__" not in vars(cls)
+    scan, rows = BudgetScan(3, 5, 0), ExceptionRows((), ())
+    assert len(scan) == len(rows) == 0 and scan == () == rows
+    assert scan != rows and rows != scan and not scan == rows
+    for view in (scan, rows, BudgetScan(3, 5, 11), ExceptionRows(((0, 1),), ((1, 2, 0, 3, 4),))):
+        records = tuple(view)
+        assert view == records and records == view and hash(view) == hash(records)
+    assert BudgetScan(3, 5, 11) != ExceptionRows(((0, 1),), ((1, 2, 0, 3, 4),))
+
+
 def test_fields_are_bound_by_position_and_by_name():
     assert ExceptionRecord(1, 2, perturbed=Fraction(3, 2), y=(0, 1)) == RECORD
     assert Slope(denominator=2, numerator=1) == Slope(1, 2)
