@@ -136,7 +136,7 @@ def radical_basis(euler: EulerData) -> RadicalBasis:
         [Fraction(euler.euler[i][j] + euler.euler[j][i]) for j in range(n)]
         for i in range(n)
     ]
-    kernel = linalg.nullspace(sym, n)
+    kernel = [[vec.get(j, linalg.ZERO) for j in range(n)] for vec in linalg.nullspace(sym, n)]
     if len(kernel) != 2:
         raise UnsupportedFormError(
             f"radical has rank {len(kernel)}, expected 2"

@@ -7,8 +7,9 @@ also take rows that are ``{column: value}`` maps, the sparse form in which
 the module layer builds its systems, alone or mixed with dense rows; a
 column missing from a map holds zero.
 Either row form reaches the elimination through one adaptor, ``_map_rows``.
-No function mutates its arguments, and every matrix or vector returned is a
-fresh list, so callers pass stored tuple matrices as they are and never copy
+``nullspace`` and ``column_space_basis`` return maps of nonzero entries, all
+else dense lists.  No function mutates its arguments, and all it returns is
+fresh, so callers pass stored tuple matrices as they are and never copy
 on the way in or out.  A matrix with zero rows, or of map rows, carries no
 column information, so every function that must cope with such input takes
 the column count explicitly.
@@ -18,11 +19,11 @@ map rows of an explicit width: a row is stored as its nonzero integer
 numerators by column over one common denominator, an index from each column
 to the rows holding it finds the pivot candidates, and a pivot step touches
 only the rows that hold the pivot column, so a system costs its nonzeros
-rather than its size.  ``nullspace`` and ``solve`` read its pivot rows as
-maps, ``rank`` only counts the pivots of its elimination (skipping the
+rather than its size.  ``nullspace``, ``solve`` and ``column_space_basis``
+read its pivot rows as maps, ``rank`` only counts its pivots (skipping the
 conversion of the reduced rows to ``Fraction``s), and ``rref`` is its dense
-front end, which writes the reduced rows back out densely; nothing in the
-package calls it, and it stays for the benchmark's ``linalg.rref_ms`` probe.
+front end, whose ``_dense`` nothing else calls; nothing in the package
+calls ``rref``, and it stays for the benchmark's ``linalg.rref_ms`` probe.
 A reduced row echelon form is unique for its row space and column order, so
 the reduced rows, the pivot list and every basis derived from them
 (``nullspace``, ``column_space_basis``, ``solve``) depend on
@@ -188,13 +189,12 @@ def rank(a, cols: int | None = None) -> int:
     return len(_eliminate(_map_rows(a), cols)[3])
 
 
-def nullspace(a, cols: int) -> list[Vec]:
-    """Basis of the right kernel, one vector per free column, deterministic."""
+def nullspace(a, cols: int) -> list[dict]:
+    """Basis of the right kernel, deterministic: per free column f, the map
+    ``{f: 1}`` with -x at each pivot whose reduced row holds x at f."""
     reduced, pivots = _pivot_rows(a, cols)
     pivot_set = set(pivots)
-    free = {f: [ZERO] * cols for f in range(cols) if f not in pivot_set}
-    for f, v in free.items():
-        v[f] = ONE
+    free = {f: {f: ONE} for f in range(cols) if f not in pivot_set}
     for row, p in zip(reduced, pivots):
         for j, x in row.items():
             v = free.get(j)
@@ -215,12 +215,11 @@ def solve(a, b: Vec, cols: int) -> Vec | None:
     return x
 
 
-def column_space_basis(vectors, dim: int) -> list[Vec]:
+def column_space_basis(vectors, dim: int) -> list[dict]:
     """Deterministic basis of span(vectors), for dense vectors of length
     ``dim`` or ``{coordinate: value}`` maps: the pivot rows of their reduced
-    form, which span the same space, written out densely."""
-    reduced, _ = _pivot_rows(vectors, dim)
-    return [_dense(row, dim) for row in reduced]
+    form, which span the same space, as maps."""
+    return _pivot_rows(vectors, dim)[0]
 
 
 def in_span(vectors: list[Vec], v: Vec, dim: int) -> bool:

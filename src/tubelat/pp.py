@@ -130,7 +130,7 @@ def _check_compatible(phi: PpFormula, m: Representation) -> None:
 
 
 def solution_space(phi: PpFormula, m: Representation) -> list[list[Fraction]]:
-    """Echelonized basis of phi(M) inside the free coordinate block."""
+    """Echelonized basis of phi(M) inside the free coordinate block, dense."""
     _check_compatible(phi, m)
     col_dims = [m.dims[t] for t in phi.col_types]
     col_offsets = []
@@ -149,8 +149,9 @@ def solution_space(phi: PpFormula, m: Representation) -> list[list[Fraction]]:
         rows.extend(block_rows)
     kernel = linalg.nullspace(rows, total)
     free_dim = free_ambient_dim(phi, m)
-    projected = [vec[:free_dim] for vec in kernel]
-    return linalg.column_space_basis(projected, free_dim)
+    projected = [{j: x for j, x in vec.items() if j < free_dim} for vec in kernel]
+    basis = linalg.column_space_basis(projected, free_dim)
+    return [[row.get(j, ZERO) for j in range(free_dim)] for row in basis]
 
 
 def solution_dim(phi: PpFormula, m: Representation) -> int:

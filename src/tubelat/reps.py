@@ -147,9 +147,15 @@ def zero_rep(spec: AlgebraSpec) -> Representation:
     return Representation(spec, (0,) * spec.vertex_count, {a.label: () for a in spec.arrows})
 
 
+def _vertex(v, count: int) -> int:
+    """A vertex read as a JSON integer below ``count``, the vertex count."""
+    if not 0 <= (v := parse_int(v)) < count:
+        raise SpecFormatError(f"vertex {v} out of range")
+    return v
+
+
 def simple(spec: AlgebraSpec, i: int) -> Representation:
-    if not 0 <= i < spec.vertex_count:
-        raise SpecFormatError(f"vertex {i} out of range")
+    i = _vertex(i, spec.vertex_count)
     dims = tuple(1 if v == i else 0 for v in range(spec.vertex_count))
     return Representation(spec, dims, {a.label: ((),) * dims[a.src] for a in spec.arrows})
 
@@ -157,8 +163,7 @@ def simple(spec: AlgebraSpec, i: int) -> Representation:
 def projective(basis: PathBasis, i: int) -> Representation:
     """P_i on the normal-form path basis, arrows acting by composition."""
     spec = basis.spec
-    if not 0 <= i < spec.vertex_count:
-        raise SpecFormatError(f"vertex {i} out of range")
+    i = _vertex(i, spec.vertex_count)
     dims = tuple(len(basis.paths_between(i, v)) for v in range(spec.vertex_count))
     columns = {}
     for arrow in spec.arrows:
@@ -249,28 +254,24 @@ def hom_dim(m: Representation, n: Representation) -> int:
 
 
 def _vector_to_morphism(vec, offsets, m: Representation, n: Representation) -> Morphism:
-    blocks = []
-    for v in range(m.spec.vertex_count):
-        block = []
-        for i in range(n.dims[v]):
-            base = offsets[v] + i * m.dims[v]
-            block.append(tuple(vec[base : base + m.dims[v]]))
-        blocks.append(tuple(block))
-    return tuple(blocks)
+    return tuple(
+        tuple(tuple(vec[o + i * d : o + i * d + d]) for i in range(n.dims[v]))
+        for v, (o, d) in enumerate(zip(offsets, m.dims))
+    )
 
 
 def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
     rows, offsets, total = _intertwiner_rows(m, n)
     return [
-        _vector_to_morphism(vec, offsets, m, n)
+        _vector_to_morphism([vec.get(k, ZERO) for k in range(total)], offsets, m, n)
         for vec in linalg.nullspace(rows, total)
     ]
 
 
 def apply_morphism(f: Morphism, elem: Element) -> Element:
     v, coords = elem
-    block = f[v]
-    return (v, tuple(linalg.mat_vec(block, coords)))
+    v = _vertex(v, len(f))
+    return (v, tuple(linalg.mat_vec(f[v], coords)))
 
 
 def compose_morphisms(f: Morphism, g: Morphism, source_dims) -> Morphism:
@@ -303,15 +304,15 @@ def morphism_taking(
     rows, offsets, total = _intertwiner_rows(m, n)
     rhs = [ZERO] * len(rows)
     for (v, src), (w, tgt) in pairs:
-        if v != w:
+        if (v := _vertex(v, m.spec.vertex_count)) != _vertex(w, m.spec.vertex_count):
             raise TypeMismatchError("point images must live at the same vertex")
         if len(src) != m.dims[v] or len(tgt) != n.dims[v]:
             raise TypeMismatchError("point coordinates have the wrong length")
-        src_entries = [(j, x) for j, x in enumerate(src) if x]
+        src_entries = [(j, x) for j, c in enumerate(src) if (x := parse_frac(c))]
         for i in range(n.dims[v]):
             base = offsets[v] + i * m.dims[v]
             rows.append({base + j: x for j, x in src_entries})
-            rhs.append(tgt[i])
+            rhs.append(parse_frac(tgt[i]))
     sol = linalg.solve(rows, rhs, total)
     if sol is None:
         return None
@@ -322,16 +323,18 @@ def morphism_taking(
 # Submodules, quotients, covers and Ext
 # ---------------------------------------------------------------------------
 
-Bases = list[list[list[Fraction]]]  # per vertex, a list of coordinate vectors
+Bases = list[list[SparseVec]]  # per vertex, basis vectors as maps of ambient coordinates
 
 
 def submodule_closure(rep: Representation, gens: list[Element]) -> Bases:
-    """Per-vertex reduced bases of the submodule generated by the elements."""
+    """Per-vertex reduced bases of the submodule generated by the elements,
+    each element read once into a map: a vertex in range, rational coordinates."""
     spans: Bases = [[] for _ in range(rep.spec.vertex_count)]
     for v, coords in gens:
+        v = _vertex(v, rep.spec.vertex_count)
         if len(coords) != rep.dims[v]:
             raise TypeMismatchError("generator has wrong length")
-        spans[v].append([parse_frac(c) for c in coords])
+        spans[v].append({j: x for j, c in enumerate(coords) if (x := parse_frac(c))})
     for v in range(rep.spec.vertex_count):
         spans[v] = linalg.column_space_basis(spans[v], rep.dims[v])
     changed = True
@@ -341,7 +344,7 @@ def submodule_closure(rep: Representation, gens: list[Element]) -> Bases:
             u, v = arrow.src, arrow.tgt
             if not spans[u]:
                 continue
-            pushed = [push(rep, (arrow.label,), dict(_column(vec))) for vec in spans[u]]
+            pushed = [push(rep, (arrow.label,), vec) for vec in spans[u]]
             merged = linalg.column_space_basis(spans[v] + pushed, rep.dims[v])
             if len(merged) != len(spans[v]):
                 spans[v] = merged
@@ -350,19 +353,20 @@ def submodule_closure(rep: Representation, gens: list[Element]) -> Bases:
 
 
 def sub_representation(rep: Representation, bases: Bases) -> Representation:
-    """The subrepresentation spanned by arrow-closed per-vertex bases (each
-    basis vector in ambient coordinates)."""
-    dims = tuple(len(b) for b in bases)
+    """The subrepresentation spanned by arrow-closed per-vertex ``Bases``,
+    each basis vector a map or a dense vector in ambient coordinates."""
+    bases = list(map(linalg._map_rows, bases))
+    dims = tuple(map(len, bases))
     columns = {}
     for arrow in rep.spec.arrows:
         u, v, d = arrow.src, arrow.tgt, dims[arrow.tgt]
         # one elimination of the map rows of the matrix whose columns are the
         # target basis, with each pushed image carried along as column d + j:
         # its coefficients are the carried entries of the pivot rows
-        rows = [{k: vec[i] for k, vec in enumerate(bases[v]) if vec[i]} for i in range(rep.dims[v])]
-        for j, vec in enumerate(bases[u]):
-            for i, x in push(rep, (arrow.label,), dict(_column(vec))).items():
-                rows[i][d + j] = x
+        rows: list[SparseVec] = [{} for _ in range(rep.dims[v])]
+        for c, vec in enumerate(bases[v] + [push(rep, (arrow.label,), w) for w in bases[u]]):
+            for i, x in vec.items():
+                rows[i][c] = x
         reduced, pivots = linalg.rref_maps(rows, d + len(bases[u]), d)
         if any(reduced[len(pivots) :]):  # a carried entry with no pivot
             raise ConsistencyError("bases are not closed under the arrows")
@@ -375,11 +379,11 @@ def sub_representation(rep: Representation, bases: Bases) -> Representation:
     return Representation(rep.spec, dims, columns)
 
 
-def _projection(basis_vectors: list[list[Fraction]], dim: int):
+def _projection(basis_vectors: list[SparseVec], dim: int):
     """Return (free_positions, project): the positions that lead no reduced
     row of the basis, and the map from a ``Column`` to its quotient
     ``Column`` over the standard complement."""
-    reduced, pivots = linalg.rref_maps([dict(_column(vec)) for vec in basis_vectors], dim)
+    reduced, pivots = linalg.rref_maps(basis_vectors, dim)
     rows = dict(zip(pivots, reduced))
     free = [j for j in range(dim) if j not in rows]
     index = {j: k for k, j in enumerate(free)}
@@ -409,9 +413,9 @@ def _on_dense(free: list[int], project):
 def quotient_representation(
     rep: Representation, bases: Bases
 ) -> tuple[Representation, list]:
-    """The quotient by an arrow-closed subspace family, plus the per-vertex
-    projection functions (ambient coordinates -> quotient coordinates)."""
-    frees, projects = zip(*map(_projection, bases, rep.dims))
+    """The quotient by arrow-closed ``Bases``, of maps or dense vectors, plus
+    the per-vertex projections (dense ambient -> dense quotient coordinates)."""
+    frees, projects = zip(*map(_projection, map(linalg._map_rows, bases), rep.dims))
     columns = {
         a.label: tuple(projects[a.tgt](rep.columns[a.label][j]) for j in frees[a.src])
         for a in rep.spec.arrows
@@ -453,10 +457,10 @@ class Presentation(Value):
 def projective_cover_presentation(basis: PathBasis, rep: Representation) -> Presentation:
     spec = rep.spec
     # one generator per top basis vector: the positions that lead no reduced
-    # row of the radical
+    # row of the radical, a row's lead being its least key
     generators = []
     for v, rows in enumerate(radical_bases(rep)):
-        leads = {next(j for j, x in enumerate(row) if x) for row in rows}
+        leads = set(map(min, rows))
         generators += [(v, fpos) for fpos in range(rep.dims[v]) if fpos not in leads]
     projectives = {v: projective(basis, v) for v, _ in generators}
     p0 = direct_sum(zero_rep(spec), *(projectives[v] for v, _ in generators))

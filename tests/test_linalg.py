@@ -77,6 +77,28 @@ def is_fresh_list(out, *inputs):
     return all(id(row) not in seen for row in out)
 
 
+def dense(maps, width):
+    """``{column: value}`` rows written out densely."""
+    out = []
+    for row in maps:
+        vec = [ZERO] * width
+        for j, x in row.items():
+            vec[j] = x
+        out.append(vec)
+    return out
+
+
+def map_vectors(out, width, *inputs):
+    """Vectors returned as maps: a list of dicts of nonzero values inside the
+    width, none of them a row of the inputs, written out densely for the
+    dense references."""
+    assert type(out) is list and all(type(v) is dict and all(v.values()) for v in out)
+    assert all(0 <= j < width for v in out for j in v)
+    seen = {id(row) for mat in inputs for row in mat}
+    assert all(id(v) not in seen for v in out)
+    return dense(out, width)
+
+
 # Subspace helpers used by the tests, built on linalg; nothing in ``src/``
 # calls them, so they live here.
 def subspace_sum(u, v, dim: int) -> list:
@@ -92,7 +114,7 @@ def subspace_intersection(u, v, dim: int) -> list:
     for coord in range(dim):
         system.append([w[coord] for w in u] + [-w[coord] for w in v])
     vectors = [
-        [sum((cj * w[k] for cj, w in zip(c, u) if cj), ZERO) for k in range(dim)]
+        [sum((cj * u[j][k] for j, cj in c.items() if j < len(u)), ZERO) for k in range(dim)]
         for c in linalg.nullspace(system, cols)
     ]
     return linalg.column_space_basis(vectors, dim)
@@ -121,11 +143,11 @@ def test_list_and_tuple_inputs_agree_and_stay_unchanged(am, bm):
     assert is_fresh_list(reduced, a)
     both_forms(linalg.rank, a, extra=(cols,))
     kernel = both_forms(linalg.nullspace, a, extra=(cols,))
-    assert is_fresh_list(kernel, a)
+    map_vectors(kernel, cols)
     t = both_forms(linalg.transpose, a, extra=(cols,))
     assert is_fresh_list(t, a)
     basis = both_forms(linalg.column_space_basis, a, extra=(cols,))
-    assert is_fresh_list(basis, a)
+    map_vectors(basis, cols)
     if a:
         both_forms(linalg.solve, a, extra=([row[0] for row in a], cols))
         both_forms(linalg.in_span, a, extra=(a[0], cols))
@@ -170,7 +192,7 @@ def test_nullspace_is_annihilated_with_cols_minus_rank_vectors(am):
     a, cols = am
     kernel = linalg.nullspace(a, cols)
     assert len(kernel) == cols - linalg.rank(a, cols)
-    for v in kernel:
+    for v in map_vectors(kernel, cols):
         assert all(x == 0 for x in linalg.mat_vec(a, v))
     assert linalg.rank(kernel, cols) == len(kernel)
 
@@ -250,12 +272,14 @@ def test_rref_matches_the_dense_reference(am, data):
 def test_rref_of_no_rows_keeps_explicit_cols():
     for cols in (0, 1, 5):
         assert linalg.rref([], cols) == dense_rref([], cols) == ([], [])
-        assert linalg.nullspace([], cols) == [[Fraction(i == j) for j in range(cols)] for i in range(cols)]
+        kernel = linalg.nullspace([], cols)
+        assert map_vectors(kernel, cols) == [[Fraction(i == j) for j in range(cols)] for i in range(cols)]
     assert linalg.rref([[], []]) == dense_rref([[], []]) == ([[], []], [])
 
 
 def dense_derived(a, rhs, cols):
-    """rank, nullspace and one solution of ``a x = rhs``, read off ``dense_rref``."""
+    """rank, nullspace, column space basis and one solution of ``a x = rhs``,
+    read off ``dense_rref``."""
     reduced, pivots = dense_rref(a, cols)
     kernel = []
     for f in (c for c in range(cols) if c not in pivots):
@@ -265,12 +289,13 @@ def dense_derived(a, rhs, cols):
             v[p] = -row[f]
         kernel.append(v)
     aug, aug_pivots = dense_rref([[*row, b] for row, b in zip(a, rhs)], cols + 1)
+    basis = reduced[: len(pivots)]
     if cols in aug_pivots:
-        return len(pivots), kernel, None
+        return len(pivots), kernel, basis, None
     x = [ZERO] * cols
     for row, p in zip(aug, aug_pivots):
         x[p] = row[cols]
-    return len(pivots), kernel, x
+    return len(pivots), kernel, basis, x
 
 
 @settings(max_examples=300, deadline=None)
@@ -278,22 +303,16 @@ def dense_derived(a, rhs, cols):
 def test_derived_functions_match_the_reference(am, data):
     a, cols = am
     rhs = data.draw(st.lists(NONZERO | st.just(ZERO), min_size=len(a), max_size=len(a)))
-    got = (linalg.rank(a, cols), linalg.nullspace(a, cols), linalg.solve(a, rhs, cols))
+    got = (
+        linalg.rank(a, cols),
+        map_vectors(linalg.nullspace(a, cols), cols),
+        map_vectors(linalg.column_space_basis(a, cols), cols),
+        linalg.solve(a, rhs, cols),
+    )
     assert got == dense_derived(a, rhs, cols)
 
 
 # The map-row entry: ``rref_maps`` against the same dense reference.
-
-
-def dense(maps, width):
-    out = []
-    for row in maps:
-        vec = [ZERO] * width
-        for j, x in row.items():
-            vec[j] = x
-        out.append(vec)
-    return out
-
 
 @st.composite
 def map_matrices(draw):
@@ -339,5 +358,10 @@ def test_rref_maps_of_empty_maps():
 def test_derived_functions_on_map_rows_match_the_reference(amw, data):
     a, rows, cols = amw
     rhs = data.draw(st.lists(NONZERO | st.just(ZERO), min_size=len(a), max_size=len(a)))
-    got = (linalg.rank(rows, cols), linalg.nullspace(rows, cols), linalg.solve(rows, rhs, cols))
+    got = (
+        linalg.rank(rows, cols),
+        map_vectors(linalg.nullspace(rows, cols), cols, rows),
+        map_vectors(linalg.column_space_basis(rows, cols), cols, rows),
+        linalg.solve(rows, rhs, cols),
+    )
     assert got == dense_derived(a, rhs, cols)

@@ -25,7 +25,7 @@ from tubelat.pp import (
 )
 
 from test_reps import module_fixtures, path_matrix, same_module
-from test_linalg import same_subspace, subspace_intersection, subspace_sum
+from test_linalg import dense, same_subspace, subspace_intersection, subspace_sum
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -329,8 +329,9 @@ def test_formula_json_rejects_negative_indices(spec, row, col):
         formula_from_json(spec, {"free": 1, "types": [1], "entries": [entry]})
 
 
-# The dense ``solution_space`` that the map rows replaced, kept verbatim as the
-# reference (with the dense ``path_matrix`` kept in test_reps).
+# The dense ``solution_space`` that the map rows replaced, kept as the
+# reference (with the dense ``path_matrix`` kept in test_reps); it writes the
+# kernel and the basis, which linalg returns as maps, out densely.
 def dense_solution_space(phi, m):
     """Echelonized basis of phi(M) inside the free coordinate block."""
     pp._check_compatible(phi, m)
@@ -357,10 +358,10 @@ def dense_solution_space(phi, m):
                         if pm[i][j]:
                             block_rows[i][off + j] += coeff * pm[i][j]
         rows.extend(block_rows)
-    kernel = linalg.nullspace(rows, total)
+    kernel = dense(linalg.nullspace(rows, total), total)
     free_dim = pp.free_ambient_dim(phi, m)
     projected = [vec[:free_dim] for vec in kernel]
-    return linalg.column_space_basis(projected, free_dim)
+    return dense(linalg.column_space_basis(projected, free_dim), free_dim)
 
 
 def test_solution_spaces_match_the_dense_reference(spec, basis):

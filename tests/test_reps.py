@@ -40,7 +40,7 @@ from tubelat.reps import (
 )
 
 from conftest import unit
-from test_linalg import dense_rref
+from test_linalg import dense as dense_rows, dense_rref
 
 ZERO_2000 = Path(__file__).resolve().parent / "golden" / "inputs" / "zero-2000.json"
 
@@ -277,7 +277,7 @@ def dense_hom_basis(m, n):
     rows, offsets, total = dense_intertwiner_rows(m, n)
     return [
         reps._vector_to_morphism(vec, offsets, m, n)
-        for vec in linalg.nullspace(rows, total)
+        for vec in dense_rows(linalg.nullspace(rows, total), total)
     ]
 
 
@@ -303,7 +303,7 @@ def dense_morphism_taking(m, n, pairs):
 
 def dense_projective_cover_presentation(basis, rep):
     spec = rep.spec
-    rad = reps.radical_bases(rep)
+    rad = dense_radical_bases(rep)
     # one generator per top basis vector: the unit vector at (v, fpos)
     generators = [
         (v, fpos)
@@ -325,7 +325,7 @@ def dense_projective_cover_presentation(basis, rep):
                 cols_per_vertex[u].append([row[fpos] for row in path_matrix(rep, path, v)])
     kernel_bases = []
     for u, cols in enumerate(cols_per_vertex):
-        kernel_basis = linalg.nullspace(linalg.transpose(cols, rep.dims[u]), len(cols))
+        kernel_basis = dense_rows(linalg.nullspace(linalg.transpose(cols, rep.dims[u]), len(cols)), len(cols))
         if len(cols) - len(kernel_basis) != rep.dims[u]:
             raise ConsistencyError("projective cover fails to be surjective")
         kernel_bases.append(kernel_basis)
@@ -377,7 +377,7 @@ def test_radical_bases_match_the_dense_reference(spec, basis):
         simple(spec, 2),
     ] + [projective(basis, i) for i in range(6)]
     for m in modules:
-        assert reps.radical_bases(m) == dense_radical_bases(m)
+        assert list(map(dense_rows, reps.radical_bases(m), m.dims)) == dense_radical_bases(m)
 
 
 def within_2_s(fn, *args):
@@ -585,6 +585,47 @@ def test_spec_mismatch_rejected(spec, basis):
     other = build_c4(3)
     with pytest.raises(TypeMismatchError):
         hom_dim(simple(spec, 0), simple(other, 0))
+
+
+# An element's vertex is read as a JSON integer in range at every entry point
+# of the module layer, and morphism_taking reads its coordinates as rationals.
+
+
+def test_an_element_at_vertex_minus_1_is_refused(basis):
+    # never read as the last vertex, whose quotient by this generator is 0
+    with pytest.raises(SpecFormatError, match="vertex -1 out of range"):
+        reps.quotient_by_elements(projective(basis, 5), [(-1, (Fraction(1),))])
+
+
+def test_an_element_past_the_last_vertex_is_refused(basis):
+    with pytest.raises(SpecFormatError, match="vertex 6 out of range"):
+        reps.quotient_by_elements(projective(basis, 5), [(6, (Fraction(1),))])
+
+
+def test_a_vertex_is_an_integer_not_a_bool(spec, basis):
+    with pytest.raises(SpecFormatError, match="not an integer: True"):
+        simple(spec, True)
+    with pytest.raises(SpecFormatError, match="not an integer: True"):
+        reps.submodule_closure(projective(basis, 5), [(True, (Fraction(1),))])
+
+
+def test_apply_morphism_refuses_a_vertex_out_of_range(basis):
+    p = projective(basis, 5)
+    (identity,) = hom_basis(p, p)
+    assert apply_morphism(identity, (5, (Fraction(2),))) == (5, (Fraction(2),))
+    with pytest.raises(SpecFormatError, match="vertex -1 out of range"):
+        apply_morphism(identity, (-1, (Fraction(2),)))
+
+
+def test_morphism_taking_reads_its_coordinates_as_rationals(basis):
+    p = projective(basis, 5)
+    want = morphism_taking(p, p, [((5, (Fraction(1),)), (5, (Fraction(1),)))])
+    assert want is not None
+    assert morphism_taking(p, p, [((5, ("1",)), (5, (1,)))]) == want
+    with pytest.raises(SpecFormatError, match="not a rational: 0.5"):
+        morphism_taking(p, p, [((5, (0.5,)), (5, (Fraction(1),)))])
+    with pytest.raises(SpecFormatError, match="not a rational: 0.5"):
+        morphism_taking(p, p, [((5, (Fraction(1),)), (5, (0.5,)))])
 
 
 def test_rep_json_round_trip(spec, basis):
@@ -811,9 +852,26 @@ def test_sub_and_quotient_match_the_dense_reference(spec, basis):
         gens = [(v, tuple(Fraction(rng.randint(-1, 1)) for _ in range(m.dims[v]))) for v in vertices[:2]]
         for some in ([], gens[:1], gens):
             bases = reps.submodule_closure(m, some)
-            assert_stores(reps.sub_representation(m, bases), ref_sub_representation(dense(m), bases))
+            dense_bases = list(map(dense_rows, bases, m.dims))
+            assert_stores(reps.sub_representation(m, bases), ref_sub_representation(dense(m), dense_bases))
             quot, _ = reps.quotient_representation(m, bases)
-            assert_stores(quot, ref_quotient_representation(dense(m), bases)[0])
+            assert_stores(quot, ref_quotient_representation(dense(m), dense_bases)[0])
+
+
+def test_sub_and_quotient_take_bases_as_maps_or_dense_vectors(spec, basis):
+    rng = random.Random(70)
+    for m in storage_fixtures(spec, basis):
+        vertices = [v for v in range(6) if m.dims[v]]
+        gens = [(v, tuple(Fraction(rng.randint(-1, 1)) for _ in range(m.dims[v]))) for v in vertices[:2]]
+        bases = reps.submodule_closure(m, gens)
+        dense_bases = list(map(dense_rows, bases, m.dims))
+        assert same_module(reps.sub_representation(m, bases), reps.sub_representation(m, dense_bases))
+        quot, reducers = reps.quotient_representation(m, bases)
+        dense_quot, dense_reducers = reps.quotient_representation(m, dense_bases)
+        assert same_module(quot, dense_quot)
+        for v, d in enumerate(m.dims):
+            for i in range(d):
+                assert reducers[v](unit(d, i)) == dense_reducers[v](unit(d, i))
 
 
 def test_bases_not_closed_under_the_arrows_are_refused(spec, basis):
@@ -831,7 +889,7 @@ def test_bases_not_closed_under_the_arrows_are_refused(spec, basis):
                 for d in m.dims
             ]
             try:
-                want = ref_sub_representation(dense(m), bases)
+                want = ref_sub_representation(dense(m), list(map(dense_rows, bases, m.dims)))
             except ConsistencyError:
                 outcomes.append(False)
                 with pytest.raises(ConsistencyError, match="not closed under the arrows"):
@@ -850,9 +908,10 @@ def test_reducers_match_the_dense_reference(spec, basis):
         bases = reps.submodule_closure(m, gens)
         quot, reducers = reps.quotient_representation(m, bases)
         for v, reduce in enumerate(reducers):
-            ref_free, ref_reduce = ref_reducer(bases[v], m.dims[v])
+            basis = dense_rows(bases[v], m.dims[v])
+            ref_free, ref_reduce = ref_reducer(basis, m.dims[v])
             assert quot.dims[v] == len(ref_free)
-            vecs = [unit(m.dims[v], i) for i in range(m.dims[v])] + bases[v]
+            vecs = [unit(m.dims[v], i) for i in range(m.dims[v])] + basis
             vecs.append([Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m.dims[v])])
             for vec in vecs:
                 assert reduce(vec) == ref_reduce(vec)
@@ -893,6 +952,7 @@ def test_submodules_and_quotients_take_no_dense_path(spec, basis, monkeypatch):
     monkeypatch.setattr(reps, "matrix", dense_path_taken)
     monkeypatch.setattr(linalg, "mat_vec", dense_path_taken)
     monkeypatch.setattr(linalg, "rref", dense_path_taken)
+    monkeypatch.setattr(linalg, "_dense", dense_path_taken)
     assert results() == expected
 
 
@@ -901,7 +961,7 @@ def test_submodule_of_the_zero_module_of_dimension_2000_ends_within_2_s(spec):
     # is that line and the quotient drops one coordinate there
     zero = rep_from_json(spec, json.loads(ZERO_2000.read_text(encoding="utf-8")))
     bases = within_2_s(reps.submodule_closure, zero, [(2, unit(2000, 0))])
-    assert bases == [[], [], [list(unit(2000, 0))], [], [], []]
+    assert bases == [[], [], [{0: Fraction(1)}], [], [], []]
     sub = within_2_s(reps.sub_representation, zero, bases)
     assert sub.dims == (0, 0, 1, 0, 0, 0) and all(not any(c) for c in sub.columns.values())
     quot, reducers = within_2_s(reps.quotient_representation, zero, bases)
