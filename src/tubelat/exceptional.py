@@ -34,7 +34,7 @@ class ExceptionalSet(Value):
         return len(self.elements)
 
     def __contains__(self, x) -> bool:
-        return tuple(x) in set(self.elements)
+        return tuple(x) in self.elements
 
 
 def _sqrt_upper(q: Fraction) -> Fraction:

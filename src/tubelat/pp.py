@@ -18,6 +18,7 @@ morphism from the free realisation carries the marked element to n.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from . import linalg
 from .algebra import AlgebraSpec, Path, PathBasis
@@ -26,11 +27,11 @@ from .linalg import ONE, ZERO
 from .reps import (
     Element,
     Representation,
+    _coords,
     act,
     direct_sum,
     projective,
     quotient_by_elements,
-    sum_embed,
     zero_rep,
 )
 from .serialize import frac_to_str, label, parse_frac, parse_int, read
@@ -133,11 +134,7 @@ def solution_space(phi: PpFormula, m: Representation) -> list[list[Fraction]]:
     """Echelonized basis of phi(M) inside the free coordinate block, dense."""
     _check_compatible(phi, m)
     col_dims = [m.dims[t] for t in phi.col_types]
-    col_offsets = []
-    total = 0
-    for d in col_dims:
-        col_offsets.append(total)
-        total += d
+    *col_offsets, total = accumulate(col_dims, initial=0)
     rows: list[dict[int, Fraction]] = []
     for r, row_type in enumerate(phi.row_types):
         block_rows: list[dict[int, Fraction]] = [{} for _ in range(m.dims[row_type])]
@@ -159,10 +156,10 @@ def solution_dim(phi: PpFormula, m: Representation) -> int:
 
 
 def element_in_solution(phi: PpFormula, m: Representation, coords) -> bool:
-    """Membership of a free-block coordinate vector in phi(M)."""
+    """Membership in phi(M) of a free-block coordinate vector, read by ``_coords``."""
     basis = solution_space(phi, m)
     dim = free_ambient_dim(phi, m)
-    return linalg.in_span(basis, coords, dim)
+    return linalg.in_span(basis, _coords(coords, dim), dim)
 
 
 # ---------------------------------------------------------------------------
@@ -180,60 +177,40 @@ def _check_same_free(phi: PpFormula, psi: PpFormula) -> None:
         raise TypeMismatchError("formulas have different free variable signatures")
 
 
+def _placed(row, cols, width: int) -> tuple:
+    """The cells of ``row`` at columns ``cols`` of a row of ``width`` cells,
+    every other cell zero."""
+    out = [()] * width
+    for c, cell in zip(cols, row):
+        out[c] = cell
+    return tuple(out)
+
+
 def meet(phi: PpFormula, psi: PpFormula) -> PpFormula:
-    """phi and psi: stack both systems, sharing the free variables."""
+    """phi and psi: stack both systems, sharing the free variables; psi's
+    bound variables follow phi's."""
     _check_same_free(phi, psi)
-    f = phi.free_count
-    col_types = (
-        phi.col_types[:f] + phi.col_types[f:] + psi.col_types[f:]
-    )
-    zero_a = ((),) * phi.bound_count
-    zero_b = ((),) * psi.bound_count
-    entries = []
-    for row in phi.entries:
-        entries.append(row[:f] + row[f:] + zero_b)
-    for row in psi.entries:
-        entries.append(row[:f] + zero_a + row[f:])
-    return make_formula(
-        phi.spec, f, col_types, phi.row_types + psi.row_types, tuple(entries)
-    )
+    f, a = phi.free_count, len(phi.col_types)
+    width = a + psi.bound_count
+    entries = [_placed(row, range(a), width) for row in phi.entries]
+    entries += [_placed(row, [*range(f), *range(a, width)], width) for row in psi.entries]
+    col_types = phi.col_types + psi.col_types[f:]
+    return make_formula(phi.spec, f, col_types, phi.row_types + psi.row_types, entries)
 
 
 def plus(phi: PpFormula, psi: PpFormula) -> PpFormula:
-    """phi + psi: v = v' + v'' with v' constrained by phi and v'' by psi."""
+    """phi + psi: v = v' + v'' with v' constrained by phi and v'' by psi; the
+    columns are v, v', v'', then phi's and psi's bound variables."""
     _check_same_free(phi, psi)
-    f = phi.free_count
+    f, a = phi.free_count, phi.bound_count
     head = phi.col_types[:f]
-    col_types = head + head + head + phi.col_types[f:] + psi.col_types[f:]
-    n_cols = len(col_types)
-    entries = []
-    row_types = []
-    # v_i - v'_i - v''_i = 0
-    for i, t in enumerate(head):
-        row = [()] * n_cols
-        row[i] = ((ONE, ()),)
-        row[f + i] = ((-ONE, ()),)
-        row[2 * f + i] = ((-ONE, ()),)
-        entries.append(tuple(row))
-        row_types.append(t)
-    # phi acting on v', psi acting on v''
-    for r, row in enumerate(phi.entries):
-        new = [()] * n_cols
-        for c in range(f):
-            new[f + c] = row[c]
-        for c in range(phi.bound_count):
-            new[3 * f + c] = row[f + c]
-        entries.append(tuple(new))
-        row_types.append(phi.row_types[r])
-    for r, row in enumerate(psi.entries):
-        new = [()] * n_cols
-        for c in range(f):
-            new[2 * f + c] = row[c]
-        for c in range(psi.bound_count):
-            new[3 * f + phi.bound_count + c] = row[f + c]
-        entries.append(tuple(new))
-        row_types.append(psi.row_types[r])
-    return make_formula(phi.spec, f, col_types, tuple(row_types), tuple(entries))
+    width = 3 * f + a + psi.bound_count
+    sum_row = (((ONE, ()),), ((-ONE, ()),), ((-ONE, ()),))  # v_i - v'_i - v''_i = 0
+    entries = [_placed(sum_row, (i, f + i, 2 * f + i), width) for i in range(f)]
+    entries += [_placed(row, [*range(f, 2 * f), *range(3 * f, 3 * f + a)], width) for row in phi.entries]
+    entries += [_placed(row, [*range(2 * f, 3 * f), *range(3 * f + a, width)], width) for row in psi.entries]
+    col_types = head * 3 + phi.col_types[f:] + psi.col_types[f:]
+    return make_formula(phi.spec, f, col_types, head + phi.row_types + psi.row_types, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -307,28 +284,19 @@ def pushout_pointed(pma: PointedModule, pmb: PointedModule) -> PointedModule:
     _check_matching_points(pma, pmb)
     if len(pma.points) != 1:
         raise TypeMismatchError("pushout needs single-pointed modules")
-    a, b = pma.module, pmb.module
-    total = direct_sum(a, b)
-    ca_elem = sum_embed(a, b, pma.points[0], 0)
-    cb_elem = sum_embed(a, b, pmb.points[0], 1)
-    glue = (ca_elem[0], tuple(x - y for x, y in zip(ca_elem[1], cb_elem[1])))
-    module, reducers = quotient_by_elements(total, [glue])
-    t = ca_elem[0]
-    point = (t, tuple(reducers[t](ca_elem[1])))
+    # the sum lists pma's coordinates, then pmb's: the glue is (m, -m')
+    (t, ca), (_, cb) = pma.points[0], pmb.points[0]
+    glue = (t, tuple(ca) + tuple(-y for y in cb))
+    module, reducers = quotient_by_elements(direct_sum(pma.module, pmb.module), [glue])
+    point = (t, tuple(reducers[t](tuple(ca) + (ZERO,) * len(cb))))
     return PointedModule(module=module, points=(point,))
 
 
 def sum_pointed(pma: PointedModule, pmb: PointedModule) -> PointedModule:
     """(M + M', (m, m')): realises the sum of the realised formulas."""
     _check_matching_points(pma, pmb)
-    a, b = pma.module, pmb.module
-    total = direct_sum(a, b)
-    points = []
-    for pa, pb in zip(pma.points, pmb.points):
-        va, coords_a = sum_embed(a, b, pa, 0)
-        _, coords_b = sum_embed(a, b, pb, 1)
-        points.append((va, tuple(x + y for x, y in zip(coords_a, coords_b))))
-    return PointedModule(module=total, points=tuple(points))
+    points = tuple((v, tuple(ca) + tuple(cb)) for (v, ca), (_, cb) in zip(pma.points, pmb.points))
+    return PointedModule(module=direct_sum(pma.module, pmb.module), points=points)
 
 
 # ---------------------------------------------------------------------------

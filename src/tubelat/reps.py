@@ -4,19 +4,21 @@ A representation assigns a rational vector space to every vertex and a
 matrix to every arrow, stored once by columns: per source coordinate, its
 nonzero ``(row, value)`` pairs in ascending row order, so equal matrices
 have equal columns.  ``make_representation`` takes dense input and
-``matrix`` is the one dense view, for the wire format and ``is_morphism``;
-all else, submodules and quotients too, reads the columns.  An element at
-vertex u is pushed along an arrow u -> v by the arrow's matrix (covariant
-convention, pinned empirically by the law hom(P_i, M) = dim(M)_i), and a
-combination of paths by ``act``.  Hom spaces are kernels of the intertwiner
-system, built as map rows that ``linalg`` adapts like dense ones; Ext comes
-from a projective-cover presentation 0 -> K -> P0 -> M -> 0, with Hom(P0, N)
-read off by Yoneda (Hom(P_v, N) = N_v).  All linear algebra is exact.
+``matrix`` is the one dense view, for the wire format only; all else,
+submodules and quotients too, reads the columns.  An element at vertex u is
+pushed along an arrow u -> v by the arrow's matrix (covariant convention,
+pinned empirically by the law hom(P_i, M) = dim(M)_i), and a combination of
+paths by ``act``.  Hom spaces are kernels of the intertwiner system, map
+rows that ``linalg`` adapts like dense ones and ``is_morphism`` checks; Ext
+comes from a projective-cover presentation 0 -> K -> P0 -> M -> 0, with
+Hom(P0, N) read off by Yoneda (Hom(P_v, N) = N_v).  All linear algebra is
+exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from . import linalg
 from .algebra import AlgebraSpec, Path, PathBasis
@@ -154,6 +156,20 @@ def _vertex(v, count: int) -> int:
     return v
 
 
+def _coords(coords, d: int) -> tuple[Fraction, ...]:
+    """Exactly ``d`` coordinates, each read by ``parse_frac``."""
+    if len(coords) != d:
+        raise TypeMismatchError(f"{d} coordinates expected, {len(coords)} given")
+    return tuple(map(parse_frac, coords))
+
+
+def _element(elem, dims) -> Element:
+    """An element read as a vertex below ``len(dims)`` and its ``dims[v]``
+    coordinates: the one reader of an element at every entry point."""
+    v = _vertex(elem[0], len(dims))
+    return v, _coords(elem[1], dims[v])
+
+
 def simple(spec: AlgebraSpec, i: int) -> Representation:
     i = _vertex(i, spec.vertex_count)
     dims = tuple(1 if v == i else 0 for v in range(spec.vertex_count))
@@ -192,14 +208,6 @@ def direct_sum(*modules: Representation) -> Representation:
     return Representation(spec, dims, columns)
 
 
-def sum_embed(m: Representation, n: Representation, elem: Element, side: int) -> Element:
-    """Coordinates of an element of m (side 0) or n (side 1) inside their sum."""
-    v, coords = elem
-    if side == 0:
-        return (v, tuple(coords) + (ZERO,) * n.dims[v])
-    return (v, (ZERO,) * m.dims[v] + tuple(coords))
-
-
 # ---------------------------------------------------------------------------
 # Hom spaces: the intertwiner linear system
 # ---------------------------------------------------------------------------
@@ -208,11 +216,7 @@ Morphism = tuple[Matrix, ...]  # one dims_N[v] x dims_M[v] block per vertex
 
 
 def _unknown_offsets(m: Representation, n: Representation) -> tuple[list[int], int]:
-    offsets = []
-    total = 0
-    for v in range(m.spec.vertex_count):
-        offsets.append(total)
-        total += n.dims[v] * m.dims[v]
+    *offsets, total = accumulate((dm * dn for dm, dn in zip(m.dims, n.dims)), initial=0)
     return offsets, total
 
 
@@ -253,6 +257,17 @@ def hom_dim(m: Representation, n: Representation) -> int:
     return total - linalg.rank(rows, total)
 
 
+def _blocks(f, source_dims, target_dims=None) -> None:
+    """Check that ``f`` has one block per entry of ``source_dims``, block v
+    with rows of ``source_dims[v]`` entries, ``target_dims[v]`` rows if given."""
+    if len(f) != len(source_dims):
+        raise TypeMismatchError(f"a morphism of {len(f)} blocks for {len(source_dims)} vertices")
+    for v, (block, cols) in enumerate(zip(f, source_dims)):
+        rows = len(block) if target_dims is None else target_dims[v]
+        if len(block) != rows or any(len(row) != cols for row in block):
+            raise TypeMismatchError(f"block {v} of the morphism is not a {rows} x {cols} matrix")
+
+
 def _vector_to_morphism(vec, offsets, m: Representation, n: Representation) -> Morphism:
     return tuple(
         tuple(tuple(vec[o + i * d : o + i * d + d]) for i in range(n.dims[v]))
@@ -269,13 +284,19 @@ def hom_basis(m: Representation, n: Representation) -> list[Morphism]:
 
 
 def apply_morphism(f: Morphism, elem: Element) -> Element:
-    v, coords = elem
-    v = _vertex(v, len(f))
-    return (v, tuple(linalg.mat_vec(f[v], coords)))
+    """The image of an element at a vertex v below ``len(f)``, with as many
+    coordinates as block v has columns; a block with no rows takes any number."""
+    v = _vertex(elem[0], len(f))
+    block = f[v]
+    width = len(block[0]) if block else len(elem[1])
+    _blocks((block,), (width,))
+    return v, tuple(linalg.mat_vec(block, _coords(elem[1], width)))
 
 
 def compose_morphisms(f: Morphism, g: Morphism, source_dims) -> Morphism:
     """f after g, blockwise; ``source_dims`` is the dimension vector of g's source."""
+    _blocks(g, source_dims)
+    _blocks(f, [len(block) for block in g])
     return tuple(
         tuple(map(tuple, linalg.mat_mul(fb, gb, b_cols=d)))
         for fb, gb, d in zip(f, g, source_dims)
@@ -283,13 +304,12 @@ def compose_morphisms(f: Morphism, g: Morphism, source_dims) -> Morphism:
 
 
 def is_morphism(m: Representation, n: Representation, f: Morphism) -> bool:
-    for arrow in m.spec.arrows:
-        u, v = arrow.src, arrow.tgt
-        lhs = linalg.mat_mul(f[v], matrix(m, arrow.label), b_cols=m.dims[u])
-        rhs = linalg.mat_mul(matrix(n, arrow.label), f[u], b_cols=m.dims[u])
-        if lhs != rhs:
-            return False
-    return True
+    """Whether f solves the intertwiner system, whose unknowns are the
+    entries of f's blocks, row by row and vertex by vertex."""
+    rows, _, _ = _intertwiner_rows(m, n)
+    _blocks(f, m.dims, n.dims)
+    x = [y for block in f for row in block for y in row]
+    return not any(sum(c * x[k] for k, c in row.items()) for row in rows)
 
 
 def morphism_taking(
@@ -303,16 +323,15 @@ def morphism_taking(
     """
     rows, offsets, total = _intertwiner_rows(m, n)
     rhs = [ZERO] * len(rows)
-    for (v, src), (w, tgt) in pairs:
-        if (v := _vertex(v, m.spec.vertex_count)) != _vertex(w, m.spec.vertex_count):
+    for src, tgt in pairs:
+        (v, src), (w, tgt) = _element(src, m.dims), _element(tgt, n.dims)
+        if v != w:
             raise TypeMismatchError("point images must live at the same vertex")
-        if len(src) != m.dims[v] or len(tgt) != n.dims[v]:
-            raise TypeMismatchError("point coordinates have the wrong length")
-        src_entries = [(j, x) for j, c in enumerate(src) if (x := parse_frac(c))]
+        src_entries = [(j, x) for j, x in enumerate(src) if x]
         for i in range(n.dims[v]):
             base = offsets[v] + i * m.dims[v]
             rows.append({base + j: x for j, x in src_entries})
-            rhs.append(parse_frac(tgt[i]))
+        rhs += tgt
     sol = linalg.solve(rows, rhs, total)
     if sol is None:
         return None
@@ -330,11 +349,9 @@ def submodule_closure(rep: Representation, gens: list[Element]) -> Bases:
     """Per-vertex reduced bases of the submodule generated by the elements,
     each element read once into a map: a vertex in range, rational coordinates."""
     spans: Bases = [[] for _ in range(rep.spec.vertex_count)]
-    for v, coords in gens:
-        v = _vertex(v, rep.spec.vertex_count)
-        if len(coords) != rep.dims[v]:
-            raise TypeMismatchError("generator has wrong length")
-        spans[v].append({j: x for j, c in enumerate(coords) if (x := parse_frac(c))})
+    for gen in gens:
+        v, coords = _element(gen, rep.dims)
+        spans[v].append({j: x for j, x in enumerate(coords) if x})
     for v in range(rep.spec.vertex_count):
         spans[v] = linalg.column_space_basis(spans[v], rep.dims[v])
     changed = True
@@ -352,10 +369,23 @@ def submodule_closure(rep: Representation, gens: list[Element]) -> Bases:
     return spans
 
 
+def _bases(rep: Representation, bases) -> Bases:
+    """``bases`` read as one list of vectors per vertex, maps or dense, into
+    maps whose keys are integer coordinates of their vertex, in time linear
+    in the nonzeros."""
+    if len(bases) != rep.spec.vertex_count:
+        raise SpecFormatError(f"{len(bases)} bases for {rep.spec.vertex_count} vertices")
+    out = list(map(linalg._map_rows, bases))
+    for v, (vecs, d) in enumerate(zip(out, rep.dims)):
+        for k in (k for vec in vecs for k in vec if type(k) is not int or not 0 <= k < d):
+            raise SpecFormatError(f"basis at vertex {v}: no coordinate {k!r} in dimension {d}")
+    return out
+
+
 def sub_representation(rep: Representation, bases: Bases) -> Representation:
     """The subrepresentation spanned by arrow-closed per-vertex ``Bases``,
     each basis vector a map or a dense vector in ambient coordinates."""
-    bases = list(map(linalg._map_rows, bases))
+    bases = _bases(rep, bases)
     dims = tuple(map(len, bases))
     columns = {}
     for arrow in rep.spec.arrows:
@@ -415,7 +445,7 @@ def quotient_representation(
 ) -> tuple[Representation, list]:
     """The quotient by arrow-closed ``Bases``, of maps or dense vectors, plus
     the per-vertex projections (dense ambient -> dense quotient coordinates)."""
-    frees, projects = zip(*map(_projection, map(linalg._map_rows, bases), rep.dims))
+    frees, projects = zip(*map(_projection, _bases(rep, bases), rep.dims))
     columns = {
         a.label: tuple(projects[a.tgt](rep.columns[a.label][j]) for j in frees[a.src])
         for a in rep.spec.arrows

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubelat import linalg, pp, reps
 from tubelat.errors import ContractViolationError, SpecFormatError, TypeMismatchError
@@ -126,6 +128,22 @@ def test_meet_plus_against_subspace_oracle(spec, basis):
 def test_meet_requires_matching_free_types(spec, basis):
     with pytest.raises(TypeMismatchError):
         meet(tautology(spec, 0), tautology(spec, 1))
+
+
+def test_element_in_solution_takes_exactly_the_free_blocks_coordinates(spec, basis):
+    # the free block of a type-2 variable on P6 has one coordinate
+    p, phi = reps.projective(basis, 5), tautology(spec, 1)
+    with pytest.raises(TypeMismatchError, match="1 coordinates expected, 3 given"):
+        pp.element_in_solution(phi, p, (1, 1, 1))
+    assert pp.element_in_solution(phi, p, (1,)) is True
+
+
+@pytest.mark.parametrize("bad", [0.5, True], ids=repr)
+def test_element_in_solution_reads_its_coordinates_as_rationals(spec, basis, bad):
+    p, phi = reps.projective(basis, 5), tautology(spec, 1)
+    with pytest.raises(SpecFormatError, match=f"not a rational: {bad!r}"):
+        pp.element_in_solution(phi, p, (bad,))
+    assert pp.element_in_solution(phi, p, ("1/2",)) is True
 
 
 def test_free_realisation_of_tautology_and_zero(spec, basis):
@@ -436,13 +454,15 @@ def quiver_paths(spec, src, tgt):
     return sorted(found)
 
 
-def random_formula_with_free(spec, rng, free_count):
+def random_formula_with_free(spec, rng, free_count, head=None):
     """Up to three rows over ``free_count`` free and up to two bound
-    variables whose types repeat; each row's type is reached by a path from
-    some column, and entries mix quiver paths with coefficients of either
-    sign."""
+    variables whose types repeat, the free ones of the types ``head`` if
+    given; each row's type is reached by a path from some column, and
+    entries mix quiver paths with coefficients of either sign."""
     pool = rng.sample(range(spec.vertex_count), 3)
     col_types = [rng.choice(pool) for _ in range(free_count + rng.randint(0, 2))]
+    if head is not None:
+        col_types[:free_count] = head
     targets = [u for t in col_types for u in range(spec.vertex_count) if quiver_paths(spec, t, u)]
     row_types = [rng.choice(targets or pool) for _ in range(rng.randint(0, 3))]
     entries = [
@@ -476,3 +496,66 @@ def test_free_realisations_match_the_reference(lam):
             free_dim = sum(len(basis.paths_between(t, u)) for t in phi.col_types for u in range(6))
             cut += got.module.total_dim < free_dim
     assert cut >= 20
+
+
+# ---------------------------------------------------------------------------
+# meet and plus as they were, one loop per placed block, kept as the
+# reference for the constructions that place each formula by one column map.
+# ---------------------------------------------------------------------------
+
+
+def reference_meet(phi, psi):
+    pp._check_same_free(phi, psi)
+    f = phi.free_count
+    col_types = phi.col_types[:f] + phi.col_types[f:] + psi.col_types[f:]
+    zero_a = ((),) * phi.bound_count
+    zero_b = ((),) * psi.bound_count
+    entries = []
+    for row in phi.entries:
+        entries.append(row[:f] + row[f:] + zero_b)
+    for row in psi.entries:
+        entries.append(row[:f] + zero_a + row[f:])
+    return make_formula(phi.spec, f, col_types, phi.row_types + psi.row_types, tuple(entries))
+
+
+def reference_plus(phi, psi):
+    pp._check_same_free(phi, psi)
+    f = phi.free_count
+    head = phi.col_types[:f]
+    col_types = head + head + head + phi.col_types[f:] + psi.col_types[f:]
+    n_cols = len(col_types)
+    entries = []
+    row_types = []
+    for i, t in enumerate(head):
+        row = [()] * n_cols
+        row[i] = ((ONE, ()),)
+        row[f + i] = ((-ONE, ()),)
+        row[2 * f + i] = ((-ONE, ()),)
+        entries.append(tuple(row))
+        row_types.append(t)
+    for r, row in enumerate(phi.entries):
+        new = [()] * n_cols
+        for c in range(f):
+            new[f + c] = row[c]
+        for c in range(phi.bound_count):
+            new[3 * f + c] = row[f + c]
+        entries.append(tuple(new))
+        row_types.append(phi.row_types[r])
+    for r, row in enumerate(psi.entries):
+        new = [()] * n_cols
+        for c in range(f):
+            new[2 * f + c] = row[c]
+        for c in range(psi.bound_count):
+            new[3 * f + phi.bound_count + c] = row[f + c]
+        entries.append(tuple(new))
+        row_types.append(psi.row_types[r])
+    return make_formula(phi.spec, f, col_types, tuple(row_types), tuple(entries))
+
+
+@given(free_count=st.sampled_from([0, 1, 2]), rng=st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_meet_and_plus_match_the_reference_constructions(spec, free_count, rng):
+    head = [rng.randrange(spec.vertex_count) for _ in range(free_count)]
+    phi, psi = (random_formula_with_free(spec, rng, free_count, head) for _ in range(2))
+    assert meet(phi, psi) == reference_meet(phi, psi)
+    assert plus(phi, psi) == reference_plus(phi, psi)

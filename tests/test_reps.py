@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubelat.errors import (
     ConsistencyError,
@@ -628,6 +630,73 @@ def test_morphism_taking_reads_its_coordinates_as_rationals(basis):
         morphism_taking(p, p, [((5, (Fraction(1),)), (5, (0.5,)))])
 
 
+# Every element is read by one reader (a vertex in range, exactly dims[v]
+# rational coordinates), every basis by one reader (one list per vertex, its
+# keys coordinates of the vertex), and every morphism is checked for one block
+# of the right shape per vertex.  Each test below failed before those readers.
+
+
+def p6_and_its_identity(basis):
+    """P6, of dims (1, 1, 2, 1, 1, 1), and the one basis morphism of End(P6)."""
+    p = projective(basis, 5)
+    (identity,) = hom_basis(p, p)
+    return p, identity
+
+
+def test_apply_morphism_refuses_a_float_coordinate(basis):
+    _, f = p6_and_its_identity(basis)
+    with pytest.raises(SpecFormatError, match="not a rational: 0.5"):
+        apply_morphism(f, (5, (0.5,)))
+    assert apply_morphism(f, (5, ("1/2",))) == (5, (Fraction(1, 2),))
+
+
+def test_apply_morphism_takes_as_many_coordinates_as_its_block_has_columns(spec, basis):
+    p, f = p6_and_its_identity(basis)
+    for coords, message in (((1,), "2 coordinates expected, 1 given"), ((1, 2, 3), "2 coordinates expected, 3 given")):
+        with pytest.raises(TypeMismatchError, match=message):
+            apply_morphism(f, (2, coords))
+    assert apply_morphism(f, (2, (1, 2))) == (2, (Fraction(1), Fraction(2)))
+    # into the zero module every block has no rows, and so no width to hold to
+    assert apply_morphism(((),) * 6, (2, (1, 2))) == (2, ())
+
+
+def unit_bases(v, key):
+    """One basis vector {key: 1} at vertex v, none at the other vertices."""
+    return [[{key: Fraction(1)}] if u == v else [] for u in range(6)]
+
+
+@pytest.mark.parametrize("v, key, d", [(0, 5, 1), (0, True, 1), (2, -1, 2)], ids=repr)
+def test_bases_refuse_a_key_outside_the_vertex(basis, v, key, d):
+    # -1 is never read as the last coordinate of the vertex
+    p = projective(basis, 5)
+    for build in (reps.sub_representation, reps.quotient_representation):
+        with pytest.raises(SpecFormatError, match=f"basis at vertex {v}: no coordinate {key!r} in dimension {d}"):
+            build(p, unit_bases(v, key))
+
+
+def test_bases_need_one_entry_per_vertex(basis):
+    p = projective(basis, 5)
+    for build in (reps.sub_representation, reps.quotient_representation):
+        with pytest.raises(SpecFormatError, match="3 bases for 6 vertices"):
+            build(p, [[]] * 3)
+
+
+def test_is_morphism_needs_one_block_of_the_right_shape_per_vertex(basis):
+    p, f = p6_and_its_identity(basis)
+    with pytest.raises(TypeMismatchError, match="a morphism of 3 blocks for 6 vertices"):
+        is_morphism(p, p, f[:3])
+    with pytest.raises(TypeMismatchError, match="block 2 of the morphism is not a 2 x 2 matrix"):
+        is_morphism(p, p, f[:2] + (f[2][:1],) + f[3:])
+
+
+def test_compose_morphisms_needs_one_block_per_vertex(basis):
+    p, f = p6_and_its_identity(basis)
+    for first, second in ((f[:3], f), (f, f[:3])):
+        with pytest.raises(TypeMismatchError, match="a morphism of 3 blocks for 6 vertices"):
+            compose_morphisms(first, second, p.dims)
+    assert compose_morphisms(f, f, p.dims) == f
+
+
 def test_rep_json_round_trip(spec, basis):
     rng = random.Random(29)
     modules = [random_representation(basis, rng), zero_rep(spec), make_representation(spec, (2, 0, 3, 1, 0, 2), {})]
@@ -922,7 +991,7 @@ def dense_path_taken(*args, **kwargs):
 
 
 def test_submodules_and_quotients_take_no_dense_path(spec, basis, monkeypatch):
-    # only the wire format and is_morphism read an arrow densely
+    # only the wire format reads an arrow densely
     from test_pp import random_formula
 
     from tubelat import pp
@@ -1007,3 +1076,77 @@ def test_make_representation_matches_the_dense_reference(spec):
         with pytest.raises(SpecFormatError) as want:
             ref_make_representation(spec, dims, maps)
         assert str(got.value) == str(want.value)
+
+
+# ---------------------------------------------------------------------------
+# is_morphism checks the rows of the intertwiner system; the dense product of
+# each arrow's blocks, as it was, is kept as the reference.
+# ---------------------------------------------------------------------------
+
+
+def dense_is_morphism(m, n, f):
+    for arrow in m.spec.arrows:
+        u, v = arrow.src, arrow.tgt
+        lhs = linalg.mat_mul(f[v], reps.matrix(m, arrow.label), b_cols=m.dims[u])
+        rhs = linalg.mat_mul(reps.matrix(n, arrow.label), f[u], b_cols=m.dims[u])
+        if lhs != rhs:
+            return False
+    return True
+
+
+@pytest.fixture(scope="session")
+def morphism_pairs(spec, basis):
+    """The fixture pairs, pairs with the zero module and End(P6), each with
+    its Hom basis."""
+    c, zero = big_module(spec, basis), zero_rep(spec)
+    pairs = fixture_pairs(spec, basis) + [(zero, c), (c, zero), (simple(spec, 2), c), (projective(basis, 5),) * 2]
+    return [(m, n, hom_basis(m, n)) for m, n in pairs]
+
+
+def candidate(rng, kind, m, n, hom):
+    """A combination of the Hom basis, the same with one entry moved by 1, or
+    random blocks."""
+    shape = [(v, i, j) for v in range(6) for i in range(n.dims[v]) for j in range(m.dims[v])]
+    if kind == "random" or not hom:
+        cells = {cell: Fraction(rng.randint(-1, 1)) for cell in shape}
+    else:
+        coeffs = [rng.randint(-2, 2) for _ in hom]
+        cells = {(v, i, j): sum((k * g[v][i][j] for k, g in zip(coeffs, hom)), ZERO) for v, i, j in shape}
+        if kind == "perturbed" and shape:
+            cells[rng.choice(shape)] += 1
+    return tuple(
+        tuple(tuple(cells[v, i, j] for j in range(m.dims[v])) for i in range(n.dims[v])) for v in range(6)
+    )
+
+
+@given(pair=st.integers(0, 22), kind=st.sampled_from(["combination", "perturbed", "random"]), rng=st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_is_morphism_matches_the_dense_reference(morphism_pairs, pair, kind, rng):
+    m, n, hom = morphism_pairs[pair % len(morphism_pairs)]
+    f = candidate(rng, kind, m, n, hom)
+    assert is_morphism(m, n, f) == dense_is_morphism(m, n, f)
+
+
+def test_is_morphism_reads_no_dense_matrix(morphism_pairs, monkeypatch):
+    # both answers, many times each, with reps.matrix and linalg.mat_mul gone
+    rng = random.Random(71)
+    cases = [
+        (m, n, candidate(rng, kind, m, n, hom))
+        for m, n, hom in morphism_pairs
+        for kind in ("combination", "combination", "perturbed", "random")
+    ]
+    want = [dense_is_morphism(*case) for case in cases]
+    assert want.count(True) >= 25 and want.count(False) >= 25
+    monkeypatch.setattr(reps, "matrix", dense_path_taken)
+    monkeypatch.setattr(linalg, "mat_mul", dense_path_taken)
+    assert [is_morphism(*case) for case in cases] == want
+
+
+def test_is_morphism_refuses_modules_over_different_algebras(spec, basis):
+    from tubelat.algebra import build_c4
+
+    m, other = simple(spec, 0), simple(build_c4(3), 0)
+    with pytest.raises(TypeMismatchError, match="modules live over different algebras"):
+        hom_dim(m, other)
+    with pytest.raises(TypeMismatchError, match="modules live over different algebras"):
+        is_morphism(m, other, hom_basis(m, m)[0])
