@@ -6,61 +6,39 @@ and unit-vector decomposition (``exceptional``), certified slope searches
 (``search`` with ``quadirr``), explicit matrix representations (``reps``),
 and a pp-formula calculus (``pp``).  All arithmetic is exact; there is no
 floating point anywhere in the package.
+
+``import tubelat`` loads no submodule: each name of ``__all__`` is read from
+its home module, which the first access imports (PEP 562), so a CLI start
+pays only for the modules its subcommand runs.
 """
 
-from .algebra import (
-    AlgebraSpec,
-    EulerData,
-    PathBasis,
-    build_c4,
-    derive_path_basis,
-    euler_data,
-    validate_spec,
-)
-from .exceptional import ExceptionalSet, coordinate_bound, enumerate_exceptional, unit_decompose
-from .lattice import DimVector, K0Lattice, RadicalBasis, Slope, mu, radical_basis
-from .quadirr import QuadIrrational, parse_quad_irrational
-from .search import (
-    GapCertificate,
-    TubeParams,
-    delta_for,
-    gap_vector,
-    p_bound,
-    quasisimple_bounds,
-    strip_pairs_above,
-    strip_pairs_below,
-    tube_parameters,
-)
+_HOMES = {
+    "algebra": (
+        "AlgebraSpec", "EulerData", "PathBasis", "build_c4", "derive_path_basis",
+        "euler_data", "validate_spec",
+    ),
+    "exceptional": ("ExceptionalSet", "coordinate_bound", "enumerate_exceptional", "unit_decompose"),
+    "lattice": ("DimVector", "K0Lattice", "RadicalBasis", "Slope", "mu", "radical_basis"),
+    "quadirr": ("QuadIrrational", "parse_quad_irrational"),
+    "search": (
+        "GapCertificate", "TubeParams", "delta_for", "gap_vector", "p_bound",
+        "quasisimple_bounds", "strip_pairs_above", "strip_pairs_below", "tube_parameters",
+    ),
+}
+_HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "AlgebraSpec",
-    "DimVector",
-    "EulerData",
-    "ExceptionalSet",
-    "GapCertificate",
-    "K0Lattice",
-    "PathBasis",
-    "QuadIrrational",
-    "RadicalBasis",
-    "Slope",
-    "TubeParams",
-    "build_c4",
-    "coordinate_bound",
-    "delta_for",
-    "derive_path_basis",
-    "enumerate_exceptional",
-    "euler_data",
-    "gap_vector",
-    "mu",
-    "p_bound",
-    "parse_quad_irrational",
-    "quasisimple_bounds",
-    "radical_basis",
-    "strip_pairs_above",
-    "strip_pairs_below",
-    "tube_parameters",
-    "unit_decompose",
-    "validate_spec",
-]
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

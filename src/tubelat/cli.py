@@ -4,8 +4,11 @@ Every subcommand maps to exactly one library operation, reads exact-rational
 literals ("p/q", "sqrt:d", "(p+q*sqrt(d))/s"), and prints one deterministic
 JSON document to stdout.  Domain failures print a machine-readable error
 object and exit nonzero.  Setting TUBELAT_OUTPUT_DIR additionally writes a
-copy of the output to <dir>/<subcommand>.json.  The module layer (``reps``,
-``pp``) is imported only by the subcommands that read a module or a formula.
+copy of the output to <dir>/<subcommand>.json.  Only ``algebra``, ``errors``
+and ``serialize`` load with this module; each handler imports what it runs,
+so the lattice and the exceptional set load on first use, the searches
+(``search``, ``quadirr``) with the subcommands that search or certify, and the
+module layer (``reps``, ``pp``) with those that read a module or a formula.
 ``certify`` reads its file as text: a canonical document is read by writing
 it again (``certificate_from_canonical_text``), and any other by
 ``json.loads``, row by row.  Each subcommand is declared once, by ``_command``
@@ -26,22 +29,6 @@ from functools import cached_property
 from . import __version__
 from .algebra import build_c4, derive_path_basis, spec_from_json, spec_report
 from .errors import BudgetExhaustedError, PreconditionError, SpecFormatError, TubelatError
-from .exceptional import enumerate_exceptional, unit_decompose
-from .lattice import K0Lattice
-from .quadirr import parse_quad_irrational
-from .search import (
-    GapCertificate,
-    certificate_from_canonical_text,
-    certificate_from_json,
-    delta_for,
-    gap_certificate_to_json,
-    gap_vector,
-    p_bound,
-    tube_parameters,
-    tube_params_to_json,
-    validate_gap_certificate,
-    validate_tube_params,
-)
 from .serialize import dumps_canonical, frac_to_str, parse_frac, parse_int_vector
 
 
@@ -81,10 +68,12 @@ class _Context:
 
     @cached_property
     def lattice(self):
+        from .lattice import K0Lattice
         return K0Lattice.for_spec(self.spec)
 
     @cached_property
     def exceptional(self):
+        from .exceptional import enumerate_exceptional
         return enumerate_exceptional(self.lattice)
 
     def vector(self, text):
@@ -126,6 +115,7 @@ _WINDOW = (_arg("--r", required=True), _arg("--eps", required=True))
 
 def _window(ctx: _Context):
     """The irrational r and the window eps of the slope searches."""
+    from .quadirr import parse_quad_irrational
     return parse_quad_irrational(ctx.args.r), parse_frac(ctx.args.eps)
 
 
@@ -181,6 +171,7 @@ def _cmd_decompose(ctx: _Context) -> tuple[object, int]:
         a, b = ctx.lattice.radical_decompose(x)
         return {"kind": "radical", "a": a, "b": b}, 0
     if chi == 1:
+        from .exceptional import unit_decompose
         a, b, y = unit_decompose(ctx.lattice, x, ctx.exceptional)
         return {"kind": "unit", "a": a, "b": b, "y": list(y)}, 0
     raise PreconditionError(f"chi({tuple(x)}) = {chi}; need 0 or 1 to decompose")
@@ -197,12 +188,14 @@ def _int(text: str) -> int:
 
 @_command("gap-search", *_WINDOW, _arg("--k", required=True, type=_int))
 def _cmd_gap_search(ctx: _Context) -> tuple[object, int]:
+    from .search import gap_certificate_to_json, gap_vector
     cert = gap_vector(ctx.lattice, *_window(ctx), ctx.args.k)
     return gap_certificate_to_json(cert), 0
 
 
 @_command("delta", *_WINDOW)
 def _cmd_delta(ctx: _Context) -> tuple[object, int]:
+    from .search import delta_for
     result = delta_for(ctx.lattice, ctx.exceptional, *_window(ctx))
     return {
         "delta": frac_to_str(result.delta),
@@ -213,11 +206,13 @@ def _cmd_delta(ctx: _Context) -> tuple[object, int]:
 
 @_command("p-bound")
 def _cmd_p_bound(ctx: _Context) -> tuple[object, int]:
+    from .search import p_bound
     return {"p": p_bound(ctx.lattice, ctx.exceptional)}, 0
 
 
 @_command("tube-params", *_WINDOW, _arg("--d", required=True, type=_int))
 def _cmd_tube_params(ctx: _Context) -> tuple[object, int]:
+    from .search import tube_parameters, tube_params_to_json
     tp = tube_parameters(ctx.lattice, ctx.exceptional, *_window(ctx), ctx.args.d)
     return tube_params_to_json(tp), 0
 
@@ -269,6 +264,13 @@ def _cmd_pp_pair(ctx: _Context) -> tuple[object, int]:
 
 @_command("certify", _arg("certificate"))
 def _cmd_certify(ctx: _Context) -> tuple[object, int]:
+    from .search import (
+        GapCertificate,
+        certificate_from_canonical_text,
+        certificate_from_json,
+        validate_gap_certificate,
+        validate_tube_params,
+    )
     text = _read_text(ctx.args.certificate)
     value, stored = certificate_from_canonical_text(text), []
     if value is None:  # not canonical: read by json.loads, row by row

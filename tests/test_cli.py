@@ -501,7 +501,7 @@ def test_out_of_memory_is_one_budget_error(monkeypatch):
         raise MemoryError
 
     # the search itself runs out, under the subcommand's own handler
-    monkeypatch.setattr(cli, "delta_for", exhaust)
+    monkeypatch.setattr(search, "delta_for", exhaust)
     code, text = invoke("delta", "--r", "sqrt:2", "--eps", "1/10")
     doc = json.loads(text)  # exactly one document
     assert code == 1 and doc["error"] == "budget-exhausted"

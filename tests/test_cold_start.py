@@ -1,10 +1,15 @@
 """What a fresh interpreter loads to start the CLI.
 
-``import tubelat.cli`` loads neither ``dataclasses`` (which pulls in
-``inspect``, ``ast``, ``dis`` and ``tokenize``) nor the module layer
-(``tubelat.reps``, ``tubelat.pp``); subcommands that read no module or
-formula never load the module layer either, and ``certify`` of a canonical
-document loads nothing that its ``json.loads`` read does not.
+``import tubelat`` loads no submodule, and ``import tubelat.cli`` loads
+neither ``dataclasses`` (which pulls in ``inspect``, ``ast``, ``dis`` and
+``tokenize``) nor any ``tubelat`` module beyond ``algebra``, ``errors``,
+``serialize`` and ``value``.  Each subcommand loads exactly the modules it
+runs: the searches (``tubelat.search``, ``tubelat.quadirr``) only with the
+commands that search or certify, and the module layer (``tubelat.reps``,
+``tubelat.pp``) only with those that read a module or a formula.
+``certify`` of a canonical document loads nothing that its ``json.loads``
+read does not.  The package's names load on first access, each as the
+object of its home module.
 """
 
 import json
@@ -13,18 +18,52 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 SRC = Path(__file__).resolve().parents[1] / "src"
+GOLDEN = SRC.parent / "tests" / "golden"
 MODULE_LAYER = {"tubelat.pp", "tubelat.reps"}
+
+
+def tubelat_modules(*names: str) -> set[str]:
+    return {"tubelat", *(f"tubelat.{name}" for name in names)}
+
+
+CLI_IMPORT = tubelat_modules("algebra", "cli", "errors", "serialize", "value")
+LATTICE = CLI_IMPORT | tubelat_modules("lattice", "linalg")
+EXCEPTIONAL = LATTICE | tubelat_modules("exceptional")
+SEARCHES = EXCEPTIONAL | tubelat_modules("quadirr", "search")
+# each re-exported name of the package, by the module it is defined in
+HOMES = {
+    "algebra": (
+        "AlgebraSpec", "EulerData", "PathBasis", "build_c4", "derive_path_basis",
+        "euler_data", "validate_spec",
+    ),
+    "exceptional": ("ExceptionalSet", "coordinate_bound", "enumerate_exceptional", "unit_decompose"),
+    "lattice": ("DimVector", "K0Lattice", "RadicalBasis", "Slope", "mu", "radical_basis"),
+    "quadirr": ("QuadIrrational", "parse_quad_irrational"),
+    "search": (
+        "GapCertificate", "TubeParams", "delta_for", "gap_vector", "p_bound",
+        "quasisimple_bounds", "strip_pairs_above", "strip_pairs_below", "tube_parameters",
+    ),
+}
+
+
+def run_fresh(*lines: str) -> str:
+    """The stdout of ``lines``, run after ``import sys`` in a fresh
+    interpreter under ``-W error``; a failed assertion there fails here."""
+    code = "\n".join(["import sys", *lines])
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
 
 
 def modules_after(*lines: str) -> set[str]:
     """The modules a fresh interpreter holds after running ``lines``."""
-    code = "\n".join(["import sys", *lines, "print(' '.join(sys.modules))"])
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    return set(proc.stdout.split())
+    return set(run_fresh(*lines, "print(' '.join(sys.modules))").split())
 
 
 def test_import_of_the_cli_loads_no_dataclasses_and_no_module_layer():
@@ -33,16 +72,102 @@ def test_import_of_the_cli_loads_no_dataclasses_and_no_module_layer():
     unwanted = MODULE_LAYER | ({"dataclasses", "inspect"} - at_start)
     loaded = modules_after("import tubelat.cli")
     assert not unwanted & loaded
-    assert {m for m in loaded if m.startswith("tubelat")} == {
-        "tubelat",
-        *(
-            f"tubelat.{name}"
-            for name in (
-                "algebra", "cli", "errors", "exceptional", "lattice", "linalg",
-                "quadirr", "search", "serialize", "value",
-            )
-        ),
-    }
+    assert {m for m in loaded if m.startswith("tubelat")} == CLI_IMPORT
+
+
+def test_import_of_the_package_loads_no_submodule():
+    assert {m for m in modules_after("import tubelat") if m.startswith("tubelat")} == {"tubelat"}
+
+
+@pytest.mark.parametrize(
+    "case, want",
+    [
+        ("version", CLI_IMPORT),
+        ("error-usage-no-command", CLI_IMPORT),
+        ("validate-algebra", LATTICE),
+        ("euler-h0-hinf", LATTICE),
+        ("slope-vec", LATTICE),
+        ("decompose-radical", LATTICE),
+        ("omega", EXCEPTIONAL),
+        ("decompose-unit", EXCEPTIONAL),
+        ("gap-search-sqrt2", SEARCHES),
+        ("delta-eps-1-10", SEARCHES),
+        ("tube-params-eps-1-10", SEARCHES),
+        ("p-bound", SEARCHES),
+        ("certify-gap-sqrt2", SEARCHES),
+        ("certify-tube-params", SEARCHES),
+        ("slope-rep", LATTICE | tubelat_modules("reps")),
+        ("hom", LATTICE | tubelat_modules("reps")),
+        ("ext", LATTICE | tubelat_modules("reps")),
+        ("pp-eval", LATTICE | tubelat_modules("reps", "pp")),
+        ("pp-free", LATTICE | tubelat_modules("reps", "pp")),
+        ("pp-pair", LATTICE | tubelat_modules("reps", "pp")),
+    ],
+)
+def test_each_subcommand_loads_exactly_the_modules_it_runs(case, want):
+    """The golden case ``case``, run through ``cli.run`` in a fresh
+    interpreter, gives its stored output and loads the ``tubelat`` modules
+    ``want``."""
+    loaded = modules_after(
+        f"sys.path.insert(0, {str(GOLDEN)!r})",
+        "from regenerate import load_cases, run_case",
+        f"argv = next(c['argv'] for c in load_cases() if c['name'] == {case!r})",
+        "code, text = run_case(argv)",
+        f"want = open({str(GOLDEN / 'expected' / f'{case}.out')!r}, encoding='utf-8').read()",
+        "assert text == want, text",
+    )
+    assert {m for m in loaded if m.startswith("tubelat")} == want
+
+
+def test_each_name_of_the_package_is_its_home_modules_object():
+    run_fresh(
+        "import tubelat",
+        f"homes = {HOMES!r}",
+        "assert tubelat.__all__ == sorted(n for names in homes.values() for n in names)",
+        "for home, names in homes.items():",
+        "    for name in names:",
+        "        value = getattr(tubelat, name)  # read first, so the package imports the home",
+        "        assert value is getattr(sys.modules[f'tubelat.{home}'], name), name",
+    )
+
+
+def test_star_import_binds_every_name_of_the_package():
+    run_fresh(
+        "from tubelat import *",
+        "import tubelat",
+        "assert all(globals()[name] is getattr(tubelat, name) for name in tubelat.__all__)",
+    )
+
+
+def test_dir_of_the_package_lists_every_name_before_it_loads():
+    run_fresh(
+        "import tubelat",
+        "assert set(tubelat.__all__) <= set(dir(tubelat)), dir(tubelat)",
+        "assert [m for m in sys.modules if m.startswith('tubelat.')] == []",
+    )
+
+
+def test_an_unknown_name_of_the_package_is_an_attribute_error():
+    run_fresh(
+        "import tubelat",
+        "try:",
+        "    tubelat.unit_vector",
+        "except AttributeError as exc:",
+        "    assert str(exc) == \"module 'tubelat' has no attribute 'unit_vector'\", exc",
+        "else:",
+        "    raise SystemExit('no AttributeError')",
+        "assert not hasattr(tubelat, 'search')",
+    )
+
+
+def test_from_the_package_import_still_imports_submodules():
+    run_fresh(
+        "from tubelat import algebra, cli, search",
+        "assert (algebra, cli, search) == tuple(",
+        "    sys.modules[f'tubelat.{name}'] for name in ('algebra', 'cli', 'search')",
+        ")",
+        "assert search.gap_vector.__module__ == 'tubelat.search'",
+    )
 
 
 def test_validate_algebra_loads_no_module_layer():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tubelat import cli, serialize
+from tubelat import cli, search, serialize
 from tubelat.algebra import build_c4
 from tubelat.errors import BudgetExhaustedError, PreconditionError, SpecFormatError
 from tubelat.exceptional import ExceptionalSet, enumerate_exceptional
@@ -1351,7 +1351,7 @@ def certify(text: str, byte_path: bool = True, lam: str = "2") -> tuple[int, str
         stack.enter_context(mock.patch.object(cli, "_read_text", lambda path: text))
         if not byte_path:
             stack.enter_context(
-                mock.patch.object(cli, "certificate_from_canonical_text", lambda text: None)
+                mock.patch.object(search, "certificate_from_canonical_text", lambda text: None)
             )
         code = cli.run(["--lambda", lam, "certify", "doc.json"], out)
     return code, out.getvalue()
