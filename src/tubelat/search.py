@@ -14,7 +14,7 @@ integer comparisons:
   two strips that hold them end just past the exception conditions, at
   eps' = eps/2 and eps from a bracket of r, and are scanned once per class
   of exceptional y with equal offsets; each row of pairs costs one
-  ``floor_mul`` and each pair whose perturbed slope is near r one more,
+  ``floor_mul`` and each row with a pair near r one more,
   ``distance_lower_bound`` runs only on the exceptions less than twice as
   far from r as the nearest one, the only ones that can set delta, and the
   exceptions come back as integer rows in a packed view, ``ExceptionRows``,
@@ -304,7 +304,8 @@ def delta_for(
     num/den, signs flipped so that den > 0.  For eps' = e'/f', |rho - r| <
     eps' says num*f' - e'*den <= floor(r*den*f') < num*f' + e'*den, one
     ``floor_mul`` per row, and rho < r exactly when floor(r*den*f') >=
-    num*f'; the raw test |b/a - r| < eps is the same with (b, a) and eps.
+    num*f'; the raw test |b/a - r| < eps is the same with (b, a) and eps,
+    each row with a pair near r one more.
     A class's exceptions, turned into integer columns, go to each of its y
     by one ``zip``, as rows (a, b, rank of y, num, den); the rows are
     sorted as plain tuples, so by (a, b, y), and returned as an
@@ -351,12 +352,13 @@ def delta_for(
             # num = b*step + start, signs flipped so that den > 0
             step, start = (D, G1) if den > 0 else (-D, -G1)
             den = abs(den)
-            cut = r.floor_mul(den * f_prime)
+            cut, raw = r.floor_mul(den * f_prime), None
             for b in range(lo, hi + 1):
                 num = b * step + start
                 if not num * f_prime - e_prime * den <= cut < num * f_prime + e_prime * den:
                     continue  # perturbed slope outside (r - eps', r + eps')
-                raw = r.floor_mul(a * f)
+                if raw is None:  # the row's first pair near r
+                    raw = r.floor_mul(a * f)
                 if b * f - e * a <= raw < b * f + e * a:
                     continue  # raw slope already inside the eps window
                 found.append((a, b, num, den))
@@ -880,7 +882,7 @@ def certificate_from_canonical_text(text: str) -> GapCertificate | TubeParams | 
     try:
         start = text.index(_WITNESSES)
         pad = text[text.rfind("\n", 0, start) + 1 : start]
-        end = text.index("\n" + pad + "]", start)
+        end = text.rindex("\n" + pad + "]", start)
         data = json.loads(text[: start + len(_WITNESSES)] + text[end + len(pad) + 1 :])
         gap = data["certificate"] if "certificate" in data else data
         w0, w1 = gap["mu_weights"]

@@ -19,7 +19,9 @@ constant pieces repeated, with each column of varying pieces put in place
 by C iterators, so no Python frame runs per row.  The witness rows of a gap
 certificate travel as one ``Rows`` value, which reads as the list of row
 dicts; when its source is a budget scan, ``_scan_blocks`` feeds the writer
-one block of rows with equal a at a time.  Rows read from the wire are
+one block of rows with equal a at a time, each column sliced or repeated
+from a short list, so that what it spells is bounded by the rows and not
+by the budget.  Rows read from the wire are
 written as the list of dicts they read as.  The exceptions of a delta
 travel as their packed view, which ``_exception_blocks`` feeds to the
 writer a fixed number of rows at a time, as the list of dicts {a, b,
@@ -34,7 +36,7 @@ import json
 import re
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import repeat
+from itertools import cycle, repeat
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from operator import floordiv
@@ -228,28 +230,39 @@ def _write_blocks(blocks, depth: int, out: list) -> None:
 
 def _scan_blocks(scan, depth: int):
     """The blocks of ``_write_blocks`` for the rows of the budget scan
-    ``scan``, one per ``scan.blocks()``.  A row is seven pieces: the opening
-    up to the b key (a included), b, the mu key, mu, the slope key and
-    quote, and the slope as a head and a tail that closes the row.  b and mu
-    are ranges; for a >= 1, b/a reduces by g = gcd(b, a) to (b//g)/(a//g),
-    one pass of ``gcd`` and one of ``floordiv``, one tail per distinct g,
-    and for a = 0 the slope is "inf".  Every integer is spelt from one list
-    of ``str(i)`` up to the budget."""
+    ``scan``, one per ``scan.blocks()``.  A row is five pieces: the opening
+    up to the b key (a included), b, the mu key and mu with the slope key
+    and quote, and the slope as a numerator and a tail that closes the row.
+    Each column is a slice or a repeat of a short list: b is sliced from the
+    texts up to ``budget // w1``, and mu from the texts of its residue rho =
+    mu mod w1, built on first use over ``range(rho, budget + 1, w1)``.  No
+    list has more entries than the a = 0 block plus one, and there is at
+    most one list of mu texts per block, so a budget that no rows fill
+    spells nothing.  For a >= 1, b/a reduces by g = gcd(b, a) to
+    (b//g)/(a//g); g and the tail, one per distinct g, repeat with period
+    a, so they are computed over one period, and the numerator is spelt
+    from the b texts.  For a = 0 the slope is "inf"."""
     inner = _INDENT * (depth + 1)
     opening = ",\n" + inner + "{\n" + inner + _INDENT + '"a": '  # with the separator of rows
     b_key, mu_key, slope_key = (",\n" + inner + _INDENT + f'"{k}": ' for k in Rows.KEYS[1:])
     close = '"\n' + inner + "}"
-    spell = list(map(str, range(scan.budget + 1))).__getitem__
-    w0, w1 = scan.w0, scan.w1
+    w0, w1, budget = scan.w0, scan.w1, scan.budget
+    b_texts = list(map(str, range(budget // w1 + 1)))
+    mu_texts: dict[int, list[str]] = {}  # rho -> the texts of mu = rho, rho + w1, ...
     for a, bs in scan.blocks():
-        row = [opening + spell(a) + b_key, None, mu_key, None, slope_key + '"', "inf", close]
-        columns = [map(spell, bs), map(spell, range(w0 * a + w1 * bs.start, w0 * a + w1 * bs.stop, w1))]
+        i, rho = divmod(w0 * a, w1)  # mu = w0*a + w1*b is entry i + b of rho's texts
+        if rho not in mu_texts:
+            mu_texts[rho] = [mu_key + m + slope_key + '"' for m in map(str, range(rho, budget + 1, w1))]
+        n = len(bs)
+        columns = [b_texts[bs.start : bs.stop], mu_texts[rho][i + bs.start : i + bs.stop]]
+        row = [opening + str(a) + b_key, None, None, "inf" + close]
         if a:
-            gs = list(map(gcd, bs, repeat(a)))
-            tails = {g: ("" if g == a else "/" + spell(a // g)) + close for g in set(gs)}
-            row[5:] = None, None
-            columns += map(spell, map(floordiv, bs, gs)), map(tails.__getitem__, gs)
-        yield row, len(bs), columns
+            gs = list(map(gcd, range(min(a, n)), repeat(a)))  # bs starts at 0; one period
+            tails = {g: ("" if g == a else "/" + str(a // g)) + close for g in set(gs)}
+            period, (repeats, rest) = list(map(tails.__getitem__, gs)), divmod(n, len(gs))
+            columns += map(b_texts.__getitem__, map(floordiv, bs, cycle(gs))), period * repeats + period[:rest]
+            row[3:] = None, None
+        yield row, n, columns
 
 
 # delta rows per block; each block is joined at once, so only one block's

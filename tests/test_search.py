@@ -3,6 +3,8 @@ import json
 import random
 import re
 import signal
+import sys
+import tracemalloc
 from contextlib import ExitStack
 from functools import lru_cache
 from fractions import Fraction
@@ -325,6 +327,23 @@ def test_delta_exception_keys_distinct(lattice, exceptional_set, r, eps):
     keys = [(e.a, e.b, e.y) for e in res.exceptions]
     assert keys
     assert len(set(keys)) == len(keys)
+
+
+def test_delta_for_runs_the_raw_floor_mul_once_per_row(lattice, exceptional_set, monkeypatch):
+    """At sqrt(2) and eps 1/100, delta_for itself runs ``floor_mul`` 2873
+    times: once for each of the 1651 strip rows with a perturbed slope, and
+    once more for each of the 1222 rows with a pair near r.  Run once per
+    such pair, the raw-slope ``floor_mul`` would add 33 more."""
+    calls = []
+    floor_mul = QuadIrrational.floor_mul
+
+    def counted(self, n):
+        calls.append(sys._getframe(1).f_code is delta_for.__code__)
+        return floor_mul(self, n)
+
+    monkeypatch.setattr(QuadIrrational, "floor_mul", counted)
+    delta_for(lattice, exceptional_set, SQRT2, Fraction(1, 100))
+    assert sum(calls) == 2873
 
 
 DELTA_CASES = [
@@ -1441,6 +1460,8 @@ def test_wire_mutations_reach_both_readers():
         text.replace('"a": 5,\n  "b": 7,', '"b": 7,\n  "a": 5,'),
         swapped(text, rows[0], rows[1]),
         text[:-1],
+        text + "]\n",
+        text + "  ]\n",  # a line at the witnesses' indent, where the cut from the end falls
         text.replace('"slope": "inf"', '"slope": "oo"', 1),
     ):
         assert edited != text and certificate_from_canonical_text(edited) is None
@@ -1487,6 +1508,30 @@ def test_a_budget_above_the_rows_is_read_row_by_row_within_a_second(
     got = _within_a_second(lambda: validate_gap_certificate(lattice, cert))
     assert got == ref_validate_gap_certificate(lattice, cert) == json.loads(out)["failures"]
     assert _within_a_second(lambda: dumps_canonical(gap_certificate_to_json(cert))) == text
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+def test_a_padded_document_is_written_from_lists_the_size_of_its_rows(monkeypatch):
+    """Nine rows of weights (10**6, 10**6) under a budget of 3 * 10**6, with
+    the witness array padded by as many spaces, so that the budget is within
+    the text's length: the byte path writes the scan, which spells no
+    integer it has no row for, and refuses the padded text."""
+    w0 = w1 = 10**6
+    budget = 3 * w0
+    rows = [dict(zip(KEYS, row)) for row in BudgetScan(w0, w1, budget)]
+    doc = {**GAP_DOC, "mu_weights": [w0, w1], "budget": budget, "witnesses": rows}
+    text = dumps_canonical(doc).replace('"witnesses": [', '"witnesses": [' + " " * budget, 1)
+    assert len(rows) == 9 and len(text) > budget and json.loads(text) == doc
+    written = []
+    scan_blocks = serialize._scan_blocks
+    monkeypatch.setattr(serialize, "_scan_blocks", lambda *args: written.append(args) or scan_blocks(*args))
+    tracemalloc.start()
+    try:
+        assert _within_a_second(lambda: certificate_from_canonical_text(text)) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(written) == 1 and peak < 8 * 10**6
 
 
 def _weights_1_1_budget_near_the_length() -> dict:

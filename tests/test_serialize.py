@@ -145,9 +145,16 @@ def test_non_json_values_raise_type_error(doc):
 
 
 # the C(4, lambda) weights (6, 4) up to budget 300 give blocks with three or
-# more reduced denominators (a = 4 has 4, 2 and 1 from b = 1, 2, 4)
-scans = st.builds(BudgetScan, st.integers(1, 6), st.integers(1, 6), st.integers(-2, 40)) | st.builds(
-    BudgetScan, st.just(6), st.just(4), st.integers(0, 300)
+# more reduced denominators (a = 4 has 4, 2 and 1 from b = 1, 2, 4); weights
+# up to 10**6 give many residues of (w0 * a) mod w1, each with its own list
+# of mu texts, under a budget of at most 40 times the smaller weight, so that
+# a scan has at most 41 blocks of at most 41 rows
+scans = (
+    st.builds(BudgetScan, st.integers(1, 6), st.integers(1, 6), st.integers(-2, 40))
+    | st.builds(BudgetScan, st.just(6), st.just(4), st.integers(0, 300))
+    | st.tuples(st.integers(1, 10**6), st.integers(1, 10**6)).flatmap(
+        lambda w: st.builds(BudgetScan, st.just(w[0]), st.just(w[1]), st.integers(-2, 40 * min(w)))
+    )
 )
 # runs of rows sharing an a, the runs in any order and an a coming back
 # after another, so that no block of wire rows is reordered or merged
@@ -165,6 +172,9 @@ wire_rows = runs | st.lists(
 
 @given(source=scans | wire_rows, depth=st.integers(0, 3), sibling=scalars, in_list=st.booleans())
 @example(source=BudgetScan(6, 4, 300), depth=1, sibling=0, in_list=False)
+@example(source=BudgetScan(1, 1, 97), depth=1, sibling=0, in_list=False)  # n crosses a in the scan
+@example(source=BudgetScan(2, 5, 4), depth=1, sibling=0, in_list=False)  # no row with a = 0
+@example(source=BudgetScan(10**6, 10**6 + 1, 3 * 10**6), depth=2, sibling=0, in_list=True)
 @example(source=((1, 0, 6, "0"), (2, 1, 16, "1/2"), (1, 1, 10, "1")), depth=0, sibling=0, in_list=False)
 @settings(max_examples=300, deadline=None)
 def test_rows_match_json_dumps_of_their_list_form(source, depth, sibling, in_list):
